@@ -4,5 +4,5 @@ __version__ = "0.1.0"
 
 from . import curriculum, data, harness, metrics, numcore, slidelevel  # noqa: F401
 from .exceptions import (  # noqa: F401
-    DimensionError, FormatError, NumericError, ValidationError,
+    DimensionError, NumericError, ValidationError,
 )

@@ -9,12 +9,13 @@ gate one level down: top-K' within top-K, compared against the top-K sum.
 The gating fraction decays linearly from a+b to b over each epoch, so early
 iterations of an epoch favour broad updates and late iterations favour hard
 ones.
+
+Plain fine-tuning and both stages share one training loop; they differ only
+in the decision function it calls once per mini-batch.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,57 +24,51 @@ from . import metrics, numcore
 from .exceptions import NumericError, ValidationError
 from .numcore import LrSchedule, MlpModel, OptimizerState
 
-STAGE1 = "stage1"
-STAGE2 = "stage2"
-
 TOP_K_BRANCH = "top_k"
 TOTAL_BRANCH = "total"
 TOP_K_PRIME_BRANCH = "top_k_prime"
 
-REPORT_SCHEMA = "hadcl.stage_report.v1"
-
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """Linear per-epoch decay a*(1 - t/T) + b over iterations t in [0, T]."""
+    """Linear per-epoch decay a*(1 - t/T) + b; T is the number of batches
+    an epoch actually runs, supplied by the training loop."""
 
     a: float
     b: float
-    T: int
 
     def __post_init__(self):
         if not (self.a > self.b > 0.0):
             raise ValidationError("require a > b > 0")
         if self.a + self.b > 1.0:
             raise ValidationError("a + b must be <= 1 (threshold is a loss fraction)")
-        if self.T < 1:
-            raise ValidationError("T must be >= 1")
 
 
-def threshold(t: int, sched: ThresholdSchedule) -> float:
-    """Gating fraction at iteration t; a+b at t=0 decaying to b at t=T."""
-    if not (0 <= t <= sched.T):
-        raise ValidationError(f"iteration t={t} outside [0, {sched.T}]")
-    return sched.a * (1.0 - t / sched.T) + sched.b
+# Plain fine-tuning has no gate, but its curve rows carry a threshold column
+# like every other strategy's. They log this fixed schedule so that baseline
+# rows in report.json and curves.tsv stay byte-comparable across versions.
+PLAIN_SCHEDULE = ThresholdSchedule(a=0.7, b=0.2)
+
+
+def threshold(t: int, sched: ThresholdSchedule, T: int) -> float:
+    """Gating fraction at iteration t of T; a+b at t=0 decaying to b at t=T."""
+    if T < 1:
+        raise ValidationError("T must be >= 1")
+    if not (0 <= t <= T):
+        raise ValidationError(f"iteration t={t} outside [0, {T}]")
+    return sched.a * (1.0 - t / T) + sched.b
 
 
 @dataclass(frozen=True)
 class CurriculumConfig:
     alpha: float
     schedule: ThresholdSchedule
-    stage: str
     epochs: int
     batch_size: int
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValidationError("alpha must be in (0, 1]")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be >= 0")
-        if self.stage not in (STAGE1, STAGE2):
-            raise ValidationError(f"unknown stage {self.stage!r}")
 
     @property
     def top_k(self) -> int:
@@ -90,23 +85,10 @@ def rank_by_loss(losses) -> np.ndarray:
     return np.argsort(-losses, kind="stable")
 
 
-def select_top_k(order: np.ndarray, alpha: float, batch_size: int) -> np.ndarray:
-    """First max(1, floor(alpha * B)) entries of the descending order."""
-    k = max(1, int(alpha * batch_size))
-    return order[:k]
-
-
-def select_top_k_prime(top_k_idx: np.ndarray, thres: float) -> np.ndarray:
-    """First max(1, floor(thres * K)) entries of the top-K set."""
-    k_prime = max(1, int(thres * len(top_k_idx)))
-    return top_k_idx[:k_prime]
-
-
 @dataclass
 class BatchHardness:
     """Per-batch loss ranking and the nested hard-sample sets."""
 
-    losses: np.ndarray
     order: np.ndarray
     top_k: np.ndarray
     top_k_prime: np.ndarray | None
@@ -115,19 +97,18 @@ class BatchHardness:
     loss_k_prime: float | None
 
     @classmethod
-    def from_losses(cls, losses, alpha: float, batch_size: int,
+    def from_losses(cls, losses, k: int,
                     thres: float | None = None) -> "BatchHardness":
-        """Rank and select; pass thres to also form the stage-2 top-K' set."""
+        """Top-K = the k highest losses; pass thres to also form the stage-2
+        top-K' set, the first max(1, floor(thres * K)) entries of top-K."""
         losses = np.asarray(losses, dtype=np.float64)
         order = rank_by_loss(losses)
-        top_k = select_top_k(order, alpha, batch_size)
-        top_k_prime = None
-        loss_k_prime = None
+        top_k = order[:k]
+        top_k_prime = loss_k_prime = None
         if thres is not None:
-            top_k_prime = select_top_k_prime(top_k, thres)
+            top_k_prime = top_k[:max(1, int(thres * len(top_k)))]
             loss_k_prime = float(losses[top_k_prime].sum())
         return cls(
-            losses=losses,
             order=order,
             top_k=top_k,
             top_k_prime=top_k_prime,
@@ -139,28 +120,44 @@ class BatchHardness:
 
 @dataclass(frozen=True)
 class UpdateDecision:
+    """Which samples of a batch one update uses.
+
+    mask is an index subset of the batch, or None for the whole batch;
+    lhs > rhs is the gate comparison behind the branch (None without a gate).
+    """
+
     branch: str
-    thres: float
-    lhs: float
-    rhs: float
+    mask: np.ndarray | None
+    k: int
+    k_prime: int | None
+    lhs: float | None
+    rhs: float | None
 
 
-def decide_update_stage1(hardness: BatchHardness, thres: float) -> UpdateDecision:
-    """Hard branch iff the top-K loss sum exceeds thres times the batch total."""
-    lhs = hardness.loss_k
-    rhs = thres * hardness.loss_total
-    branch = TOP_K_BRANCH if lhs > rhs else TOTAL_BRANCH
-    return UpdateDecision(branch=branch, thres=thres, lhs=lhs, rhs=rhs)
+def decide_update_stage1(losses, thres: float, k: int) -> UpdateDecision:
+    """Top-K iff the top-K loss sum exceeds thres times the batch total,
+    otherwise the whole batch."""
+    h = BatchHardness.from_losses(losses, k)
+    lhs, rhs = h.loss_k, thres * h.loss_total
+    if lhs > rhs:
+        return UpdateDecision(TOP_K_BRANCH, h.top_k, len(h.top_k), None, lhs, rhs)
+    return UpdateDecision(TOTAL_BRANCH, None, len(h.top_k), None, lhs, rhs)
 
 
-def decide_update_stage2(hardness: BatchHardness, thres: float) -> UpdateDecision:
-    """Very-hard branch iff the top-K' sum exceeds thres times the top-K sum."""
-    if hardness.top_k_prime is None:
-        raise ValidationError("stage-2 decision requires a top-K' set")
-    lhs = hardness.loss_k_prime
-    rhs = thres * hardness.loss_k
-    branch = TOP_K_PRIME_BRANCH if lhs > rhs else TOP_K_BRANCH
-    return UpdateDecision(branch=branch, thres=thres, lhs=lhs, rhs=rhs)
+def decide_update_stage2(losses, thres: float, k: int) -> UpdateDecision:
+    """Top-K' iff the top-K' loss sum exceeds thres times the top-K sum,
+    otherwise top-K."""
+    h = BatchHardness.from_losses(losses, k, thres=thres)
+    lhs, rhs = h.loss_k_prime, thres * h.loss_k
+    k, k_prime = len(h.top_k), len(h.top_k_prime)
+    if lhs > rhs:
+        return UpdateDecision(TOP_K_PRIME_BRANCH, h.top_k_prime, k, k_prime, lhs, rhs)
+    return UpdateDecision(TOP_K_BRANCH, h.top_k, k, k_prime, lhs, rhs)
+
+
+def _decide_whole_batch(losses, thres: float, k: int) -> UpdateDecision:
+    """Plain fine-tuning: every update uses the whole batch."""
+    return UpdateDecision(TOTAL_BRANCH, None, len(losses), None, None, None)
 
 
 @dataclass
@@ -179,31 +176,10 @@ class IterationRecord:
 class StageReport:
     """Per-iteration log of one curriculum (or plain) fine-tuning stage."""
 
-    stage: str
-    params_tag: str
     records: list = field(default_factory=list)
     # epoch whose parameters were kept under validation-based selection;
     # None when no selection set was supplied (the final epoch is returned)
     best_epoch: int | None = None
-
-    def to_jsonl(self, path) -> None:
-        with open(path, "w") as f:
-            header = {"schema": REPORT_SCHEMA, "stage": self.stage,
-                      "params_tag": self.params_tag,
-                      "best_epoch": self.best_epoch}
-            f.write(json.dumps(header) + "\n")
-            for rec in self.records:
-                f.write(json.dumps(dataclasses.asdict(rec)) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path) -> "StageReport":
-        with open(path) as f:
-            header = json.loads(f.readline())
-            if header.get("schema") != REPORT_SCHEMA:
-                raise ValidationError(f"unknown report schema {header.get('schema')!r}")
-            records = [IterationRecord(**json.loads(line)) for line in f]
-        return cls(stage=header["stage"], params_tag=header["params_tag"],
-                   records=records, best_epoch=header.get("best_epoch"))
 
 
 @dataclass(frozen=True)
@@ -229,13 +205,16 @@ def _val_score(model: MlpModel, features: np.ndarray,
     return float(np.mean(preds == labels))
 
 
-def _run_loop(model: MlpModel, features, labels, config: CurriculumConfig,
-              settings: TrainSettings, seed: int, mode: str,
-              params_tag: str, select_set=None) -> tuple[MlpModel, StageReport]:
-    """Shared epoch/iteration scaffold for plain, stage-1 and stage-2 training.
+def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSchedule,
+              k: int, epochs: int, batch_size: int, settings: TrainSettings,
+              seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
+    """The training loop behind plain, stage-1 and stage-2 fine-tuning.
 
-    All three modes draw identical epoch shuffles from the same seed, so runs
-    differ only in which samples each update touches.
+    Each iteration hands the batch's per-sample losses, the threshold and K
+    to `decide(losses, thres, k)` and updates on the samples the returned
+    decision selects. Every caller draws identical
+    epoch shuffles from the same seed, so runs differ only in which samples
+    each update touches.
 
     When `select_set` is a (features, labels) pair, the parameters kept are
     those of the epoch with the highest selection score on it (earliest
@@ -246,21 +225,20 @@ def _run_loop(model: MlpModel, features, labels, config: CurriculumConfig,
     n = features.shape[0]
     if n < 1:
         raise ValidationError("dataset is empty")
-    batch_size = config.batch_size
+    if batch_size < 1 or epochs < 0:
+        raise ValidationError("need batch_size >= 1 and epochs >= 0")
+    # short trailing batches are dropped so K is constant
     n_batches = n // batch_size
     if n_batches < 1:
         raise ValidationError(
             f"dataset of {n} samples yields no full batch of size {batch_size}")
-    # T is the realized iterations per epoch; the configured schedule supplies
-    # only (a, b). Short trailing batches are dropped so K is constant.
-    sched = dataclasses.replace(config.schedule, T=n_batches)
 
     model = model.copy()
     state = OptimizerState.for_model(
         model, beta1=settings.beta1, beta2=settings.beta2,
         weight_decay=settings.weight_decay, eps=settings.eps)
     rng = np.random.default_rng(seed)
-    report = StageReport(stage=mode, params_tag=params_tag)
+    report = StageReport()
     best_model, best_acc = None, -1.0
     if select_set is not None:
         # The incoming parameters compete too: epoch -1 means the stage kept
@@ -269,7 +247,7 @@ def _run_loop(model: MlpModel, features, labels, config: CurriculumConfig,
         best_acc = _val_score(model, select_set[0], select_set[1])
         report.best_epoch = -1
 
-    for epoch in range(config.epochs):
+    for epoch in range(epochs):
         lr = numcore.lr_at(settings.lr_schedule, epoch)
         perm = rng.permutation(n)
         for t in range(1, n_batches + 1):
@@ -280,33 +258,16 @@ def _run_loop(model: MlpModel, features, labels, config: CurriculumConfig,
             if not np.all(np.isfinite(losses)):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, iteration {t} "
-                    f"({mode}, seed {seed}); run aborted")
-            thres = threshold(t, sched)
-
-            if mode == "plain":
-                mask = None
-                branch = TOTAL_BRANCH
-                k, k_prime = batch_size, None
-            elif mode == STAGE1:
-                hardness = BatchHardness.from_losses(losses, config.alpha, batch_size)
-                decision = decide_update_stage1(hardness, thres)
-                branch = decision.branch
-                mask = hardness.top_k if branch == TOP_K_BRANCH else None
-                k, k_prime = len(hardness.top_k), None
-            else:  # STAGE2
-                hardness = BatchHardness.from_losses(
-                    losses, config.alpha, batch_size, thres=thres)
-                decision = decide_update_stage2(hardness, thres)
-                branch = decision.branch
-                mask = (hardness.top_k_prime if branch == TOP_K_PRIME_BRANCH
-                        else hardness.top_k)
-                k, k_prime = len(hardness.top_k), len(hardness.top_k_prime)
-
-            grads, mean_loss = numcore.backward(model, x, y, sample_mask=mask)
+                    f"(seed {seed}); run aborted")
+            thres = threshold(t, schedule, n_batches)
+            decision = decide(losses, thres, k)
+            grads, mean_loss = numcore.backward(model, x, y,
+                                                sample_mask=decision.mask)
             numcore.adam_step(model, grads, state, lr)
             report.records.append(IterationRecord(
-                epoch=epoch, t=t, thres=thres, k=k, k_prime=k_prime,
-                branch=branch, mean_loss=mean_loss, lr=lr))
+                epoch=epoch, t=t, thres=thres, k=decision.k,
+                k_prime=decision.k_prime, branch=decision.branch,
+                mean_loss=mean_loss, lr=lr))
         if select_set is not None:
             acc = _val_score(model, select_set[0], select_set[1])
             if acc > best_acc:
@@ -318,43 +279,25 @@ def _run_loop(model: MlpModel, features, labels, config: CurriculumConfig,
 
 
 def run_stage(model: MlpModel, features, labels, config: CurriculumConfig,
-              settings: TrainSettings, seed: int,
+              decide, settings: TrainSettings, seed: int,
               select_set=None) -> tuple[MlpModel, StageReport]:
     """Run one curriculum stage from the given parameters.
 
-    Returns the trained parameters (theta_1 for stage 1, theta_2 for stage 2)
-    and the per-iteration report. The input model is not mutated. Pass a
-    validation (features, labels) pair as `select_set` to keep the
-    best-validation-accuracy epoch instead of the last one.
+    `decide` is `decide_update_stage1` (returns theta_1) or
+    `decide_update_stage2` (run from theta_1, returns theta_2). Returns the
+    trained parameters and the per-iteration report. The input model is not
+    mutated. Pass a validation (features, labels) pair as `select_set` to
+    keep the best-validation-score epoch instead of the last one.
     """
-    tag = "theta1" if config.stage == STAGE1 else "theta2"
-    return _run_loop(model, features, labels, config, settings, seed,
-                     mode=config.stage, params_tag=tag, select_set=select_set)
+    return _run_loop(model, features, labels, decide, config.schedule,
+                     config.top_k, config.epochs, config.batch_size, settings,
+                     seed, select_set=select_set)
 
 
 def finetune_plain(model: MlpModel, features, labels, epochs: int,
                    batch_size: int, settings: TrainSettings, seed: int,
                    select_set=None) -> tuple[MlpModel, StageReport]:
     """Baseline fine-tuning: every update uses the whole mini-batch."""
-    config = CurriculumConfig(
-        alpha=1.0, schedule=ThresholdSchedule(0.7, 0.2, 1),
-        stage=STAGE1, epochs=epochs, batch_size=batch_size)
-    return _run_loop(model, features, labels, config, settings, seed,
-                     mode="plain", params_tag="baseline", select_set=select_set)
-
-
-def run_hadcl(pretrained: MlpModel, features, labels,
-              stage1_config: CurriculumConfig, stage2_config: CurriculumConfig,
-              stage1_settings: TrainSettings, stage2_settings: TrainSettings,
-              seed: int,
-              select_set=None) -> tuple[MlpModel, tuple[StageReport, StageReport]]:
-    """Full dual-stage run: stage 2 starts exactly from the stage-1 result."""
-    if stage1_config.stage != STAGE1 or stage2_config.stage != STAGE2:
-        raise ValidationError("configs must be a (stage1, stage2) pair")
-    theta1, report1 = run_stage(pretrained, features, labels,
-                                stage1_config, stage1_settings, seed,
-                                select_set=select_set)
-    theta2, report2 = run_stage(theta1, features, labels,
-                                stage2_config, stage2_settings, seed,
-                                select_set=select_set)
-    return theta2, (report1, report2)
+    return _run_loop(model, features, labels, _decide_whole_batch,
+                     PLAIN_SCHEDULE, batch_size, epochs, batch_size, settings,
+                     seed, select_set=select_set)

@@ -1,7 +1,7 @@
 """Seeded synthetic data: Gaussian blob classification tasks with a
 controllable hard stratum (samples placed near the decision boundary) and
-label noise, a parametric domain shift, grid "slide" synthesis for the
-slide-level pipeline, and a binary dataset file format.
+label noise, a parametric domain shift, and grid "slide" synthesis for the
+slide-level pipeline.
 
 All generators are pure functions of their spec: same spec, same bytes.
 """
@@ -11,15 +11,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import FormatError, ValidationError
-
-DATASET_MAGIC = b"HADCLDS1"
-DATASET_VERSION = 1
+from .exceptions import ValidationError
 
 
 def _spec_hash(spec) -> str:
@@ -258,7 +254,6 @@ class Slide:
     label: int
     patch_labels: np.ndarray   # (H, W) 0/1
     features: np.ndarray       # (H*W, d), row-major over the grid
-    coords: np.ndarray         # (H*W, 2) grid coordinates
 
 
 def _patch_features(labels_flat: np.ndarray, patch_spec: BlobTaskSpec,
@@ -276,7 +271,6 @@ def generate_slides(spec: SlideSpec) -> list[Slide]:
     rng.shuffle(is_tumor)
 
     rows, cols = np.mgrid[0:spec.height, 0:spec.width]
-    coords = np.stack([rows.ravel(), cols.ravel()], axis=1)
     slides = []
     for sid in range(spec.n_slides):
         patch_labels = np.zeros((spec.height, spec.width), dtype=np.int64)
@@ -293,57 +287,6 @@ def generate_slides(spec: SlideSpec) -> list[Slide]:
         feats = _patch_features(patch_labels.ravel(), spec.patch_spec, rng)
         slides.append(Slide(
             slide_id=sid, label=int(patch_labels.any()),
-            patch_labels=patch_labels, features=feats, coords=coords.copy()))
+            patch_labels=patch_labels, features=feats))
     return slides
 
-
-def write_dataset(ds: Dataset, path) -> None:
-    """Binary little-endian dump; header carries N, d, C and the spec hash."""
-    spec_hash = ds.provenance.get("spec_hash", "").encode()
-    with open(path, "wb") as f:
-        f.write(DATASET_MAGIC)
-        f.write(struct.pack("<IQIIH", DATASET_VERSION, ds.n, ds.dim,
-                            ds.n_classes, len(spec_hash)))
-        f.write(spec_hash)
-        f.write(np.ascontiguousarray(ds.features, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-        f.write(np.ascontiguousarray(ds.ids, dtype="<i8").tobytes())
-
-
-def read_dataset(path) -> Dataset:
-    with open(path, "rb") as f:
-        raw = f.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"truncated dataset file while reading {what}",
-                              offset=pos)
-        chunk = raw[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(8, "magic") != DATASET_MAGIC:
-        raise FormatError("bad dataset magic", offset=0)
-    version, n, dim, n_classes, hash_len = struct.unpack("<IQIIH", take(22, "header"))
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}", offset=8)
-    spec_hash = take(hash_len, "spec hash").decode()
-    feats = np.frombuffer(take(8 * n * dim, "features"), dtype="<f8").reshape(n, dim)
-    labels = np.frombuffer(take(8 * n, "labels"), dtype="<i8")
-    ids = np.frombuffer(take(8 * n, "ids"), dtype="<i8")
-    if pos != len(raw):
-        raise FormatError("trailing bytes after dataset payload", offset=pos)
-    return Dataset(features=feats.copy(), labels=labels.copy(), ids=ids.copy(),
-                   n_classes=n_classes, provenance={"spec_hash": spec_hash})
-
-
-def write_dataset_text(ds: Dataset, path) -> None:
-    """Plain-text sidecar (id, label, features) for cross-format checks."""
-    with open(path, "w") as f:
-        f.write(f"# n={ds.n} dim={ds.dim} classes={ds.n_classes} "
-                f"spec_hash={ds.provenance.get('spec_hash', '')}\n")
-        for i in range(ds.n):
-            row = " ".join(repr(float(v)) for v in ds.features[i])
-            f.write(f"{ds.ids[i]} {ds.labels[i]} {row}\n")

@@ -12,12 +12,3 @@ class DimensionError(ValidationError):
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required (NaN loss, exploding gradient)."""
 
-
-class FormatError(ValueError):
-    """Corrupt or truncated file. Carries the byte offset where parsing failed."""
-
-    def __init__(self, message, offset=None):
-        if offset is not None:
-            message = f"{message} (byte offset {offset})"
-        super().__init__(message)
-        self.offset = offset

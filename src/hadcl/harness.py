@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from . import curriculum, data, metrics, numcore, slidelevel
+from . import __version__, curriculum, data, metrics, numcore, slidelevel
 from .exceptions import NumericError, ValidationError
 
 REPORT_SCHEMA = "hadcl.run_report.v1"
@@ -79,6 +79,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValidationError("seed list must be nonempty")
+        for key in ("seeds", "strategies"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"duplicate {key} in {list(values)}")
         if self.source.dim != self.target.dim:
             raise ValidationError("source and target feature dims must match")
         if self.target.n_classes != 2:
@@ -89,43 +93,69 @@ class ExperimentConfig:
         if "curriculum2" in self.strategies and "curriculum1" not in self.strategies:
             raise ValidationError("curriculum2 requires curriculum1 (it starts "
                                   "from the stage-1 parameters)")
+        # build what run_seed builds, so a bad value fails here, not in a cell
+        for name in ("pretrain", "baseline", "curriculum1", "curriculum2"):
+            tc = getattr(self, name)
+            spec = self.source if name == "pretrain" else self.target
+            n = spec.per_class * spec.n_classes
+            try:
+                _settings(tc)
+                if isinstance(tc, CurriculumTrainConfig):
+                    _curriculum_config(tc)
+                if tc.epochs < 0 or not 1 <= tc.batch_size <= n:
+                    raise ValidationError(
+                        f"need epochs >= 0 and batch_size in [1, {n}], the "
+                        f"size of its training set; got {tc.epochs}, {tc.batch_size}")
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from None
 
 
 def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
-    def blob(section):
-        return data.BlobTaskSpec(**d[section])
-
+    target = _section(d, "target", data.BlobTaskSpec)
     slides = None
     if d.get("slides"):
-        s = dict(d["slides"])
         # patch features share the target task's class geometry
-        s["patch_spec"] = replace(data.BlobTaskSpec(**d["target"]),
-                                  hard_fraction=0.0, noise_fraction=0.0)
-        slides = data.SlideSpec(**s)
+        slides = _section(d, "slides", data.SlideSpec, patch_spec=replace(
+            target, hard_fraction=0.0, noise_fraction=0.0))
 
     return ExperimentConfig(
-        seeds=tuple(d["seeds"]),
+        seeds=_list(d, "seeds"),
         output_dir=d.get("output_dir", "runs"),
         hidden=d["model"]["hidden"],
-        source=blob("source"),
-        target=blob("target"),
-        shift=data.DomainShiftSpec(**d.get("shift", {})),
-        pretrain=PlainTrainConfig(**_tup(d["pretrain"])),
-        baseline=PlainTrainConfig(**_tup(d["baseline"])),
-        curriculum1=CurriculumTrainConfig(**_tup(d["curriculum1"])),
-        curriculum2=CurriculumTrainConfig(**_tup(d["curriculum2"])),
-        eval=EvalConfig(**d.get("eval", {})),
+        source=_section(d, "source", data.BlobTaskSpec),
+        target=target,
+        shift=_section(d, "shift", data.DomainShiftSpec, default={}),
+        pretrain=_section(d, "pretrain", PlainTrainConfig),
+        baseline=_section(d, "baseline", PlainTrainConfig),
+        curriculum1=_section(d, "curriculum1", CurriculumTrainConfig),
+        curriculum2=_section(d, "curriculum2", CurriculumTrainConfig),
+        eval=_section(d, "eval", EvalConfig, default={}),
         slides=slides,
-        strategies=tuple(d.get("strategies", STRATEGIES)),
+        strategies=_list(d, "strategies", default=STRATEGIES),
         config_hash=config_hash,
     )
 
 
-def _tup(section: dict) -> dict:
-    out = dict(section)
-    if "milestones" in out:
-        out["milestones"] = tuple(out["milestones"])
-    return out
+def _section(d: dict, name: str, cls, default=None, **extra):
+    """`cls` built from the mapping d[name]; a missing section or an unknown
+    key is a ValidationError that names the section."""
+    section = d.get(name, default)
+    if not isinstance(section, dict):
+        raise ValidationError(f"config section {name!r} is missing or not a mapping")
+    section = dict(section, **extra)
+    try:
+        if "milestones" in section:
+            section["milestones"] = tuple(section["milestones"])
+        return cls(**section)
+    except TypeError as exc:
+        raise ValidationError(f"config section {name!r}: {exc}") from None
+
+
+def _list(d: dict, key: str, default=None) -> tuple:
+    value = d.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{key} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def hash_config_file(path) -> str:
@@ -146,16 +176,14 @@ def validate_config(path) -> ExperimentConfig:
     return load_config(path)
 
 
-def _settings(tc, weight_decay=1e-4) -> curriculum.TrainSettings:
+def _settings(tc) -> curriculum.TrainSettings:
     sched = numcore.LrSchedule(base=tc.lr, milestones=tc.milestones, gamma=tc.gamma)
-    return curriculum.TrainSettings(lr_schedule=sched, weight_decay=weight_decay)
+    return curriculum.TrainSettings(lr_schedule=sched)
 
 
-def _curriculum_config(tc: CurriculumTrainConfig, stage: str) -> curriculum.CurriculumConfig:
-    # T is a placeholder; the stage driver pins it to the realized
-    # iterations per epoch
-    sched = curriculum.ThresholdSchedule(a=tc.a, b=tc.b, T=1)
-    return curriculum.CurriculumConfig(alpha=tc.alpha, schedule=sched, stage=stage,
+def _curriculum_config(tc: CurriculumTrainConfig) -> curriculum.CurriculumConfig:
+    sched = curriculum.ThresholdSchedule(a=tc.a, b=tc.b)
+    return curriculum.CurriculumConfig(alpha=tc.alpha, schedule=sched,
                                        epochs=tc.epochs, batch_size=tc.batch_size)
 
 
@@ -236,7 +264,8 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     select_set = (val.features, val.labels)
     cells = []
     theta1 = None
-    for strategy in config.strategies:
+    # curriculum2 starts from curriculum1's result, so run in STRATEGIES order
+    for strategy in [s for s in STRATEGIES if s in config.strategies]:
         start = time.perf_counter()
         cell = {"strategy": strategy, "seed": seed, "status": "ok"}
         try:
@@ -250,16 +279,19 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                 tc = config.curriculum1
                 model, report = curriculum.run_stage(
                     pretrained, target_train.features, target_train.labels,
-                    _curriculum_config(tc, curriculum.STAGE1),
+                    _curriculum_config(tc), curriculum.decide_update_stage1,
                     _settings(tc), seed=ft_seed)
                 theta1 = model
             else:
                 if theta1 is None:
-                    raise ValidationError("curriculum2 ran before curriculum1")
+                    stage1 = next(c for c in cells if c["strategy"] == "curriculum1")
+                    raise ValidationError(
+                        "curriculum2 starts from the curriculum1 parameters, "
+                        f"but curriculum1 failed: {stage1['error']}")
                 tc = config.curriculum2
                 model, report = curriculum.run_stage(
                     theta1, target_train.features, target_train.labels,
-                    _curriculum_config(tc, curriculum.STAGE2),
+                    _curriculum_config(tc), curriculum.decide_update_stage2,
                     _settings(tc), seed=4000 + seed, select_set=select_set)
             cell["metrics"] = _evaluate(model, val, test, test_ood)
             if config.slides is not None:
@@ -293,7 +325,7 @@ class RunReport:
     config_hash: str
     cells: list = field(default_factory=list)
     schema: str = REPORT_SCHEMA
-    code_version: str = "0.1.0"
+    code_version: str = __version__
 
     @property
     def all_ok(self) -> bool:

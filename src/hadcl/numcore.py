@@ -8,15 +8,11 @@ parameter trajectories.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, FormatError, NumericError, ValidationError
-
-CHECKPOINT_MAGIC = b"HADCLMLP"
-CHECKPOINT_VERSION = 1
+from .exceptions import DimensionError, NumericError, ValidationError
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
@@ -55,9 +51,6 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(*(p.copy() for p in self.params()))
-
-    def n_params(self) -> int:
-        return sum(p.size for p in self.params())
 
 
 def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
@@ -213,6 +206,8 @@ class LrSchedule:
             raise ValidationError("milestones must be strictly increasing")
         if not (0.0 < self.gamma <= 1.0):
             raise ValidationError("gamma must be in (0, 1]")
+        if self.base < 0.0:
+            raise ValidationError("lr must be >= 0")
         self.milestones = ms
 
 
@@ -222,48 +217,3 @@ def lr_at(schedule: LrSchedule, epoch: int) -> float:
     passed = sum(1 for m in schedule.milestones if epoch >= m)
     return schedule.base * schedule.gamma ** passed
 
-
-def save_model(model: MlpModel, path) -> None:
-    """Versioned binary checkpoint; round-trips bit-exactly."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_VERSION, len(PARAM_NAMES)))
-        for p in model.params():
-            f.write(struct.pack("<II", *(p.shape if p.ndim == 2 else (p.shape[0], 0))))
-        for p in model.params():
-            f.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
-
-
-def load_model(path) -> MlpModel:
-    with open(path, "rb") as f:
-        raw = f.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(raw):
-            raise FormatError(f"truncated checkpoint while reading {what}", offset=pos)
-        chunk = raw[pos:pos + n]
-        pos += n
-        return chunk
-
-    if take(8, "magic") != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic", offset=0)
-    version, n_arrays = struct.unpack("<II", take(8, "header"))
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", offset=8)
-    if n_arrays != len(PARAM_NAMES):
-        raise FormatError(f"expected {len(PARAM_NAMES)} arrays, header says {n_arrays}",
-                          offset=12)
-    shapes = []
-    for _ in range(n_arrays):
-        r, c = struct.unpack("<II", take(8, "shape"))
-        shapes.append((r, c) if c else (r,))
-    arrays = []
-    for shape in shapes:
-        n = int(np.prod(shape))
-        buf = take(8 * n, "parameter block")
-        arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
-    if pos != len(raw):
-        raise FormatError("trailing bytes after parameter blocks", offset=pos)
-    return MlpModel(*arrays)

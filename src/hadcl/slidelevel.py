@@ -49,25 +49,6 @@ class Region:
         return self.area / float((rmax - rmin + 1) * (cmax - cmin + 1))
 
 
-def heatmap_from_patches(predictions, coords, height: int, width: int,
-                         slide_id: int = 0, label=None) -> SlideGrid:
-    """Place one probability per grid cell; unfilled cells stay 0."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    coords = np.asarray(coords, dtype=np.intp).reshape(-1, 2)
-    if predictions.shape[0] != coords.shape[0]:
-        raise ValidationError("one prediction per coordinate required")
-    grid = np.zeros((height, width))
-    seen = set()
-    for p, (r, c) in zip(predictions, coords):
-        if not (0 <= r < height and 0 <= c < width):
-            raise ValidationError(f"coordinate ({r}, {c}) outside {height}x{width} grid")
-        if (r, c) in seen:
-            raise ValidationError(f"duplicate coordinate ({r}, {c})")
-        seen.add((r, c))
-        grid[r, c] = p
-    return SlideGrid(probs=grid, slide_id=slide_id, label=label)
-
-
 def connected_components(grid: SlideGrid, tau: float) -> list[Region]:
     """Maximal 4-connected regions of cells with probability > tau."""
     if not (0.0 < tau < 1.0):
@@ -154,6 +135,3 @@ def train_slide_classifier(features, labels, l2: float = 1.0,
     return SlideClassifier(weights=w[:-1], bias=float(w[-1]),
                            feat_mean=mean, feat_std=std)
 
-
-def predict_slide(classifier: SlideClassifier, features) -> float:
-    return classifier.predict(features)

@@ -26,9 +26,9 @@ import pytest
 from scipy.stats import binomtest
 
 from hadcl import curriculum, data, harness, metrics, numcore, slidelevel
-from hadcl.curriculum import (BatchHardness, ThresholdSchedule,
-                              decide_update_stage1, decide_update_stage2,
-                              threshold)
+from hadcl.curriculum import (BatchHardness, CurriculumConfig,
+                              ThresholdSchedule, decide_update_stage1,
+                              decide_update_stage2, threshold)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
 REFERENCE_CONFIG = os.path.join(CONFIG_DIR, "reference.yaml")
@@ -42,10 +42,10 @@ INTERIOR_ALPHA = 0.10
 
 def test_threshold_schedule_exact_endpoints_and_decrease_T_1_to_1000():
     a, b = 0.7, 0.2
+    sched = ThresholdSchedule(a=a, b=b)
     start = time.perf_counter()
     for T in range(1, 1001):
-        sched = ThresholdSchedule(a=a, b=b, T=T)
-        vals = np.array([threshold(t, sched) for t in range(T + 1)])
+        vals = np.array([threshold(t, sched, T) for t in range(T + 1)])
         assert vals[0] == a + b          # exact, not approximate
         assert vals[-1] == b             # exact, not approximate
         assert np.all(np.diff(vals) < 0.0)
@@ -65,7 +65,9 @@ def test_selection_and_decisions_match_bruteforce_10000_batches():
         alpha = float(rng.uniform(0.02, 1.0))
         thres = float(rng.uniform(0.2, 0.9))
 
-        h = BatchHardness.from_losses(losses, alpha, batch, thres=thres)
+        top_k = CurriculumConfig(alpha=alpha, schedule=ThresholdSchedule(0.7, 0.2),
+                                 epochs=1, batch_size=batch).top_k
+        h = BatchHardness.from_losses(losses, top_k, thres=thres)
 
         # independent brute-force recomputation
         order = sorted(range(batch), key=lambda i: (-losses[i], i))
@@ -78,10 +80,10 @@ def test_selection_and_decisions_match_bruteforce_10000_batches():
         total = sum(losses)
         sum_k = sum(losses[i] for i in order[:k])
         sum_kp = sum(losses[i] for i in order[:k_prime])
-        d1 = decide_update_stage1(h, thres)
+        d1 = decide_update_stage1(losses, thres, top_k)
         assert d1.branch == (curriculum.TOP_K_BRANCH if sum_k > thres * total
                              else curriculum.TOTAL_BRANCH)
-        d2 = decide_update_stage2(h, thres)
+        d2 = decide_update_stage2(losses, thres, top_k)
         assert d2.branch == (curriculum.TOP_K_PRIME_BRANCH
                              if sum_kp > thres * sum_k
                              else curriculum.TOP_K_BRANCH)
@@ -159,11 +161,11 @@ def test_alpha_one_curriculum_bit_identical_to_plain_5_epochs():
     settings = curriculum.TrainSettings(
         lr_schedule=numcore.LrSchedule(base=1e-3, milestones=(3,), gamma=0.1))
     cfg = curriculum.CurriculumConfig(
-        alpha=1.0, schedule=ThresholdSchedule(a=0.7, b=0.2, T=1),
-        stage=curriculum.STAGE1, epochs=5, batch_size=40)
+        alpha=1.0, schedule=ThresholdSchedule(a=0.7, b=0.2), epochs=5,
+        batch_size=40)
 
     cur, cur_rep = curriculum.run_stage(model, ds.features, ds.labels, cfg,
-                                        settings, seed=17)
+                                        decide_update_stage1, settings, seed=17)
     plain, plain_rep = curriculum.finetune_plain(
         model, ds.features, ds.labels, epochs=5, batch_size=40,
         settings=settings, seed=17)

@@ -4,41 +4,41 @@ import numpy as np
 import pytest
 
 from hadcl import curriculum, data, numcore
-from hadcl.curriculum import (BatchHardness, CurriculumConfig, StageReport,
+from hadcl.curriculum import (BatchHardness, CurriculumConfig,
                               ThresholdSchedule, TrainSettings,
                               decide_update_stage1, decide_update_stage2,
-                              finetune_plain, rank_by_loss, run_hadcl,
-                              run_stage, select_top_k, select_top_k_prime,
+                              finetune_plain, rank_by_loss, run_stage,
                               threshold)
 from hadcl.exceptions import NumericError, ValidationError
 from hadcl.numcore import LrSchedule, init_model
 
-SCHED = ThresholdSchedule(a=0.7, b=0.2, T=100)
+SCHED = ThresholdSchedule(a=0.7, b=0.2)
+T = 100
 
 
 class TestThreshold:
     def test_endpoints_and_midpoint(self):
-        assert threshold(0, SCHED) == pytest.approx(0.9)
-        assert threshold(100, SCHED) == pytest.approx(0.2)
-        assert threshold(50, SCHED) == pytest.approx(0.55)
+        assert threshold(0, SCHED, T) == pytest.approx(0.9)
+        assert threshold(100, SCHED, T) == pytest.approx(0.2)
+        assert threshold(50, SCHED, T) == pytest.approx(0.55)
 
     def test_strictly_decreasing(self):
-        vals = [threshold(t, SCHED) for t in range(101)]
+        vals = [threshold(t, SCHED, T) for t in range(101)]
         assert all(u > v for u, v in zip(vals, vals[1:]))
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            threshold(101, SCHED)
+            threshold(101, SCHED, T)
         with pytest.raises(ValidationError):
-            threshold(-1, SCHED)
+            threshold(-1, SCHED, T)
 
     def test_schedule_validation(self):
         with pytest.raises(ValidationError):
-            ThresholdSchedule(a=0.2, b=0.7, T=10)   # a must exceed b
+            ThresholdSchedule(a=0.2, b=0.7)   # a must exceed b
         with pytest.raises(ValidationError):
-            ThresholdSchedule(a=0.9, b=0.2, T=10)   # fraction above 1
+            ThresholdSchedule(a=0.9, b=0.2)   # fraction above 1
         with pytest.raises(ValidationError):
-            ThresholdSchedule(a=0.7, b=0.2, T=0)
+            threshold(0, SCHED, 0)            # an epoch has at least one batch
 
 
 class TestRanking:
@@ -74,8 +74,11 @@ class TestSelection:
         (0.01, 10, 1),   # floor would be 0; minimum of 1 applies
     ])
     def test_top_k_size(self, alpha, batch, k):
-        order = np.arange(batch)
-        assert len(select_top_k(order, alpha, batch)) == k
+        config = CurriculumConfig(alpha=alpha, schedule=SCHED, epochs=1,
+                                  batch_size=batch)
+        assert config.top_k == k
+        h = BatchHardness.from_losses(np.zeros(batch), config.top_k)
+        assert len(h.top_k) == k
 
     @pytest.mark.parametrize("thres,k,kp", [
         (0.9, 51, 45),
@@ -83,41 +86,43 @@ class TestSelection:
         (0.55, 10, 5),
     ])
     def test_top_k_prime_size(self, thres, k, kp):
-        assert len(select_top_k_prime(np.arange(k), thres)) == kp
+        h = BatchHardness.from_losses(np.zeros(k), k, thres=thres)
+        assert len(h.top_k_prime) == kp
 
     def test_nesting_on_small_grids(self):
         for batch in range(1, 65):
-            order = np.arange(batch)
+            losses = np.zeros(batch)
             for alpha in (0.05, 0.1, 0.33, 0.5, 1.0):
-                top_k = select_top_k(order, alpha, batch)
-                assert len(top_k) == max(1, int(alpha * batch))
+                k = CurriculumConfig(alpha=alpha, schedule=SCHED, epochs=1,
+                                     batch_size=batch).top_k
+                assert k == max(1, int(alpha * batch))
                 for thres in (0.2, 0.55, 0.9):
-                    top_kp = select_top_k_prime(top_k, thres)
-                    assert len(top_kp) == max(1, int(thres * len(top_k)))
-                    assert set(top_kp) <= set(top_k) <= set(order)
+                    h = BatchHardness.from_losses(losses, k, thres=thres)
+                    assert len(h.top_k) == k
+                    assert len(h.top_k_prime) == max(1, int(thres * k))
+                    assert set(h.top_k_prime) <= set(h.top_k) <= set(h.order)
 
 
 class TestDecisions:
     def test_stage1_examples(self):
-        h = BatchHardness.from_losses([3.0, 1.0, 0.5, 0.5], alpha=0.25, batch_size=4)
-        d = decide_update_stage1(h, 0.5)
+        d = decide_update_stage1([3.0, 1.0, 0.5, 0.5], 0.5, k=1)
         assert d.branch == curriculum.TOP_K_BRANCH
         assert (d.lhs, d.rhs) == (3.0, 2.5)
+        assert list(d.mask) == [0]
 
-        h = BatchHardness.from_losses([1.0, 1.0, 1.0, 1.0], alpha=0.25, batch_size=4)
-        d = decide_update_stage1(h, 0.5)
+        d = decide_update_stage1([1.0, 1.0, 1.0, 1.0], 0.5, k=1)
         assert d.branch == curriculum.TOTAL_BRANCH
+        assert d.mask is None
 
     def test_stage2_examples(self):
-        h = BatchHardness.from_losses([2.0, 0.1, 0.1], alpha=1.0, batch_size=3,
-                                      thres=1.0 / 3.0)
-        d = decide_update_stage2(h, 0.5)
+        # K = 3 and thres = 0.5 give K' = 1
+        d = decide_update_stage2([2.0, 0.1, 0.1], 0.5, k=3)
         assert d.branch == curriculum.TOP_K_PRIME_BRANCH
+        assert (d.k, d.k_prime, list(d.mask)) == (3, 1, [0])
 
-        h = BatchHardness.from_losses([1.0, 1.0], alpha=1.0, batch_size=2,
-                                      thres=0.5)
-        d = decide_update_stage2(h, 0.9)
+        d = decide_update_stage2([1.0, 1.0], 0.9, k=2)
         assert d.branch == curriculum.TOP_K_BRANCH
+        assert list(d.mask) == [0, 1]
 
     def test_random_batches_match_bruteforce(self):
         rng = np.random.default_rng(1)
@@ -126,7 +131,8 @@ class TestDecisions:
             losses = rng.uniform(0.0, 5.0, size=batch)
             alpha = float(rng.uniform(0.02, 1.0))
             thres = float(rng.uniform(0.2, 0.9))
-            h = BatchHardness.from_losses(losses, alpha, batch, thres=thres)
+            top_k = CurriculumConfig(alpha=alpha, schedule=SCHED, epochs=1,
+                                     batch_size=batch).top_k
 
             order = sorted(range(batch), key=lambda i: (-losses[i], i))
             k = max(1, math.floor(alpha * batch))
@@ -135,12 +141,12 @@ class TestDecisions:
             sum_kp = sum(losses[i] for i in order[:kp])
             total = sum(losses)
 
-            d1 = decide_update_stage1(h, thres)
+            d1 = decide_update_stage1(losses, thres, top_k)
             want1 = (curriculum.TOP_K_BRANCH if sum_k > thres * total
                      else curriculum.TOTAL_BRANCH)
             assert d1.branch == want1
 
-            d2 = decide_update_stage2(h, thres)
+            d2 = decide_update_stage2(losses, thres, top_k)
             want2 = (curriculum.TOP_K_PRIME_BRANCH if sum_kp > thres * sum_k
                      else curriculum.TOP_K_BRANCH)
             assert d2.branch == want2
@@ -149,8 +155,8 @@ class TestDecisions:
         rng = np.random.default_rng(2)
         for _ in range(100):
             losses = rng.uniform(0.0, 3.0, size=32)
-            h = BatchHardness.from_losses(losses, alpha=0.25, batch_size=32)
-            fired = [decide_update_stage1(h, tau).branch == curriculum.TOP_K_BRANCH
+            fired = [decide_update_stage1(losses, tau, k=8).branch
+                     == curriculum.TOP_K_BRANCH
                      for tau in np.linspace(0.2, 0.9, 15)]
             # once the condition stops firing at some threshold it stays off
             # for every larger threshold
@@ -168,9 +174,13 @@ def settings(lr=1e-3):
     return TrainSettings(lr_schedule=LrSchedule(base=lr))
 
 
-def stage_config(stage, alpha=0.1, epochs=5, batch=30, a=0.7, b=0.2):
-    return CurriculumConfig(alpha=alpha, schedule=ThresholdSchedule(a, b, 1),
-                            stage=stage, epochs=epochs, batch_size=batch)
+STAGE1 = curriculum.decide_update_stage1
+STAGE2 = curriculum.decide_update_stage2
+
+
+def stage_config(alpha=0.1, epochs=5, batch=30, a=0.7, b=0.2):
+    return CurriculumConfig(alpha=alpha, schedule=ThresholdSchedule(a, b),
+                            epochs=epochs, batch_size=batch)
 
 
 def model_bytes(model):
@@ -182,7 +192,7 @@ class TestRunStage:
         ds = separable_task()
         model = init_model(4, 16, 2, seed=0)
         trained, report = run_stage(model, ds.features, ds.labels,
-                                    stage_config(curriculum.STAGE1, epochs=50),
+                                    stage_config(epochs=50), STAGE1,
                                     settings(), seed=3)
         preds = numcore.forward(trained, ds.features).argmax(axis=1)
         assert np.mean(preds == ds.labels) >= 0.99
@@ -192,7 +202,7 @@ class TestRunStage:
         ds = separable_task(seed=1)
         model = init_model(4, 16, 2, seed=5)
         cur, _ = run_stage(model, ds.features, ds.labels,
-                           stage_config(curriculum.STAGE1, alpha=1.0, epochs=5),
+                           stage_config(alpha=1.0, epochs=5), STAGE1,
                            settings(), seed=7)
         plain, _ = finetune_plain(model, ds.features, ds.labels, epochs=5,
                                   batch_size=30, settings=settings(), seed=7)
@@ -202,7 +212,7 @@ class TestRunStage:
         ds = separable_task(seed=2)
         model = init_model(4, 16, 2, seed=6)
         runs = [run_stage(model, ds.features, ds.labels,
-                          stage_config(curriculum.STAGE1, epochs=3),
+                          stage_config(epochs=3), STAGE1,
                           settings(), seed=11) for _ in range(2)]
         assert model_bytes(runs[0][0]) == model_bytes(runs[1][0])
         assert runs[0][1].records == runs[1][1].records
@@ -211,7 +221,7 @@ class TestRunStage:
         ds = separable_task(seed=3)
         model = init_model(4, 16, 2, seed=6)
         _, report = run_stage(model, ds.features, ds.labels,
-                              stage_config(curriculum.STAGE2, epochs=2),
+                              stage_config(epochs=2), STAGE2,
                               settings(), seed=1)
         for rec in report.records:
             assert 0.2 <= rec.thres <= 0.9
@@ -223,12 +233,12 @@ class TestRunStage:
         ds = separable_task(seed=4)
         model = init_model(4, 16, 2, seed=6)
         _, rep1 = run_stage(model, ds.features, ds.labels,
-                            stage_config(curriculum.STAGE1, epochs=2),
+                            stage_config(epochs=2), STAGE1,
                             settings(), seed=2)
         assert {r.branch for r in rep1.records} <= {
             curriculum.TOP_K_BRANCH, curriculum.TOTAL_BRANCH}
         _, rep2 = run_stage(model, ds.features, ds.labels,
-                            stage_config(curriculum.STAGE2, epochs=2),
+                            stage_config(epochs=2), STAGE2,
                             settings(), seed=2)
         assert {r.branch for r in rep2.records} <= {
             curriculum.TOP_K_PRIME_BRANCH, curriculum.TOP_K_BRANCH}
@@ -253,7 +263,7 @@ class TestRunStage:
         model = init_model(4, 8, 2, seed=1)
         with pytest.raises(ValidationError):
             run_stage(model, np.zeros((10, 4)), np.zeros(10, dtype=int),
-                      stage_config(curriculum.STAGE1, batch=64),
+                      stage_config(batch=64), STAGE1,
                       settings(), seed=0)
 
 
@@ -262,13 +272,11 @@ class TestRunHadcl:
         ds = separable_task(seed=5)
         model = init_model(4, 16, 2, seed=2)
         theta1, _ = run_stage(model, ds.features, ds.labels,
-                              stage_config(curriculum.STAGE1, epochs=3),
+                              stage_config(epochs=3), STAGE1,
                               settings(), seed=9)
-        theta2, (r1, r2) = run_hadcl(
-            model, ds.features, ds.labels,
-            stage_config(curriculum.STAGE1, epochs=3),
-            stage_config(curriculum.STAGE2, epochs=0),
-            settings(), settings(), seed=9)
+        theta2, r2 = run_stage(theta1, ds.features, ds.labels,
+                               stage_config(epochs=0), STAGE2,
+                               settings(), seed=9)
         assert model_bytes(theta2) == model_bytes(theta1)
         assert len(r2.records) == 0
 
@@ -280,28 +288,19 @@ class TestRunHadcl:
             ds = separable_task(seed=100 + seed)
             model = init_model(4, 16, 2, seed=seed)
             theta1, _ = run_stage(model, ds.features, ds.labels,
-                                  stage_config(curriculum.STAGE1, epochs=15),
+                                  stage_config(epochs=15), STAGE1,
                                   settings(), seed=seed)
             fresh = init_model(4, 16, 2, seed=777 + seed)
 
             def first_loss(m):
                 _, rep = run_stage(m, ds.features, ds.labels,
-                                   stage_config(curriculum.STAGE2, epochs=1),
+                                   stage_config(epochs=1), STAGE2,
                                    settings(lr=0.0), seed=seed)
                 return rep.records[0].mean_loss
 
             if first_loss(theta1) < first_loss(fresh):
                 wins += 1
         assert wins >= 9
-
-    def test_config_pair_validated(self):
-        ds = separable_task(seed=6)
-        model = init_model(4, 16, 2, seed=2)
-        with pytest.raises(ValidationError):
-            run_hadcl(model, ds.features, ds.labels,
-                      stage_config(curriculum.STAGE2),
-                      stage_config(curriculum.STAGE2),
-                      settings(), settings(), seed=0)
 
 
 class TestGoldenRun:
@@ -322,11 +321,12 @@ class TestGoldenRun:
         model = init_model(5, 10, 2, seed=3)
         s = TrainSettings(lr_schedule=LrSchedule(base=1e-3, milestones=(4,),
                                                  gamma=0.1))
-        theta2, _ = run_hadcl(
-            model, ds.features, ds.labels,
-            stage_config(curriculum.STAGE1, epochs=6, batch=32),
-            stage_config(curriculum.STAGE2, epochs=2, batch=32),
-            s, s, seed=42)
+        theta1, _ = run_stage(model, ds.features, ds.labels,
+                              stage_config(epochs=6, batch=32), STAGE1, s,
+                              seed=42)
+        theta2, _ = run_stage(theta1, ds.features, ds.labels,
+                              stage_config(epochs=2, batch=32), STAGE2, s,
+                              seed=42)
         digest = hashlib.sha256(model_bytes(theta2)).hexdigest()
         assert digest == self.GOLDEN_THETA2
 
@@ -337,11 +337,11 @@ class TestValidationSelection:
         model = init_model(4, 16, 2, seed=4)
         val = separable_task(seed=9)
         best, rep_sel = run_stage(model, ds.features, ds.labels,
-                                  stage_config(curriculum.STAGE2, epochs=6),
+                                  stage_config(epochs=6), STAGE2,
                                   settings(), seed=5,
                                   select_set=(val.features, val.labels))
         final, _ = run_stage(model, ds.features, ds.labels,
-                             stage_config(curriculum.STAGE2, epochs=6),
+                             stage_config(epochs=6), STAGE2,
                              settings(), seed=5)
         assert rep_sel.best_epoch is not None
         assert -1 <= rep_sel.best_epoch < 6
@@ -356,7 +356,7 @@ class TestValidationSelection:
         model = init_model(4, 16, 2, seed=4)
         val = separable_task(seed=11)
         kept, rep = run_stage(model, ds.features, ds.labels,
-                              stage_config(curriculum.STAGE1, epochs=3),
+                              stage_config(epochs=3), STAGE1,
                               settings(lr=0.0), seed=5,
                               select_set=(val.features, val.labels))
         assert rep.best_epoch == -1
@@ -366,21 +366,7 @@ class TestValidationSelection:
         ds = separable_task(seed=12)
         model = init_model(4, 16, 2, seed=4)
         _, rep = run_stage(model, ds.features, ds.labels,
-                           stage_config(curriculum.STAGE1, epochs=2),
+                           stage_config(epochs=2), STAGE1,
                            settings(), seed=5)
         assert rep.best_epoch is None
 
-
-class TestStageReportIO:
-    def test_jsonl_round_trip(self, tmp_path):
-        ds = separable_task(seed=7)
-        model = init_model(4, 16, 2, seed=2)
-        _, report = run_stage(model, ds.features, ds.labels,
-                              stage_config(curriculum.STAGE1, epochs=2),
-                              settings(), seed=4)
-        path = tmp_path / "stage.jsonl"
-        report.to_jsonl(path)
-        back = StageReport.from_jsonl(path)
-        assert back.stage == report.stage
-        assert back.params_tag == report.params_tag
-        assert back.records == report.records

@@ -5,9 +5,8 @@ import pytest
 
 from hadcl import data
 from hadcl.data import (BlobTaskSpec, Dataset, DomainShiftSpec, SlideSpec,
-                        apply_domain_shift, generate_blobs, generate_slides,
-                        read_dataset, write_dataset, write_dataset_text)
-from hadcl.exceptions import FormatError, ValidationError
+                        apply_domain_shift, generate_blobs, generate_slides)
+from hadcl.exceptions import ValidationError
 
 
 def base_spec(**over):
@@ -187,47 +186,3 @@ class TestGenerateSlides:
             assert s.features.tobytes() == t.features.tobytes()
             assert s.label == t.label
 
-
-class TestDatasetIO:
-    def test_round_trip_bit_identical(self, tmp_path):
-        ds = generate_blobs(base_spec(hard_fraction=0.1, noise_fraction=0.02))
-        path = tmp_path / "ds.bin"
-        write_dataset(ds, path)
-        back = read_dataset(path)
-        assert back.features.tobytes() == ds.features.tobytes()
-        assert back.labels.tobytes() == ds.labels.tobytes()
-        assert back.ids.tobytes() == ds.ids.tobytes()
-        assert back.n_classes == ds.n_classes
-        assert back.provenance["spec_hash"] == ds.provenance["spec_hash"]
-
-    def test_truncated_file_raises_with_offset(self, tmp_path):
-        ds = generate_blobs(base_spec())
-        path = tmp_path / "ds.bin"
-        write_dataset(ds, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:100])
-        with pytest.raises(FormatError) as exc:
-            read_dataset(path)
-        assert exc.value.offset is not None
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTADATA" + b"\0" * 40)
-        with pytest.raises(FormatError):
-            read_dataset(path)
-
-    def test_matches_text_export(self, tmp_path):
-        ds = generate_blobs(base_spec(per_class=5000))
-        bin_path = tmp_path / "ds.bin"
-        txt_path = tmp_path / "ds.txt"
-        write_dataset(ds, bin_path)
-        write_dataset_text(ds, txt_path)
-        back = read_dataset(bin_path)
-        with open(txt_path) as f:
-            f.readline()
-            for i, line in enumerate(f):
-                parts = line.split()
-                assert int(parts[0]) == back.ids[i]
-                assert int(parts[1]) == back.labels[i]
-                row = np.array([float(v) for v in parts[2:]])
-                np.testing.assert_array_equal(row, back.features[i])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import hadcl
 from hadcl import cli, harness
 from hadcl.exceptions import ValidationError
 from hadcl.harness import RunReport, config_from_dict, run_experiment
@@ -68,6 +69,17 @@ class TestConfig:
     def test_stage2_requires_stage1(self):
         with pytest.raises(ValidationError):
             config_from_dict(tiny_dict(strategies=["baseline", "curriculum2"]))
+
+    @pytest.mark.parametrize("over,match", [
+        ({"strategies": ["baseline", "curriculum1", "baseline"]}, "duplicate"),
+        ({"seeds": [0, 1, 0]}, "duplicate"),
+        ({"strategies": "baseline"}, "must be a list"),
+        ({"seeds": 3}, "must be a list"),
+    ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
+            "scalar_seeds"])
+    def test_malformed_lists_rejected(self, over, match):
+        with pytest.raises(ValidationError, match=match):
+            config_from_dict(tiny_dict(**over))
 
     def test_slide_patches_inherit_clean_target_geometry(self):
         d = tiny_dict(slides=dict(height=4, width=4, n_slides=4,
@@ -135,6 +147,27 @@ class TestRunExperiment:
             for split in ("in_domain", "ood"):
                 p = by[s]["metrics"][split]["p_vs_baseline"]
                 assert 0.0 <= p <= 1.0
+
+    def test_strategies_run_in_stage_order(self):
+        d = tiny_dict(seeds=[0],
+                      strategies=["curriculum2", "curriculum1", "baseline"])
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok
+        assert [c["strategy"] for c in report.cells] == list(harness.STRATEGIES)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage2_names_the_failed_stage1(self):
+        d = tiny_dict(seeds=[0])
+        d["curriculum1"]["lr"] = 1e200   # diverges to non-finite logits
+        by = {c["strategy"]: c for c in run_experiment(config_from_dict(d)).cells}
+        assert by["baseline"]["status"] == "ok"
+        assert by["curriculum1"]["status"] == "failed"
+        assert by["curriculum2"]["status"] == "failed"
+        assert "curriculum1 failed" in by["curriculum2"]["error"]
+        assert by["curriculum1"]["error"] in by["curriculum2"]["error"]
+
+    def test_code_version_is_package_version(self):
+        assert RunReport(config_hash="").code_version == hadcl.__version__
 
     def test_report_json_round_trip(self, tmp_path):
         cfg = config_from_dict(tiny_dict(seeds=[0]))
@@ -217,6 +250,22 @@ class TestCli:
         path = self.write_config(tmp_path, d)
         assert cli.main(["validate-config", "--config", path]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("curriculum1", "a", 0.1),          # a < b
+        ("baseline", "batch_size", 81),     # target train set has 80 samples
+        ("curriculum2", "lr", -1e-4),
+        ("pretrain", "lrr", 1e-3),          # unknown key
+        ("pretrain", "epochs", -1),
+    ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
+            "negative_epochs"])
+    def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
+                                               section, key, value):
+        d = tiny_dict()
+        d[section][key] = value
+        path = self.write_config(tmp_path, d)
+        assert cli.main(["validate-config", "--config", path]) == 2
+        assert section in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["validate-config", "--config",

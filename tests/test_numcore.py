@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hadcl import numcore
-from hadcl.exceptions import (DimensionError, FormatError, NumericError,
-                              ValidationError)
+from hadcl.exceptions import DimensionError, NumericError, ValidationError
 from hadcl.numcore import (LrSchedule, MlpModel, OptimizerState, adam_step,
-                           backward, forward, init_model, load_model, lr_at,
-                           per_sample_cross_entropy, save_model)
+                           backward, forward, init_model, lr_at,
+                           per_sample_cross_entropy)
 
 
 def random_model(rng, d=5, hidden=7, classes=3):
@@ -243,32 +242,6 @@ class TestLrSchedule:
     def test_negative_epoch(self):
         with pytest.raises(ValidationError):
             lr_at(LrSchedule(base=1e-3), -1)
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        m = init_model(5, 9, 4, seed=12)
-        path = tmp_path / "model.ckpt"
-        save_model(m, path)
-        m2 = load_model(path)
-        for p, q in zip(m.params(), m2.params()):
-            assert p.tobytes() == q.tobytes()
-
-    def test_truncated_file(self, tmp_path):
-        m = init_model(5, 9, 4, seed=12)
-        path = tmp_path / "model.ckpt"
-        save_model(m, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[:len(raw) // 2])
-        with pytest.raises(FormatError):
-            load_model(path)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTAMODL" + b"\0" * 64)
-        with pytest.raises(FormatError) as exc:
-            load_model(path)
-        assert exc.value.offset == 0
 
 
 def test_init_determinism():

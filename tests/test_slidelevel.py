@@ -4,7 +4,6 @@ import pytest
 from hadcl.exceptions import ValidationError
 from hadcl.slidelevel import (FEATURE_THRESHOLDS, N_FEATURES, SlideGrid,
                               connected_components, extract_features,
-                              heatmap_from_patches, predict_slide,
                               train_slide_classifier)
 
 
@@ -30,33 +29,6 @@ def flood_fill_regions(mask):
                         stack.append((ni, nj))
             regions.append(frozenset(cells))
     return set(regions)
-
-
-class TestHeatmap:
-    def test_empty_predictions_give_zero_grid(self):
-        grid = heatmap_from_patches([], np.empty((0, 2)), 4, 5)
-        assert grid.probs.shape == (4, 5)
-        assert not grid.probs.any()
-
-    def test_single_patch(self):
-        grid = heatmap_from_patches([0.7], [(2, 3)], 4, 5)
-        assert grid.probs[2, 3] == 0.7
-        assert np.count_nonzero(grid.probs) == 1
-
-    def test_full_grid_round_trip(self):
-        rng = np.random.default_rng(0)
-        probs = rng.uniform(size=(6, 7))
-        coords = [(r, c) for r in range(6) for c in range(7)]
-        grid = heatmap_from_patches(probs.ravel(), coords, 6, 7)
-        np.testing.assert_array_equal(grid.probs, probs)
-
-    def test_duplicate_coordinate_rejected(self):
-        with pytest.raises(ValidationError):
-            heatmap_from_patches([0.1, 0.2], [(1, 1), (1, 1)], 3, 3)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValidationError):
-            heatmap_from_patches([0.1], [(5, 0)], 3, 3)
 
 
 class TestConnectedComponents:
@@ -185,7 +157,7 @@ class TestSlideClassifier:
         clf = train_slide_classifier(x, y)
         probs = np.atleast_1d(clf.predict(rng.normal(size=(50, 3)) * 100))
         assert ((probs >= 0) & (probs <= 1)).all()
-        assert isinstance(predict_slide(clf, x[0]), float)
+        assert isinstance(clf.predict(x[0]), float)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
