@@ -32,8 +32,7 @@ def patch_probs(features):
 
 example = next(s for s in slides if s.label == 1)
 grid = slidelevel.SlideGrid(
-    patch_probs(example.features).reshape(spec.height, spec.width),
-    slide_id=example.slide_id, label=example.label)
+    patch_probs(example.features).reshape(spec.height, spec.width))
 
 print(f"slide {example.slide_id} (tumor), heatmap:")
 for r in range(spec.height):

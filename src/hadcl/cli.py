@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.verb == "validate-config":
-            harness.validate_config(args.config)
+            harness.load_config(args.config)
             print(f"ok: {args.config}")
             return 0
 

@@ -182,17 +182,6 @@ class StageReport:
     best_epoch: int | None = None
 
 
-@dataclass(frozen=True)
-class TrainSettings:
-    """Adam hyperparameters plus the per-stage learning-rate schedule."""
-
-    lr_schedule: LrSchedule
-    beta1: float = 0.9
-    beta2: float = 0.999
-    weight_decay: float = 1e-4
-    eps: float = 1e-8
-
-
 def _val_score(model: MlpModel, features: np.ndarray,
                labels: np.ndarray) -> float:
     """Selection score on a held-out set: AUC for binary heads (the metric
@@ -206,7 +195,7 @@ def _val_score(model: MlpModel, features: np.ndarray,
 
 
 def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSchedule,
-              k: int, epochs: int, batch_size: int, settings: TrainSettings,
+              k: int, epochs: int, batch_size: int, lr_schedule: LrSchedule,
               seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
     """The training loop behind plain, stage-1 and stage-2 fine-tuning.
 
@@ -214,7 +203,8 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
     to `decide(losses, thres, k)` and updates on the samples the returned
     decision selects. Every caller draws identical
     epoch shuffles from the same seed, so runs differ only in which samples
-    each update touches.
+    each update touches. A NumericError raised anywhere in an iteration is
+    re-raised with its epoch, iteration and seed.
 
     When `select_set` is a (features, labels) pair, the parameters kept are
     those of the epoch with the highest selection score on it (earliest
@@ -234,9 +224,7 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
             f"dataset of {n} samples yields no full batch of size {batch_size}")
 
     model = model.copy()
-    state = OptimizerState.for_model(
-        model, beta1=settings.beta1, beta2=settings.beta2,
-        weight_decay=settings.weight_decay, eps=settings.eps)
+    state = OptimizerState()
     rng = np.random.default_rng(seed)
     report = StageReport()
     best_model, best_acc = None, -1.0
@@ -248,22 +236,24 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
         report.best_epoch = -1
 
     for epoch in range(epochs):
-        lr = numcore.lr_at(settings.lr_schedule, epoch)
+        lr = numcore.lr_at(lr_schedule, epoch)
         perm = rng.permutation(n)
         for t in range(1, n_batches + 1):
             idx = perm[(t - 1) * batch_size: t * batch_size]
             x, y = features[idx], labels[idx]
-            logits = numcore.forward(model, x)
-            losses = numcore.per_sample_cross_entropy(logits, y)
-            if not np.all(np.isfinite(losses)):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, iteration {t} "
-                    f"(seed {seed}); run aborted")
             thres = threshold(t, schedule, n_batches)
-            decision = decide(losses, thres, k)
-            grads, mean_loss = numcore.backward(model, x, y,
-                                                sample_mask=decision.mask)
-            numcore.adam_step(model, grads, state, lr)
+            try:
+                logits = numcore.forward(model, x)
+                losses = numcore.per_sample_cross_entropy(logits, y)
+                if not np.all(np.isfinite(losses)):
+                    raise NumericError("non-finite loss")
+                decision = decide(losses, thres, k)
+                grads, mean_loss = numcore.backward(model, x, y,
+                                                    sample_mask=decision.mask)
+                numcore.adam_step(model, grads, state, lr)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, iteration {t} "
+                                   f"(seed {seed}); run aborted") from None
             report.records.append(IterationRecord(
                 epoch=epoch, t=t, thres=thres, k=decision.k,
                 k_prime=decision.k_prime, branch=decision.branch,
@@ -279,7 +269,7 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
 
 
 def run_stage(model: MlpModel, features, labels, config: CurriculumConfig,
-              decide, settings: TrainSettings, seed: int,
+              decide, lr_schedule: LrSchedule, seed: int,
               select_set=None) -> tuple[MlpModel, StageReport]:
     """Run one curriculum stage from the given parameters.
 
@@ -290,14 +280,14 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumConfig,
     keep the best-validation-score epoch instead of the last one.
     """
     return _run_loop(model, features, labels, decide, config.schedule,
-                     config.top_k, config.epochs, config.batch_size, settings,
-                     seed, select_set=select_set)
+                     config.top_k, config.epochs, config.batch_size,
+                     lr_schedule, seed, select_set=select_set)
 
 
 def finetune_plain(model: MlpModel, features, labels, epochs: int,
-                   batch_size: int, settings: TrainSettings, seed: int,
+                   batch_size: int, lr_schedule: LrSchedule, seed: int,
                    select_set=None) -> tuple[MlpModel, StageReport]:
     """Baseline fine-tuning: every update uses the whole mini-batch."""
     return _run_loop(model, features, labels, _decide_whole_batch,
-                     PLAIN_SCHEDULE, batch_size, epochs, batch_size, settings,
-                     seed, select_set=select_set)
+                     PLAIN_SCHEDULE, batch_size, epochs, batch_size,
+                     lr_schedule, seed, select_set=select_set)

@@ -42,12 +42,7 @@ class PlainTrainConfig:
 
 
 @dataclass(frozen=True)
-class CurriculumTrainConfig:
-    epochs: int
-    lr: float
-    milestones: tuple = ()
-    gamma: float = 0.1
-    batch_size: int = 64
+class CurriculumTrainConfig(PlainTrainConfig):
     alpha: float = 0.10
     a: float = 0.7
     b: float = 0.2
@@ -57,6 +52,20 @@ class CurriculumTrainConfig:
 class EvalConfig:
     test_per_class: int = 500
     val_per_class: int = 250
+
+    def __post_init__(self):
+        # DeLong needs at least two scores per class
+        if self.test_per_class < 2 or self.val_per_class < 2:
+            raise ValidationError("test_per_class and val_per_class must be >= 2")
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    hidden: int
+
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ValidationError("hidden must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class ExperimentConfig:
             spec = self.source if name == "pretrain" else self.target
             n = spec.per_class * spec.n_classes
             try:
-                _settings(tc)
+                _lr_schedule(tc)
                 if isinstance(tc, CurriculumTrainConfig):
                     _curriculum_config(tc)
                 if tc.epochs < 0 or not 1 <= tc.batch_size <= n:
@@ -121,7 +130,7 @@ def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
     return ExperimentConfig(
         seeds=_list(d, "seeds"),
         output_dir=d.get("output_dir", "runs"),
-        hidden=d["model"]["hidden"],
+        hidden=_section(d, "model", ModelConfig).hidden,
         source=_section(d, "source", data.BlobTaskSpec),
         target=target,
         shift=_section(d, "shift", data.DomainShiftSpec, default={}),
@@ -136,18 +145,28 @@ def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
     )
 
 
+_NUMBER_TYPES = {"int": (int,), "float": (int, float)}
+
+
 def _section(d: dict, name: str, cls, default=None, **extra):
-    """`cls` built from the mapping d[name]; a missing section or an unknown
-    key is a ValidationError that names the section."""
+    """`cls` built from the mapping d[name]; a missing section, an unknown
+    key, a value of the wrong numeric type or one `cls` rejects is a
+    ValidationError that names the section."""
     section = d.get(name, default)
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} is missing or not a mapping")
-    section = dict(section, **extra)
     try:
+        for f in dataclasses.fields(cls):
+            kind = getattr(f.type, "__name__", f.type)
+            types = _NUMBER_TYPES.get(kind)
+            value = section.get(f.name, 0)  # a missing key is cls's to judge
+            if types and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
+        section = dict(section, **extra)
         if "milestones" in section:
             section["milestones"] = tuple(section["milestones"])
         return cls(**section)
-    except TypeError as exc:
+    except (TypeError, ValidationError) as exc:
         raise ValidationError(f"config section {name!r}: {exc}") from None
 
 
@@ -158,27 +177,19 @@ def _list(d: dict, key: str, default=None) -> tuple:
     return tuple(value)
 
 
-def hash_config_file(path) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
-
-
 def load_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        d = yaml.safe_load(f)
+    """The config at `path`; raises ValidationError on any structural or
+    value problem. Its config_hash is the sha256 of the file's bytes."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    d = yaml.safe_load(raw)
     if not isinstance(d, dict):
         raise ValidationError("config file must contain a mapping")
-    return config_from_dict(d, config_hash=hash_config_file(path))
+    return config_from_dict(d, config_hash=hashlib.sha256(raw).hexdigest())
 
 
-def validate_config(path) -> ExperimentConfig:
-    """Raises ValidationError on any structural or value problem."""
-    return load_config(path)
-
-
-def _settings(tc) -> curriculum.TrainSettings:
-    sched = numcore.LrSchedule(base=tc.lr, milestones=tc.milestones, gamma=tc.gamma)
-    return curriculum.TrainSettings(lr_schedule=sched)
+def _lr_schedule(tc) -> numcore.LrSchedule:
+    return numcore.LrSchedule(base=tc.lr, milestones=tc.milestones, gamma=tc.gamma)
 
 
 def _curriculum_config(tc: CurriculumTrainConfig) -> curriculum.CurriculumConfig:
@@ -222,17 +233,19 @@ def _slide_features(model, slides, spec: data.SlideSpec):
     feats, labels = [], []
     for slide in slides:
         probs = positive_probs(model, slide.features)
-        grid = slidelevel.SlideGrid(probs.reshape(spec.height, spec.width),
-                                    slide_id=slide.slide_id, label=slide.label)
+        grid = slidelevel.SlideGrid(probs.reshape(spec.height, spec.width))
         feats.append(slidelevel.extract_features(grid))
         labels.append(slide.label)
     return np.array(feats), np.array(labels)
 
 
-def _evaluate_slides(model, config: ExperimentConfig, seed: int) -> dict:
-    spec = config.slides
-    train = data.generate_slides(replace(spec, draw_seed=seed))
-    test = data.generate_slides(replace(spec, draw_seed=seed + _SLIDE_TEST_OFFSET))
+def _slide_cohorts(spec: data.SlideSpec, seed: int):
+    """The (train, test) slide cohorts of a seed, shared by every strategy."""
+    return (data.generate_slides(replace(spec, draw_seed=seed)),
+            data.generate_slides(replace(spec, draw_seed=seed + _SLIDE_TEST_OFFSET)))
+
+
+def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
     f_train, y_train = _slide_features(model, train, spec)
     f_test, y_test = _slide_features(model, test, spec)
     clf = slidelevel.train_slide_classifier(f_train, y_train)
@@ -252,7 +265,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
         pretrained, _ = curriculum.finetune_plain(
             model0, source_train.features, source_train.labels,
             epochs=config.pretrain.epochs, batch_size=config.pretrain.batch_size,
-            settings=_settings(config.pretrain), seed=2000 + seed)
+            lr_schedule=_lr_schedule(config.pretrain), seed=2000 + seed)
     else:
         pretrained = model0
 
@@ -264,6 +277,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     select_set = (val.features, val.labels)
     cells = []
     theta1 = None
+    cohorts = None  # slide cohorts, generated when first needed
     # curriculum2 starts from curriculum1's result, so run in STRATEGIES order
     for strategy in [s for s in STRATEGIES if s in config.strategies]:
         start = time.perf_counter()
@@ -274,13 +288,13 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                 model, report = curriculum.finetune_plain(
                     pretrained, target_train.features, target_train.labels,
                     epochs=tc.epochs, batch_size=tc.batch_size,
-                    settings=_settings(tc), seed=ft_seed)
+                    lr_schedule=_lr_schedule(tc), seed=ft_seed)
             elif strategy == "curriculum1":
                 tc = config.curriculum1
                 model, report = curriculum.run_stage(
                     pretrained, target_train.features, target_train.labels,
                     _curriculum_config(tc), curriculum.decide_update_stage1,
-                    _settings(tc), seed=ft_seed)
+                    _lr_schedule(tc), seed=ft_seed)
                 theta1 = model
             else:
                 if theta1 is None:
@@ -292,10 +306,12 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                 model, report = curriculum.run_stage(
                     theta1, target_train.features, target_train.labels,
                     _curriculum_config(tc), curriculum.decide_update_stage2,
-                    _settings(tc), seed=4000 + seed, select_set=select_set)
+                    _lr_schedule(tc), seed=4000 + seed, select_set=select_set)
             cell["metrics"] = _evaluate(model, val, test, test_ood)
             if config.slides is not None:
-                cell["metrics"]["slide"] = _evaluate_slides(model, config, seed)
+                cohorts = cohorts or _slide_cohorts(config.slides, seed)
+                cell["metrics"]["slide"] = _evaluate_slides(
+                    model, config.slides, *cohorts)
             cell["curve"] = [dataclasses.asdict(r) for r in report.records]
             cell["best_epoch"] = report.best_epoch
         except (NumericError, ValidationError) as exc:

@@ -21,7 +21,9 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 class MlpModel:
     """input -> hidden1 (ReLU) -> hidden2 (ReLU) -> logits.
 
-    Weights are stored (fan_in, fan_out); biases are 1-D.
+    Weights are stored (fan_in, fan_out); biases are 1-D. All six arrays are
+    views into one contiguous float64 vector `theta`, packed in PARAM_NAMES
+    order; gradients and the Adam moments share that flat layout.
     """
 
     w1: np.ndarray
@@ -30,6 +32,7 @@ class MlpModel:
     b2: np.ndarray
     w3: np.ndarray
     b3: np.ndarray
+    theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.w1.shape[1] != self.w2.shape[0] or self.w2.shape[1] != self.w3.shape[0]:
@@ -37,20 +40,19 @@ class MlpModel:
         for w, b in ((self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)):
             if b.shape != (w.shape[1],):
                 raise DimensionError("bias shape does not match weight fan-out")
+        arrays = [getattr(self, name) for name in PARAM_NAMES]
+        self.theta = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        offset = 0
+        for name, a in zip(PARAM_NAMES, arrays):
+            setattr(self, name, self.theta[offset:offset + a.size].reshape(a.shape))
+            offset += a.size
 
     @property
     def in_dim(self) -> int:
         return self.w1.shape[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.w3.shape[1]
-
-    def params(self) -> list[np.ndarray]:
-        return [getattr(self, name) for name in PARAM_NAMES]
-
     def copy(self) -> "MlpModel":
-        return MlpModel(*(p.copy() for p in self.params()))
+        return MlpModel(*(getattr(self, name) for name in PARAM_NAMES))
 
 
 def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
@@ -76,9 +78,10 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise DimensionError(
             f"expected inputs of shape (B, {model.in_dim}), got {x.shape}")
-    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
-    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
-    logits = h2 @ model.w3 + model.b3
+    with np.errstate(over="ignore", invalid="ignore"):  # raised just below
+        h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
+        h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+        logits = h2 @ model.w3 + model.b3
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
     return logits
@@ -112,7 +115,8 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None):
     is sorted internally so the result is independent of the order the caller
     selected samples in (summation order matters bit-wise).
 
-    Returns (grads, mean_loss) with grads a dict keyed like PARAM_NAMES.
+    Returns (grads, mean_loss) with grads an MlpModel of the model's shapes,
+    so grads.theta lines up with model.theta.
     """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -140,56 +144,41 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None):
     d_logits[np.arange(m), labels] -= 1.0
     d_logits /= m
 
-    grads = {}
-    grads["w3"] = h2.T @ d_logits
-    grads["b3"] = d_logits.sum(axis=0)
     d_h2 = (d_logits @ model.w3.T) * (h2_pre > 0.0)
-    grads["w2"] = h1.T @ d_h2
-    grads["b2"] = d_h2.sum(axis=0)
     d_h1 = (d_h2 @ model.w2.T) * (h1_pre > 0.0)
-    grads["w1"] = x.T @ d_h1
-    grads["b1"] = d_h1.sum(axis=0)
+    grads = MlpModel(x.T @ d_h1, d_h1.sum(axis=0), h1.T @ d_h2, d_h2.sum(axis=0),
+                     h2.T @ d_logits, d_logits.sum(axis=0))
     return grads, mean_loss
 
 
 @dataclass
 class OptimizerState:
-    """Adam moments plus hyperparameters; step counter is strictly increasing."""
+    """Adam moments, flat like MlpModel.theta (the scalar 0.0 until the first
+    step), plus hyperparameters; step counter is strictly increasing."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | float = 0.0
+    v: np.ndarray | float = 0.0
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     weight_decay: float = 1e-4
     eps: float = 1e-8
 
-    @classmethod
-    def for_model(cls, model: MlpModel, beta1=0.9, beta2=0.999,
-                  weight_decay=1e-4, eps=1e-8) -> "OptimizerState":
-        m = {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
-        v = {name: np.zeros_like(getattr(model, name)) for name in PARAM_NAMES}
-        return cls(m=m, v=v, step=0, beta1=beta1, beta2=beta2,
-                   weight_decay=weight_decay, eps=eps)
 
-
-def adam_step(model: MlpModel, grads: dict, state: OptimizerState, lr: float) -> None:
+def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
+              lr: float) -> None:
     """One bias-corrected Adam step with decoupled weight decay, in place."""
-    for g in grads.values():
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient; step aborted")
+    g = grads.theta
+    if not np.all(np.isfinite(g)):
+        raise NumericError("non-finite gradient; step aborted")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name in PARAM_NAMES:
-        g = grads[name]
-        p = getattr(model, name)
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
+    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
+    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
+    m_hat = state.m / (1.0 - state.beta1 ** t)
+    v_hat = state.v / (1.0 - state.beta2 ** t)
+    p = model.theta
+    p -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
 
 
 @dataclass

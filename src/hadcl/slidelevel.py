@@ -25,8 +25,6 @@ FOUR_CONN = np.array([[0, 1, 0],
 @dataclass
 class SlideGrid:
     probs: np.ndarray          # (H, W), values in [0, 1]
-    slide_id: int = 0
-    label: int | None = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)

@@ -146,7 +146,8 @@ def test_gradients_match_central_differences_100_draws():
                 param[idx] = orig
                 fd[idx] = (up - down) / (2.0 * h)
                 it.iternext()
-            np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-6)
+            np.testing.assert_allclose(getattr(grads, name), fd,
+                                       rtol=1e-4, atol=1e-6)
     assert time.perf_counter() - start < 30.0
 
 
@@ -158,17 +159,17 @@ def test_alpha_one_curriculum_bit_identical_to_plain_5_epochs():
                              seed=9)
     ds = data.generate_blobs(spec)
     model = numcore.init_model(6, 12, 2, seed=31)
-    settings = curriculum.TrainSettings(
-        lr_schedule=numcore.LrSchedule(base=1e-3, milestones=(3,), gamma=0.1))
+    lr_schedule = numcore.LrSchedule(base=1e-3, milestones=(3,), gamma=0.1)
     cfg = curriculum.CurriculumConfig(
         alpha=1.0, schedule=ThresholdSchedule(a=0.7, b=0.2), epochs=5,
         batch_size=40)
 
     cur, cur_rep = curriculum.run_stage(model, ds.features, ds.labels, cfg,
-                                        decide_update_stage1, settings, seed=17)
+                                        decide_update_stage1, lr_schedule,
+                                        seed=17)
     plain, plain_rep = curriculum.finetune_plain(
         model, ds.features, ds.labels, epochs=5, batch_size=40,
-        settings=settings, seed=17)
+        lr_schedule=lr_schedule, seed=17)
 
     for name in numcore.PARAM_NAMES:
         assert getattr(cur, name).tobytes() == getattr(plain, name).tobytes()
@@ -275,7 +276,7 @@ def test_connected_components_match_flood_fill_200_grids():
         h = int(rng.integers(1, 65))
         w = int(rng.integers(1, 65))
         probs = rng.random((h, w))
-        grid = slidelevel.SlideGrid(probs=probs, slide_id="g", label=0)
+        grid = slidelevel.SlideGrid(probs=probs)
         for tau in (0.5, 0.95):
             got = {frozenset(map(tuple, reg.cells))
                    for reg in slidelevel.connected_components(grid, tau)}

@@ -5,7 +5,7 @@ import pytest
 
 from hadcl import curriculum, data, numcore
 from hadcl.curriculum import (BatchHardness, CurriculumConfig,
-                              ThresholdSchedule, TrainSettings,
+                              ThresholdSchedule,
                               decide_update_stage1, decide_update_stage2,
                               finetune_plain, rank_by_loss, run_stage,
                               threshold)
@@ -170,8 +170,8 @@ def separable_task(seed=0, n_per_class=150):
     return data.generate_blobs(spec)
 
 
-def settings(lr=1e-3):
-    return TrainSettings(lr_schedule=LrSchedule(base=lr))
+def lr_sched(lr=1e-3):
+    return LrSchedule(base=lr)
 
 
 STAGE1 = curriculum.decide_update_stage1
@@ -184,7 +184,7 @@ def stage_config(alpha=0.1, epochs=5, batch=30, a=0.7, b=0.2):
 
 
 def model_bytes(model):
-    return b"".join(p.tobytes() for p in model.params())
+    return model.theta.tobytes()
 
 
 class TestRunStage:
@@ -193,7 +193,7 @@ class TestRunStage:
         model = init_model(4, 16, 2, seed=0)
         trained, report = run_stage(model, ds.features, ds.labels,
                                     stage_config(epochs=50), STAGE1,
-                                    settings(), seed=3)
+                                    lr_sched(), seed=3)
         preds = numcore.forward(trained, ds.features).argmax(axis=1)
         assert np.mean(preds == ds.labels) >= 0.99
         assert len(report.records) == 50 * (ds.n // 30)
@@ -203,9 +203,9 @@ class TestRunStage:
         model = init_model(4, 16, 2, seed=5)
         cur, _ = run_stage(model, ds.features, ds.labels,
                            stage_config(alpha=1.0, epochs=5), STAGE1,
-                           settings(), seed=7)
+                           lr_sched(), seed=7)
         plain, _ = finetune_plain(model, ds.features, ds.labels, epochs=5,
-                                  batch_size=30, settings=settings(), seed=7)
+                                  batch_size=30, lr_schedule=lr_sched(), seed=7)
         assert model_bytes(cur) == model_bytes(plain)
 
     def test_same_seed_identical_report(self):
@@ -213,7 +213,7 @@ class TestRunStage:
         model = init_model(4, 16, 2, seed=6)
         runs = [run_stage(model, ds.features, ds.labels,
                           stage_config(epochs=3), STAGE1,
-                          settings(), seed=11) for _ in range(2)]
+                          lr_sched(), seed=11) for _ in range(2)]
         assert model_bytes(runs[0][0]) == model_bytes(runs[1][0])
         assert runs[0][1].records == runs[1][1].records
 
@@ -222,7 +222,7 @@ class TestRunStage:
         model = init_model(4, 16, 2, seed=6)
         _, report = run_stage(model, ds.features, ds.labels,
                               stage_config(epochs=2), STAGE2,
-                              settings(), seed=1)
+                              lr_sched(), seed=1)
         for rec in report.records:
             assert 0.2 <= rec.thres <= 0.9
             assert rec.k_prime <= rec.k
@@ -234,12 +234,12 @@ class TestRunStage:
         model = init_model(4, 16, 2, seed=6)
         _, rep1 = run_stage(model, ds.features, ds.labels,
                             stage_config(epochs=2), STAGE1,
-                            settings(), seed=2)
+                            lr_sched(), seed=2)
         assert {r.branch for r in rep1.records} <= {
             curriculum.TOP_K_BRANCH, curriculum.TOTAL_BRANCH}
         _, rep2 = run_stage(model, ds.features, ds.labels,
                             stage_config(epochs=2), STAGE2,
-                            settings(), seed=2)
+                            lr_sched(), seed=2)
         assert {r.branch for r in rep2.records} <= {
             curriculum.TOP_K_PRIME_BRANCH, curriculum.TOP_K_BRANCH}
 
@@ -256,15 +256,23 @@ class TestRunStage:
         excluded = [i for i in range(10) if i not in mask]
         x2[excluded] = 0.0
         g2, _ = numcore.backward(model, x2, y, mask)
-        for k in g1:
-            np.testing.assert_array_equal(g1[k], g2[k])
+        np.testing.assert_array_equal(g1.theta, g2.theta)
+
+    @pytest.mark.filterwarnings("error")  # overflow is reported once, here
+    def test_divergence_names_epoch_iteration_and_seed(self):
+        ds = separable_task(seed=4)
+        model = init_model(4, 16, 2, seed=6)
+        with pytest.raises(NumericError,
+                           match=r"logits .* at epoch 0, iteration \d+ \(seed 2\)"):
+            run_stage(model, ds.features, ds.labels, stage_config(),
+                      STAGE1, LrSchedule(base=1e200), seed=2)
 
     def test_empty_dataset_rejected(self):
         model = init_model(4, 8, 2, seed=1)
         with pytest.raises(ValidationError):
             run_stage(model, np.zeros((10, 4)), np.zeros(10, dtype=int),
                       stage_config(batch=64), STAGE1,
-                      settings(), seed=0)
+                      lr_sched(), seed=0)
 
 
 class TestRunHadcl:
@@ -273,10 +281,10 @@ class TestRunHadcl:
         model = init_model(4, 16, 2, seed=2)
         theta1, _ = run_stage(model, ds.features, ds.labels,
                               stage_config(epochs=3), STAGE1,
-                              settings(), seed=9)
+                              lr_sched(), seed=9)
         theta2, r2 = run_stage(theta1, ds.features, ds.labels,
                                stage_config(epochs=0), STAGE2,
-                               settings(), seed=9)
+                               lr_sched(), seed=9)
         assert model_bytes(theta2) == model_bytes(theta1)
         assert len(r2.records) == 0
 
@@ -289,13 +297,13 @@ class TestRunHadcl:
             model = init_model(4, 16, 2, seed=seed)
             theta1, _ = run_stage(model, ds.features, ds.labels,
                                   stage_config(epochs=15), STAGE1,
-                                  settings(), seed=seed)
+                                  lr_sched(), seed=seed)
             fresh = init_model(4, 16, 2, seed=777 + seed)
 
             def first_loss(m):
                 _, rep = run_stage(m, ds.features, ds.labels,
                                    stage_config(epochs=1), STAGE2,
-                                   settings(lr=0.0), seed=seed)
+                                   lr_sched(lr=0.0), seed=seed)
                 return rep.records[0].mean_loss
 
             if first_loss(theta1) < first_loss(fresh):
@@ -319,8 +327,7 @@ class TestGoldenRun:
                                  seed=13)
         ds = data.generate_blobs(spec)
         model = init_model(5, 10, 2, seed=3)
-        s = TrainSettings(lr_schedule=LrSchedule(base=1e-3, milestones=(4,),
-                                                 gamma=0.1))
+        s = LrSchedule(base=1e-3, milestones=(4,), gamma=0.1)
         theta1, _ = run_stage(model, ds.features, ds.labels,
                               stage_config(epochs=6, batch=32), STAGE1, s,
                               seed=42)
@@ -338,11 +345,11 @@ class TestValidationSelection:
         val = separable_task(seed=9)
         best, rep_sel = run_stage(model, ds.features, ds.labels,
                                   stage_config(epochs=6), STAGE2,
-                                  settings(), seed=5,
+                                  lr_sched(), seed=5,
                                   select_set=(val.features, val.labels))
         final, _ = run_stage(model, ds.features, ds.labels,
                              stage_config(epochs=6), STAGE2,
-                             settings(), seed=5)
+                             lr_sched(), seed=5)
         assert rep_sel.best_epoch is not None
         assert -1 <= rep_sel.best_epoch < 6
         # the selected parameters never score below the final-epoch ones
@@ -357,7 +364,7 @@ class TestValidationSelection:
         val = separable_task(seed=11)
         kept, rep = run_stage(model, ds.features, ds.labels,
                               stage_config(epochs=3), STAGE1,
-                              settings(lr=0.0), seed=5,
+                              lr_sched(lr=0.0), seed=5,
                               select_set=(val.features, val.labels))
         assert rep.best_epoch == -1
         assert model_bytes(kept) == model_bytes(model)
@@ -367,6 +374,6 @@ class TestValidationSelection:
         model = init_model(4, 16, 2, seed=4)
         _, rep = run_stage(model, ds.features, ds.labels,
                            stage_config(epochs=2), STAGE1,
-                           settings(), seed=5)
+                           lr_sched(), seed=5)
         assert rep.best_epoch is None
 

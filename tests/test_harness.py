@@ -1,13 +1,16 @@
 import copy
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
 import hadcl
-from hadcl import cli, harness
+from hadcl import cli, data, harness
 from hadcl.exceptions import ValidationError
 from hadcl.harness import RunReport, config_from_dict, run_experiment
 
@@ -113,6 +116,23 @@ class TestRunExperiment:
         assert set(summary) == {"baseline", "curriculum1", "curriculum2"}
         assert "median_auc_slide" in summary["baseline"]
 
+    def test_slide_cohorts_generated_once_per_seed(self, monkeypatch):
+        calls = []
+        generate_slides = data.generate_slides
+
+        def counting(spec):
+            calls.append(spec.draw_seed)
+            return generate_slides(spec)
+
+        monkeypatch.setattr(data, "generate_slides", counting)
+        d = tiny_dict(slides=dict(height=5, width=5, n_slides=6,
+                                  tumor_slide_fraction=0.5, region_count=1,
+                                  radius_lo=1.0, radius_hi=2.0, seed=21))
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok
+        assert all("slide" in c["metrics"] for c in report.cells)
+        assert len(calls) == 2 * len(d["seeds"])
+
     def test_curve_lengths_match_epochs_and_batches(self):
         report = run_experiment(config_from_dict(tiny_dict(seeds=[0])))
         n_batches = 2 * 40 // 20
@@ -162,6 +182,7 @@ class TestRunExperiment:
         by = {c["strategy"]: c for c in run_experiment(config_from_dict(d)).cells}
         assert by["baseline"]["status"] == "ok"
         assert by["curriculum1"]["status"] == "failed"
+        assert "at epoch 0, iteration" in by["curriculum1"]["error"]
         assert by["curriculum2"]["status"] == "failed"
         assert "curriculum1 failed" in by["curriculum2"]["error"]
         assert by["curriculum1"]["error"] in by["curriculum2"]["error"]
@@ -257,12 +278,25 @@ class TestCli:
         ("curriculum2", "lr", -1e-4),
         ("pretrain", "lrr", 1e-3),          # unknown key
         ("pretrain", "epochs", -1),
+        ("model", None, None),              # section missing
+        ("model", "hidden", 0),
+        ("model", "hidden", "abc"),
+        ("model", "width", 8),              # unknown key
+        ("baseline", "lr", "abc"),
+        ("pretrain", "epochs", "3"),
+        ("curriculum1", "batch_size", 25.5),
+        ("eval", "test_per_class", 1),      # DeLong needs two per class
     ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
-            "negative_epochs"])
+            "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
+            "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
+            "one_test_per_class"])
     def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
                                                section, key, value):
         d = tiny_dict()
-        d[section][key] = value
+        if key is None:
+            del d[section]
+        else:
+            d[section][key] = value
         path = self.write_config(tmp_path, d)
         assert cli.main(["validate-config", "--config", path]) == 2
         assert section in capsys.readouterr().err
@@ -299,3 +333,31 @@ class TestCli:
                          "--output-dir", outdir, "--grid", "0.1", "0.3"]) == 0
         sweep = json.load(open(tmp_path / "out3" / "alpha_sweep.json"))
         assert [e["alpha"] for e in sweep["entries"]] == [0.1, 0.3]
+
+
+def documented_command_lines() -> list[str]:
+    """Every `hadcl ...` line in README's CLI block and in config comments."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("hadcl ")]
+    for path in sorted((root / "configs").glob("*.yaml")):
+        for line in path.read_text().splitlines():
+            m = re.match(r"#\s*(hadcl .*)", line)
+            if m:
+                lines.append(m.group(1))
+    return lines
+
+
+def test_documented_command_lines_exist():
+    lines = documented_command_lines()
+    verbs = {shlex.split(line)[1] for line in lines}
+    assert verbs == {"validate-config", "run", "ablate-alpha", "emit-plots"}
+
+
+@pytest.mark.parametrize("line", documented_command_lines())
+def test_documented_command_line_parses(line):
+    try:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+    except SystemExit:
+        pytest.fail(f"the CLI rejects the documented line {line!r}")

@@ -114,8 +114,7 @@ class TestBackward:
         g_none, l_none = backward(m, x, y, None)
         g_all, l_all = backward(m, x, y, np.arange(8))
         assert l_none == l_all
-        for k in g_none:
-            np.testing.assert_array_equal(g_none[k], g_all[k])
+        np.testing.assert_array_equal(g_none.theta, g_all.theta)
 
     def test_single_sample_matches_finite_differences(self):
         rng = np.random.default_rng(6)
@@ -127,7 +126,7 @@ class TestBackward:
         for name in ("w1", "b2", "w3"):
             fd = fd_gradient(m, x, y, mask, name)
             denom = np.maximum(np.abs(fd), 1e-8)
-            assert np.max(np.abs(grads[name] - fd) / denom) < 1e-5
+            assert np.max(np.abs(getattr(grads, name) - fd) / denom) < 1e-5
 
     def test_duplicate_rows_mean_invariance(self):
         rng = np.random.default_rng(7)
@@ -137,8 +136,7 @@ class TestBackward:
         y = np.array([1, 1, 0])
         g_both, _ = backward(m, x, y, [0, 1])
         g_one, _ = backward(m, x, y, [0])
-        for k in g_both:
-            np.testing.assert_allclose(g_both[k], g_one[k], atol=1e-14)
+        np.testing.assert_allclose(g_both.theta, g_one.theta, atol=1e-14)
 
     def test_empty_mask_raises(self):
         m = init_model(5, 7, 3, seed=0)
@@ -153,9 +151,8 @@ class TestBackward:
         mask = [1, 3, 4]
         g_mask, _ = backward(m, x, y, mask)
         singles = [backward(m, x, y, [i])[0] for i in mask]
-        for k in g_mask:
-            summed = sum(g[k] for g in singles) / len(mask)
-            np.testing.assert_allclose(g_mask[k], summed, atol=1e-10)
+        summed = sum(g.theta for g in singles) / len(mask)
+        np.testing.assert_allclose(g_mask.theta, summed, atol=1e-10)
 
     def test_gradient_check_random_draws(self):
         rng = np.random.default_rng(11)
@@ -168,43 +165,64 @@ class TestBackward:
             for name in numcore.PARAM_NAMES:
                 fd = fd_gradient(m, x, y, mask, name)
                 scale = np.maximum(np.abs(fd), 1e-6)
-                assert np.max(np.abs(grads[name] - fd) / scale) < 1e-4
+                assert np.max(np.abs(getattr(grads, name) - fd) / scale) < 1e-4
+
+    def test_gradients_share_the_model_layout(self):
+        rng = np.random.default_rng(13)
+        m = random_model(rng)
+        grads, _ = backward(m, rng.normal(size=(4, 5)), [0, 1, 2, 0])
+        assert grads.theta.shape == m.theta.shape
+        offset = 0
+        for name in numcore.PARAM_NAMES:
+            g = getattr(grads, name)
+            assert g.shape == getattr(m, name).shape
+            assert np.shares_memory(g, grads.theta)
+            np.testing.assert_array_equal(
+                g.ravel(), grads.theta[offset:offset + g.size])
+            offset += g.size
+
+
+def zero_grads(m):
+    """Zero gradients in the model's flat layout."""
+    grads = m.copy()
+    grads.theta[:] = 0.0
+    return grads
 
 
 class TestAdam:
     def test_zero_gradient_no_decay_is_identity(self):
         m = init_model(3, 4, 2, seed=1)
-        before = [p.copy() for p in m.params()]
-        state = OptimizerState.for_model(m, weight_decay=0.0)
-        grads = {k: np.zeros_like(getattr(m, k)) for k in numcore.PARAM_NAMES}
+        before = m.theta.copy()
+        state = OptimizerState(weight_decay=0.0)
+        grads = zero_grads(m)
         adam_step(m, grads, state, lr=0.1)
-        for p, q in zip(before, m.params()):
-            np.testing.assert_array_equal(p, q)
+        np.testing.assert_array_equal(before, m.theta)
         assert state.step == 1
 
     def test_first_step_is_signed_lr(self):
         m = init_model(3, 4, 2, seed=2)
-        before = [p.copy() for p in m.params()]
-        state = OptimizerState.for_model(m, weight_decay=0.0, eps=1e-12)
+        before = m.copy()
+        state = OptimizerState(weight_decay=0.0, eps=1e-12)
         rng = np.random.default_rng(0)
-        grads = {k: rng.normal(size=getattr(m, k).shape) + 3.0
-                 for k in numcore.PARAM_NAMES}
+        grads = zero_grads(m)
+        for k in numcore.PARAM_NAMES:
+            getattr(grads, k)[...] = rng.normal(size=getattr(m, k).shape) + 3.0
         adam_step(m, grads, state, lr=0.01)
-        for k, p0 in zip(numcore.PARAM_NAMES, before):
-            delta = getattr(m, k) - p0
-            np.testing.assert_allclose(delta, -0.01 * np.sign(grads[k]), rtol=1e-6)
+        for k in numcore.PARAM_NAMES:
+            delta = getattr(m, k) - getattr(before, k)
+            np.testing.assert_allclose(delta, -0.01 * np.sign(getattr(grads, k)),
+                                       rtol=1e-6)
 
     def test_ten_step_trace_matches_unrolled_recurrence(self):
         # scalar quadratic 0.5*w^2, gradient w; hand-unrolled Adam oracle
         w = np.full((1, 1), 2.0)
         m = MlpModel(w.copy(), np.zeros(1), np.ones((1, 1)), np.zeros(1),
                      np.ones((1, 1)), np.zeros(1))
-        state = OptimizerState.for_model(m, weight_decay=0.0)
+        state = OptimizerState(weight_decay=0.0)
         b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.05
 
         w_ref = 2.0
         m_acc = v_acc = 0.0
-        zero = {k: np.zeros_like(getattr(m, k)) for k in numcore.PARAM_NAMES}
         for t in range(1, 11):
             g = w_ref
             m_acc = b1 * m_acc + (1 - b1) * g
@@ -213,16 +231,16 @@ class TestAdam:
             v_hat = v_acc / (1 - b2 ** t)
             w_ref = w_ref - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-            grads = dict(zero)
-            grads["w1"] = m.w1.copy()  # gradient of 0.5*w^2 at current w
+            grads = zero_grads(m)
+            grads.w1[...] = m.w1  # gradient of 0.5*w^2 at current w
             adam_step(m, grads, state, lr)
         assert abs(m.w1[0, 0] - w_ref) < 1e-10
 
     def test_nonfinite_gradient_aborts(self):
         m = init_model(3, 4, 2, seed=3)
-        state = OptimizerState.for_model(m)
-        grads = {k: np.zeros_like(getattr(m, k)) for k in numcore.PARAM_NAMES}
-        grads["w2"][0, 0] = np.nan
+        state = OptimizerState()
+        grads = zero_grads(m)
+        grads.w2[0, 0] = np.nan
         with pytest.raises(NumericError):
             adam_step(m, grads, state, lr=0.1)
         assert state.step == 0
@@ -247,5 +265,37 @@ class TestLrSchedule:
 def test_init_determinism():
     a = init_model(6, 8, 3, seed=99)
     b = init_model(6, 8, 3, seed=99)
-    for p, q in zip(a.params(), b.params()):
-        assert p.tobytes() == q.tobytes()
+    assert a.theta.tobytes() == b.theta.tobytes()
+
+
+class TestFlatLayout:
+    def test_arrays_are_views_into_theta_in_param_order(self):
+        m = init_model(5, 7, 3, seed=4)
+        arrays = [getattr(m, name) for name in numcore.PARAM_NAMES]
+        assert m.theta.dtype == np.float64 and m.theta.flags.c_contiguous
+        assert m.theta.tobytes() == b"".join(a.tobytes() for a in arrays)
+        m.theta[:] = np.arange(m.theta.size)
+        assert m.w1[0, 0] == 0.0 and m.b3[-1] == m.theta.size - 1
+
+    def test_copy_is_independent(self):
+        m = init_model(5, 7, 3, seed=4)
+        c = m.copy()
+        assert c.theta.tobytes() == m.theta.tobytes()
+        c.w2[0, 0] += 1.0
+        assert c.theta.tobytes() != m.theta.tobytes()
+        assert not np.shares_memory(c.theta, m.theta)
+
+    def test_constructor_copies_its_arrays(self):
+        w1 = np.ones((2, 3))
+        m = MlpModel(w1, np.zeros(3), np.ones((3, 3)), np.zeros(3),
+                     np.ones((3, 2)), np.zeros(2))
+        m.w1[0, 0] = 5.0
+        assert w1[0, 0] == 1.0
+
+    def test_bad_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            MlpModel(np.ones((2, 3)), np.zeros(3), np.ones((4, 3)),
+                     np.zeros(3), np.ones((3, 2)), np.zeros(2))
+        with pytest.raises(DimensionError):
+            MlpModel(np.ones((2, 3)), np.zeros(2), np.ones((3, 3)),
+                     np.zeros(3), np.ones((3, 2)), np.zeros(2))
