@@ -7,23 +7,23 @@ a + b down to b and then resets: early iterations demand a lot of loss
 concentration before narrowing the update, late iterations almost none.
 """
 
-from hadcl.curriculum import ThresholdSchedule, threshold
+from hadcl.curriculum import threshold
 
-sched = ThresholdSchedule(a=0.7, b=0.2)
+a, b = 0.7, 0.2
 T = 20  # batches per epoch; the training loop passes its own count
 
-print(f"schedule: a={sched.a}, b={sched.b}, T={T}")
-print(f"range: thres(0)={threshold(0, sched, T):.3f} "
-      f"... thres(T)={threshold(T, sched, T):.3f}\n")
+print(f"schedule: a={a}, b={b}, T={T}")
+print(f"range: thres(0)={threshold(0, T, a, b):.3f} "
+      f"... thres(T)={threshold(T, T, a, b):.3f}\n")
 
 width = 50
 for t in range(T + 1):
-    th = threshold(t, sched, T)
+    th = threshold(t, T, a, b)
     bar = "#" * int(round(th * width))
     print(f"t={t:3d}  thres={th:.3f}  {bar}")
 
 print("\nAcross epochs the threshold is a sawtooth: it resets to a + b at the")
 print("start of every epoch, so each epoch replays the easy-to-hard sweep.")
 for epoch in range(3):
-    row = " ".join(f"{threshold(t, sched, T):.2f}" for t in range(1, T + 1, 4))
+    row = " ".join(f"{threshold(t, T, a, b):.2f}" for t in range(1, T + 1, 4))
     print(f"epoch {epoch}: {row}")

@@ -18,14 +18,12 @@ spec = data.BlobTaskSpec(dim=6, n_classes=2, per_class=500, separation=4.0,
 ds = data.generate_blobs(spec)
 model = numcore.init_model(spec.dim, hidden=16, n_classes=2, seed=0)
 
-config = curriculum.CurriculumConfig(
-    alpha=0.10, schedule=curriculum.ThresholdSchedule(a=0.7, b=0.2),
-    epochs=3, batch_size=50)
-lr_schedule = numcore.LrSchedule(base=5e-4, milestones=(2,), gamma=0.1)
+config = curriculum.CurriculumTrainConfig(
+    epochs=3, lr=5e-4, milestones=(2,), gamma=0.1, batch_size=50,
+    alpha=0.10, a=0.7, b=0.2)
 
 theta1, report = curriculum.run_stage(model, ds.features, ds.labels, config,
-                                      curriculum.decide_update_stage1,
-                                      lr_schedule, seed=1)
+                                      curriculum.decide_update_stage1, seed=1)
 
 print(f"{len(report.records)} iterations over {config.epochs} epochs, "
       f"batch size {config.batch_size}, K = {config.top_k}\n")

@@ -89,7 +89,7 @@ def main(argv=None) -> int:
                      for e in sweep["entries"]}
             print(json.dumps({"sweep": out, "table": table}, indent=1))
             return 0 if all(e["all_ok"] for e in sweep["entries"]) else 1
-    except (ValidationError, FileNotFoundError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

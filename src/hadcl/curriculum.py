@@ -11,7 +11,9 @@ iterations of an epoch favour broad updates and late iterations favour hard
 ones.
 
 Plain fine-tuning and both stages share one training loop; they differ only
-in the decision function it calls once per mini-batch.
+in the decision function it calls once per mini-batch. Each stage's
+hyperparameters are one TrainConfig (epochs, lr schedule, batch size), or one
+CurriculumTrainConfig (plus alpha, a and b), which checks its own values.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import metrics, numcore
 from .exceptions import NumericError, ValidationError
-from .numcore import LrSchedule, MlpModel, OptimizerState
+from .numcore import MlpModel, OptimizerState
 
 TOP_K_BRANCH = "top_k"
 TOTAL_BRANCH = "total"
@@ -30,49 +32,70 @@ TOP_K_PRIME_BRANCH = "top_k_prime"
 
 
 @dataclass(frozen=True)
-class ThresholdSchedule:
-    """Linear per-epoch decay a*(1 - t/T) + b; T is the number of batches
-    an epoch actually runs, supplied by the training loop."""
+class TrainConfig:
+    """One training section: epochs of mini-batches of batch_size samples,
+    with the learning rate decayed by gamma at each epoch in milestones."""
 
-    a: float
-    b: float
+    epochs: int
+    lr: float
+    milestones: tuple = ()
+    gamma: float = 0.1
+    batch_size: int = 64
 
     def __post_init__(self):
+        ms = tuple(self.milestones)
+        object.__setattr__(self, "milestones", ms)
+        if any(isinstance(m, bool) or not isinstance(m, int) for m in ms):
+            raise ValidationError(f"milestones must be integer epochs, got {list(ms)}")
+        if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
+            raise ValidationError("milestones must be strictly increasing")
+        if not (0.0 < self.gamma <= 1.0):
+            raise ValidationError("gamma must be in (0, 1]")
+        if self.lr < 0.0:
+            raise ValidationError("lr must be >= 0")
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValidationError(f"need epochs >= 0 and batch_size >= 1; got "
+                                  f"{self.epochs}, {self.batch_size}")
+
+    def lr_at(self, epoch: int) -> float:
+        """Multi-step decay: lr * gamma^(milestones passed)."""
+        if epoch < 0:
+            raise ValidationError("epoch must be >= 0")
+        passed = sum(1 for m in self.milestones if epoch >= m)
+        return self.lr * self.gamma ** passed
+
+
+@dataclass(frozen=True)
+class CurriculumTrainConfig(TrainConfig):
+    """A curriculum stage: K = alpha * batch_size hard samples per batch and
+    the gating threshold a*(1 - t/T) + b of `threshold`."""
+
+    alpha: float = 0.10
+    a: float = 0.7
+    b: float = 0.2
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 < self.alpha <= 1.0):
+            raise ValidationError("alpha must be in (0, 1]")
         if not (self.a > self.b > 0.0):
             raise ValidationError("require a > b > 0")
         if self.a + self.b > 1.0:
             raise ValidationError("a + b must be <= 1 (threshold is a loss fraction)")
 
-
-# Plain fine-tuning has no gate, but its curve rows carry a threshold column
-# like every other strategy's. They log this fixed schedule so that baseline
-# rows in report.json and curves.tsv stay byte-comparable across versions.
-PLAIN_SCHEDULE = ThresholdSchedule(a=0.7, b=0.2)
+    @property
+    def top_k(self) -> int:
+        return max(1, int(self.alpha * self.batch_size))
 
 
-def threshold(t: int, sched: ThresholdSchedule, T: int) -> float:
-    """Gating fraction at iteration t of T; a+b at t=0 decaying to b at t=T."""
+def threshold(t: int, T: int, a: float, b: float) -> float:
+    """Gating fraction at iteration t of T; a+b at t=0 decaying linearly to b
+    at t=T. T is the number of batches an epoch actually runs."""
     if T < 1:
         raise ValidationError("T must be >= 1")
     if not (0 <= t <= T):
         raise ValidationError(f"iteration t={t} outside [0, {T}]")
-    return sched.a * (1.0 - t / T) + sched.b
-
-
-@dataclass(frozen=True)
-class CurriculumConfig:
-    alpha: float
-    schedule: ThresholdSchedule
-    epochs: int
-    batch_size: int
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValidationError("alpha must be in (0, 1]")
-
-    @property
-    def top_k(self) -> int:
-        return max(1, int(self.alpha * self.batch_size))
+    return a * (1.0 - t / T) + b
 
 
 def rank_by_loss(losses) -> np.ndarray:
@@ -194,9 +217,8 @@ def _val_score(model: MlpModel, features: np.ndarray,
     return float(np.mean(preds == labels))
 
 
-def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSchedule,
-              k: int, epochs: int, batch_size: int, lr_schedule: LrSchedule,
-              seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
+def _run_loop(model: MlpModel, features, labels, config: CurriculumTrainConfig,
+              decide, seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
     """The training loop behind plain, stage-1 and stage-2 fine-tuning.
 
     Each iteration hands the batch's per-sample losses, the threshold and K
@@ -212,11 +234,7 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    n = features.shape[0]
-    if n < 1:
-        raise ValidationError("dataset is empty")
-    if batch_size < 1 or epochs < 0:
-        raise ValidationError("need batch_size >= 1 and epochs >= 0")
+    n, batch_size = features.shape[0], config.batch_size
     # short trailing batches are dropped so K is constant
     n_batches = n // batch_size
     if n_batches < 1:
@@ -235,19 +253,19 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
         best_acc = _val_score(model, select_set[0], select_set[1])
         report.best_epoch = -1
 
-    for epoch in range(epochs):
-        lr = numcore.lr_at(lr_schedule, epoch)
+    for epoch in range(config.epochs):
+        lr = config.lr_at(epoch)
         perm = rng.permutation(n)
         for t in range(1, n_batches + 1):
             idx = perm[(t - 1) * batch_size: t * batch_size]
             x, y = features[idx], labels[idx]
-            thres = threshold(t, schedule, n_batches)
+            thres = threshold(t, n_batches, config.a, config.b)
             try:
                 logits = numcore.forward(model, x)
                 losses = numcore.per_sample_cross_entropy(logits, y)
                 if not np.all(np.isfinite(losses)):
                     raise NumericError("non-finite loss")
-                decision = decide(losses, thres, k)
+                decision = decide(losses, thres, config.top_k)
                 grads, mean_loss = numcore.backward(model, x, y,
                                                     sample_mask=decision.mask)
                 numcore.adam_step(model, grads, state, lr)
@@ -268,9 +286,8 @@ def _run_loop(model: MlpModel, features, labels, decide, schedule: ThresholdSche
     return model, report
 
 
-def run_stage(model: MlpModel, features, labels, config: CurriculumConfig,
-              decide, lr_schedule: LrSchedule, seed: int,
-              select_set=None) -> tuple[MlpModel, StageReport]:
+def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
+              decide, seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
     """Run one curriculum stage from the given parameters.
 
     `decide` is `decide_update_stage1` (returns theta_1) or
@@ -279,15 +296,20 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumConfig,
     mutated. Pass a validation (features, labels) pair as `select_set` to
     keep the best-validation-score epoch instead of the last one.
     """
-    return _run_loop(model, features, labels, decide, config.schedule,
-                     config.top_k, config.epochs, config.batch_size,
-                     lr_schedule, seed, select_set=select_set)
+    return _run_loop(model, features, labels, config, decide, seed, select_set)
 
 
-def finetune_plain(model: MlpModel, features, labels, epochs: int,
-                   batch_size: int, lr_schedule: LrSchedule, seed: int,
-                   select_set=None) -> tuple[MlpModel, StageReport]:
-    """Baseline fine-tuning: every update uses the whole mini-batch."""
-    return _run_loop(model, features, labels, _decide_whole_batch,
-                     PLAIN_SCHEDULE, batch_size, epochs, batch_size,
-                     lr_schedule, seed, select_set=select_set)
+def finetune_plain(model: MlpModel, features, labels, config: TrainConfig,
+                   seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
+    """Baseline fine-tuning: every update uses the whole mini-batch.
+
+    Plain fine-tuning has no gate, but its curve rows carry a threshold
+    column like every other strategy's. They log the fixed (a, b) = (0.7,
+    0.2) schedule, so baseline rows in report.json and curves.tsv stay
+    byte-comparable across versions.
+    """
+    stage = CurriculumTrainConfig(config.epochs, config.lr, config.milestones,
+                                  config.gamma, config.batch_size,
+                                  alpha=1.0, a=0.7, b=0.2)
+    return _run_loop(model, features, labels, stage, _decide_whole_batch, seed,
+                     select_set)

@@ -33,22 +33,6 @@ _SLIDE_TEST_OFFSET = 5000
 
 
 @dataclass(frozen=True)
-class PlainTrainConfig:
-    epochs: int
-    lr: float
-    milestones: tuple = ()
-    gamma: float = 0.1
-    batch_size: int = 64
-
-
-@dataclass(frozen=True)
-class CurriculumTrainConfig(PlainTrainConfig):
-    alpha: float = 0.10
-    a: float = 0.7
-    b: float = 0.2
-
-
-@dataclass(frozen=True)
 class EvalConfig:
     test_per_class: int = 500
     val_per_class: int = 250
@@ -76,10 +60,10 @@ class ExperimentConfig:
     source: data.BlobTaskSpec
     target: data.BlobTaskSpec
     shift: data.DomainShiftSpec
-    pretrain: PlainTrainConfig
-    baseline: PlainTrainConfig
-    curriculum1: CurriculumTrainConfig
-    curriculum2: CurriculumTrainConfig
+    pretrain: curriculum.TrainConfig
+    baseline: curriculum.TrainConfig
+    curriculum1: curriculum.CurriculumTrainConfig
+    curriculum2: curriculum.CurriculumTrainConfig
     eval: EvalConfig = EvalConfig()
     slides: data.SlideSpec | None = None
     strategies: tuple = STRATEGIES
@@ -88,6 +72,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValidationError("seed list must be nonempty")
+        if any(isinstance(s, bool) or not isinstance(s, int) or s < 0
+               for s in self.seeds):
+            raise ValidationError(
+                f"seeds must be non-negative integers, got {list(self.seeds)}")
+        if not isinstance(self.output_dir, str):
+            raise ValidationError(
+                f"output_dir must be a string, got {self.output_dir!r}")
+        unknown = [s for s in self.strategies if s not in STRATEGIES]
+        if unknown:
+            raise ValidationError(f"unknown strategies {unknown}")
         for key in ("seeds", "strategies"):
             values = getattr(self, key)
             if len(set(values)) != len(values):
@@ -96,27 +90,18 @@ class ExperimentConfig:
             raise ValidationError("source and target feature dims must match")
         if self.target.n_classes != 2:
             raise ValidationError("AUC evaluation requires a binary target task")
-        unknown = set(self.strategies) - set(STRATEGIES)
-        if unknown:
-            raise ValidationError(f"unknown strategies {sorted(unknown)}")
         if "curriculum2" in self.strategies and "curriculum1" not in self.strategies:
             raise ValidationError("curriculum2 requires curriculum1 (it starts "
                                   "from the stage-1 parameters)")
-        # build what run_seed builds, so a bad value fails here, not in a cell
+        # each section checks its own values; its batch must also fit the
+        # training set it runs on, or the loop would have no full batch
         for name in ("pretrain", "baseline", "curriculum1", "curriculum2"):
-            tc = getattr(self, name)
             spec = self.source if name == "pretrain" else self.target
             n = spec.per_class * spec.n_classes
-            try:
-                _lr_schedule(tc)
-                if isinstance(tc, CurriculumTrainConfig):
-                    _curriculum_config(tc)
-                if tc.epochs < 0 or not 1 <= tc.batch_size <= n:
-                    raise ValidationError(
-                        f"need epochs >= 0 and batch_size in [1, {n}], the "
-                        f"size of its training set; got {tc.epochs}, {tc.batch_size}")
-            except ValidationError as exc:
-                raise ValidationError(f"{name}: {exc}") from None
+            batch_size = getattr(self, name).batch_size
+            if batch_size > n:
+                raise ValidationError(f"{name}: batch_size {batch_size} exceeds "
+                                      f"{n}, the size of its training set")
 
 
 def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
@@ -134,10 +119,10 @@ def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
         source=_section(d, "source", data.BlobTaskSpec),
         target=target,
         shift=_section(d, "shift", data.DomainShiftSpec, default={}),
-        pretrain=_section(d, "pretrain", PlainTrainConfig),
-        baseline=_section(d, "baseline", PlainTrainConfig),
-        curriculum1=_section(d, "curriculum1", CurriculumTrainConfig),
-        curriculum2=_section(d, "curriculum2", CurriculumTrainConfig),
+        pretrain=_section(d, "pretrain", curriculum.TrainConfig),
+        baseline=_section(d, "baseline", curriculum.TrainConfig),
+        curriculum1=_section(d, "curriculum1", curriculum.CurriculumTrainConfig),
+        curriculum2=_section(d, "curriculum2", curriculum.CurriculumTrainConfig),
         eval=_section(d, "eval", EvalConfig, default={}),
         slides=slides,
         strategies=_list(d, "strategies", default=STRATEGIES),
@@ -162,10 +147,7 @@ def _section(d: dict, name: str, cls, default=None, **extra):
             value = section.get(f.name, 0)  # a missing key is cls's to judge
             if types and (isinstance(value, bool) or not isinstance(value, types)):
                 raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
-        section = dict(section, **extra)
-        if "milestones" in section:
-            section["milestones"] = tuple(section["milestones"])
-        return cls(**section)
+        return cls(**dict(section, **extra))
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"config section {name!r}: {exc}") from None
 
@@ -179,23 +161,17 @@ def _list(d: dict, key: str, default=None) -> tuple:
 
 def load_config(path) -> ExperimentConfig:
     """The config at `path`; raises ValidationError on any structural or
-    value problem. Its config_hash is the sha256 of the file's bytes."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    d = yaml.safe_load(raw)
+    value problem, including a file that cannot be read or is not YAML. Its
+    config_hash is the sha256 of the file's bytes."""
+    try:
+        with open(path, "rb") as f:
+            raw = f.read()
+        d = yaml.safe_load(raw)
+    except (OSError, yaml.YAMLError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
     if not isinstance(d, dict):
         raise ValidationError("config file must contain a mapping")
     return config_from_dict(d, config_hash=hashlib.sha256(raw).hexdigest())
-
-
-def _lr_schedule(tc) -> numcore.LrSchedule:
-    return numcore.LrSchedule(base=tc.lr, milestones=tc.milestones, gamma=tc.gamma)
-
-
-def _curriculum_config(tc: CurriculumTrainConfig) -> curriculum.CurriculumConfig:
-    sched = curriculum.ThresholdSchedule(a=tc.a, b=tc.b)
-    return curriculum.CurriculumConfig(alpha=tc.alpha, schedule=sched,
-                                       epochs=tc.epochs, batch_size=tc.batch_size)
 
 
 def positive_probs(model: numcore.MlpModel, features) -> np.ndarray:
@@ -264,8 +240,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     if config.pretrain.epochs > 0:
         pretrained, _ = curriculum.finetune_plain(
             model0, source_train.features, source_train.labels,
-            epochs=config.pretrain.epochs, batch_size=config.pretrain.batch_size,
-            lr_schedule=_lr_schedule(config.pretrain), seed=2000 + seed)
+            config.pretrain, seed=2000 + seed)
     else:
         pretrained = model0
 
@@ -284,17 +259,14 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
         cell = {"strategy": strategy, "seed": seed, "status": "ok"}
         try:
             if strategy == "baseline":
-                tc = config.baseline
                 model, report = curriculum.finetune_plain(
                     pretrained, target_train.features, target_train.labels,
-                    epochs=tc.epochs, batch_size=tc.batch_size,
-                    lr_schedule=_lr_schedule(tc), seed=ft_seed)
+                    config.baseline, seed=ft_seed)
             elif strategy == "curriculum1":
-                tc = config.curriculum1
                 model, report = curriculum.run_stage(
                     pretrained, target_train.features, target_train.labels,
-                    _curriculum_config(tc), curriculum.decide_update_stage1,
-                    _lr_schedule(tc), seed=ft_seed)
+                    config.curriculum1, curriculum.decide_update_stage1,
+                    seed=ft_seed)
                 theta1 = model
             else:
                 if theta1 is None:
@@ -302,11 +274,10 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                     raise ValidationError(
                         "curriculum2 starts from the curriculum1 parameters, "
                         f"but curriculum1 failed: {stage1['error']}")
-                tc = config.curriculum2
                 model, report = curriculum.run_stage(
                     theta1, target_train.features, target_train.labels,
-                    _curriculum_config(tc), curriculum.decide_update_stage2,
-                    _lr_schedule(tc), seed=4000 + seed, select_set=select_set)
+                    config.curriculum2, curriculum.decide_update_stage2,
+                    seed=4000 + seed, select_set=select_set)
             cell["metrics"] = _evaluate(model, val, test, test_ood)
             if config.slides is not None:
                 cohorts = cohorts or _slide_cohorts(config.slides, seed)
@@ -376,10 +347,19 @@ class RunReport:
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
-        with open(path) as f:
-            doc = json.load(f)
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise ValidationError(f"unknown report schema {doc.get('schema')!r}")
+        """The report at `path`; raises ValidationError for a file that cannot
+        be read, is not JSON, or lacks the schema or a required key."""
+        try:
+            with open(path) as f:
+                doc = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read report {path}: {exc}") from None
+        schema = doc.get("schema") if isinstance(doc, dict) else None
+        if schema != REPORT_SCHEMA:
+            raise ValidationError(f"unknown report schema {schema!r}")
+        missing = {"config_hash", "cells", "code_version"} - set(doc)
+        if missing:
+            raise ValidationError(f"report {path} lacks {sorted(missing)}")
         return cls(config_hash=doc["config_hash"], cells=doc["cells"],
                    code_version=doc["code_version"])
 
@@ -400,18 +380,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
 def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
                        workers: int = 1) -> dict:
     """One curriculum-1 run per alpha; summarized by median validation metrics."""
-    alpha_grid = list(alpha_grid)
-    if any(not (0.0 < a <= 1.0) for a in alpha_grid):
-        raise ValidationError("alpha grid must lie in (0, 1]")
+    # every alpha's config is built first, so a bad grid fails before training
+    configs = [replace(config, curriculum1=replace(config.curriculum1, alpha=alpha),
+                       strategies=("curriculum1",)) for alpha in alpha_grid]
     sweep = {"schema": "hadcl.alpha_sweep.v1", "config_hash": config.config_hash,
              "entries": []}
-    for alpha in alpha_grid:
-        cfg = replace(config,
-                      curriculum1=replace(config.curriculum1, alpha=alpha),
-                      strategies=("curriculum1",))
+    for cfg in configs:
         report = run_experiment(cfg, workers=workers)
         ok = [c for c in report.cells if c["status"] == "ok"]
-        entry = {"alpha": alpha, "all_ok": report.all_ok,
+        entry = {"alpha": cfg.curriculum1.alpha, "all_ok": report.all_ok,
                  "median_val_accuracy": float(np.median(
                      [c["metrics"]["val"]["accuracy"] for c in ok])) if ok else None,
                  "median_val_auc": float(np.median(

@@ -1,6 +1,6 @@
 """Deterministic numerical core: a two-hidden-layer MLP classifier with
-hand-derived gradients, per-sample cross-entropy, Adam with decoupled weight
-decay, and a multi-step learning-rate schedule.
+hand-derived gradients, per-sample cross-entropy, and Adam with decoupled
+weight decay; the learning rate of each step is the caller's.
 
 Everything is float64 and single-threaded; identical seeds give bit-identical
 parameter trajectories.
@@ -179,30 +179,4 @@ def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
     v_hat = state.v / (1.0 - state.beta2 ** t)
     p = model.theta
     p -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
-
-
-@dataclass
-class LrSchedule:
-    """Multi-step decay: base * gamma^(milestones passed)."""
-
-    base: float
-    milestones: tuple = ()
-    gamma: float = 0.1
-
-    def __post_init__(self):
-        ms = tuple(self.milestones)
-        if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
-            raise ValidationError("milestones must be strictly increasing")
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValidationError("gamma must be in (0, 1]")
-        if self.base < 0.0:
-            raise ValidationError("lr must be >= 0")
-        self.milestones = ms
-
-
-def lr_at(schedule: LrSchedule, epoch: int) -> float:
-    if epoch < 0:
-        raise ValidationError("epoch must be >= 0")
-    passed = sum(1 for m in schedule.milestones if epoch >= m)
-    return schedule.base * schedule.gamma ** passed
 

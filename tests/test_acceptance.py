@@ -26,8 +26,8 @@ import pytest
 from scipy.stats import binomtest
 
 from hadcl import curriculum, data, harness, metrics, numcore, slidelevel
-from hadcl.curriculum import (BatchHardness, CurriculumConfig,
-                              ThresholdSchedule, decide_update_stage1,
+from hadcl.curriculum import (BatchHardness, CurriculumTrainConfig,
+                              TrainConfig, decide_update_stage1,
                               decide_update_stage2, threshold)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -42,10 +42,9 @@ INTERIOR_ALPHA = 0.10
 
 def test_threshold_schedule_exact_endpoints_and_decrease_T_1_to_1000():
     a, b = 0.7, 0.2
-    sched = ThresholdSchedule(a=a, b=b)
     start = time.perf_counter()
     for T in range(1, 1001):
-        vals = np.array([threshold(t, sched, T) for t in range(T + 1)])
+        vals = np.array([threshold(t, T, a, b) for t in range(T + 1)])
         assert vals[0] == a + b          # exact, not approximate
         assert vals[-1] == b             # exact, not approximate
         assert np.all(np.diff(vals) < 0.0)
@@ -65,8 +64,8 @@ def test_selection_and_decisions_match_bruteforce_10000_batches():
         alpha = float(rng.uniform(0.02, 1.0))
         thres = float(rng.uniform(0.2, 0.9))
 
-        top_k = CurriculumConfig(alpha=alpha, schedule=ThresholdSchedule(0.7, 0.2),
-                                 epochs=1, batch_size=batch).top_k
+        top_k = CurriculumTrainConfig(epochs=1, lr=1e-3, batch_size=batch,
+                                      alpha=alpha).top_k
         h = BatchHardness.from_losses(losses, top_k, thres=thres)
 
         # independent brute-force recomputation
@@ -159,17 +158,15 @@ def test_alpha_one_curriculum_bit_identical_to_plain_5_epochs():
                              seed=9)
     ds = data.generate_blobs(spec)
     model = numcore.init_model(6, 12, 2, seed=31)
-    lr_schedule = numcore.LrSchedule(base=1e-3, milestones=(3,), gamma=0.1)
-    cfg = curriculum.CurriculumConfig(
-        alpha=1.0, schedule=ThresholdSchedule(a=0.7, b=0.2), epochs=5,
-        batch_size=40)
+    plain_cfg = TrainConfig(epochs=5, lr=1e-3, milestones=(3,), gamma=0.1,
+                            batch_size=40)
+    cfg = CurriculumTrainConfig(epochs=5, lr=1e-3, milestones=(3,), gamma=0.1,
+                                batch_size=40, alpha=1.0, a=0.7, b=0.2)
 
     cur, cur_rep = curriculum.run_stage(model, ds.features, ds.labels, cfg,
-                                        decide_update_stage1, lr_schedule,
-                                        seed=17)
+                                        decide_update_stage1, seed=17)
     plain, plain_rep = curriculum.finetune_plain(
-        model, ds.features, ds.labels, epochs=5, batch_size=40,
-        lr_schedule=lr_schedule, seed=17)
+        model, ds.features, ds.labels, plain_cfg, seed=17)
 
     for name in numcore.PARAM_NAMES:
         assert getattr(cur, name).tobytes() == getattr(plain, name).tobytes()

@@ -4,41 +4,65 @@ import numpy as np
 import pytest
 
 from hadcl import curriculum, data, numcore
-from hadcl.curriculum import (BatchHardness, CurriculumConfig,
-                              ThresholdSchedule,
+from hadcl.curriculum import (BatchHardness, CurriculumTrainConfig,
+                              TrainConfig,
                               decide_update_stage1, decide_update_stage2,
                               finetune_plain, rank_by_loss, run_stage,
                               threshold)
 from hadcl.exceptions import NumericError, ValidationError
-from hadcl.numcore import LrSchedule, init_model
+from hadcl.numcore import init_model
 
-SCHED = ThresholdSchedule(a=0.7, b=0.2)
+A, B = 0.7, 0.2
 T = 100
+
+
+def stage_config(alpha=0.1, epochs=5, batch=30, a=A, b=B, lr=1e-3,
+                 milestones=(), gamma=0.1):
+    return CurriculumTrainConfig(epochs=epochs, lr=lr, milestones=milestones,
+                                 gamma=gamma, batch_size=batch, alpha=alpha,
+                                 a=a, b=b)
 
 
 class TestThreshold:
     def test_endpoints_and_midpoint(self):
-        assert threshold(0, SCHED, T) == pytest.approx(0.9)
-        assert threshold(100, SCHED, T) == pytest.approx(0.2)
-        assert threshold(50, SCHED, T) == pytest.approx(0.55)
+        assert threshold(0, T, A, B) == pytest.approx(0.9)
+        assert threshold(100, T, A, B) == pytest.approx(0.2)
+        assert threshold(50, T, A, B) == pytest.approx(0.55)
 
     def test_strictly_decreasing(self):
-        vals = [threshold(t, SCHED, T) for t in range(101)]
+        vals = [threshold(t, T, A, B) for t in range(101)]
         assert all(u > v for u, v in zip(vals, vals[1:]))
 
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
-            threshold(101, SCHED, T)
+            threshold(101, T, A, B)
         with pytest.raises(ValidationError):
-            threshold(-1, SCHED, T)
+            threshold(-1, T, A, B)
 
     def test_schedule_validation(self):
         with pytest.raises(ValidationError):
-            ThresholdSchedule(a=0.2, b=0.7)   # a must exceed b
+            stage_config(a=0.2, b=0.7)        # a must exceed b
         with pytest.raises(ValidationError):
-            ThresholdSchedule(a=0.9, b=0.2)   # fraction above 1
+            stage_config(a=0.9, b=0.2)        # fraction above 1
         with pytest.raises(ValidationError):
-            threshold(0, SCHED, 0)            # an epoch has at least one batch
+            threshold(0, 0, A, B)             # an epoch has at least one batch
+
+
+class TestTrainConfig:
+    def test_paper_style_schedule(self):
+        config = TrainConfig(epochs=200, lr=5e-4, milestones=(60, 120, 180),
+                             gamma=0.1)
+        assert config.lr_at(0) == 5e-4
+        assert config.lr_at(60) == pytest.approx(5e-5)
+        assert config.lr_at(200) == pytest.approx(5e-7)
+
+    def test_bad_milestones(self):
+        with pytest.raises(ValidationError):
+            TrainConfig(epochs=20, lr=1e-3, milestones=(10, 10))
+
+    def test_negative_epoch(self):
+        with pytest.raises(ValidationError):
+            TrainConfig(epochs=1, lr=1e-3).lr_at(-1)
 
 
 class TestRanking:
@@ -74,8 +98,7 @@ class TestSelection:
         (0.01, 10, 1),   # floor would be 0; minimum of 1 applies
     ])
     def test_top_k_size(self, alpha, batch, k):
-        config = CurriculumConfig(alpha=alpha, schedule=SCHED, epochs=1,
-                                  batch_size=batch)
+        config = stage_config(alpha=alpha, epochs=1, batch=batch)
         assert config.top_k == k
         h = BatchHardness.from_losses(np.zeros(batch), config.top_k)
         assert len(h.top_k) == k
@@ -93,8 +116,7 @@ class TestSelection:
         for batch in range(1, 65):
             losses = np.zeros(batch)
             for alpha in (0.05, 0.1, 0.33, 0.5, 1.0):
-                k = CurriculumConfig(alpha=alpha, schedule=SCHED, epochs=1,
-                                     batch_size=batch).top_k
+                k = stage_config(alpha=alpha, epochs=1, batch=batch).top_k
                 assert k == max(1, int(alpha * batch))
                 for thres in (0.2, 0.55, 0.9):
                     h = BatchHardness.from_losses(losses, k, thres=thres)
@@ -131,8 +153,7 @@ class TestDecisions:
             losses = rng.uniform(0.0, 5.0, size=batch)
             alpha = float(rng.uniform(0.02, 1.0))
             thres = float(rng.uniform(0.2, 0.9))
-            top_k = CurriculumConfig(alpha=alpha, schedule=SCHED, epochs=1,
-                                     batch_size=batch).top_k
+            top_k = stage_config(alpha=alpha, epochs=1, batch=batch).top_k
 
             order = sorted(range(batch), key=lambda i: (-losses[i], i))
             k = max(1, math.floor(alpha * batch))
@@ -170,17 +191,8 @@ def separable_task(seed=0, n_per_class=150):
     return data.generate_blobs(spec)
 
 
-def lr_sched(lr=1e-3):
-    return LrSchedule(base=lr)
-
-
 STAGE1 = curriculum.decide_update_stage1
 STAGE2 = curriculum.decide_update_stage2
-
-
-def stage_config(alpha=0.1, epochs=5, batch=30, a=0.7, b=0.2):
-    return CurriculumConfig(alpha=alpha, schedule=ThresholdSchedule(a, b),
-                            epochs=epochs, batch_size=batch)
 
 
 def model_bytes(model):
@@ -192,8 +204,7 @@ class TestRunStage:
         ds = separable_task()
         model = init_model(4, 16, 2, seed=0)
         trained, report = run_stage(model, ds.features, ds.labels,
-                                    stage_config(epochs=50), STAGE1,
-                                    lr_sched(), seed=3)
+                                    stage_config(epochs=50), STAGE1, seed=3)
         preds = numcore.forward(trained, ds.features).argmax(axis=1)
         assert np.mean(preds == ds.labels) >= 0.99
         assert len(report.records) == 50 * (ds.n // 30)
@@ -202,18 +213,18 @@ class TestRunStage:
         ds = separable_task(seed=1)
         model = init_model(4, 16, 2, seed=5)
         cur, _ = run_stage(model, ds.features, ds.labels,
-                           stage_config(alpha=1.0, epochs=5), STAGE1,
-                           lr_sched(), seed=7)
-        plain, _ = finetune_plain(model, ds.features, ds.labels, epochs=5,
-                                  batch_size=30, lr_schedule=lr_sched(), seed=7)
+                           stage_config(alpha=1.0, epochs=5), STAGE1, seed=7)
+        plain, _ = finetune_plain(model, ds.features, ds.labels,
+                                  TrainConfig(epochs=5, lr=1e-3, batch_size=30),
+                                  seed=7)
         assert model_bytes(cur) == model_bytes(plain)
 
     def test_same_seed_identical_report(self):
         ds = separable_task(seed=2)
         model = init_model(4, 16, 2, seed=6)
         runs = [run_stage(model, ds.features, ds.labels,
-                          stage_config(epochs=3), STAGE1,
-                          lr_sched(), seed=11) for _ in range(2)]
+                          stage_config(epochs=3), STAGE1, seed=11)
+                for _ in range(2)]
         assert model_bytes(runs[0][0]) == model_bytes(runs[1][0])
         assert runs[0][1].records == runs[1][1].records
 
@@ -221,8 +232,7 @@ class TestRunStage:
         ds = separable_task(seed=3)
         model = init_model(4, 16, 2, seed=6)
         _, report = run_stage(model, ds.features, ds.labels,
-                              stage_config(epochs=2), STAGE2,
-                              lr_sched(), seed=1)
+                              stage_config(epochs=2), STAGE2, seed=1)
         for rec in report.records:
             assert 0.2 <= rec.thres <= 0.9
             assert rec.k_prime <= rec.k
@@ -233,13 +243,11 @@ class TestRunStage:
         ds = separable_task(seed=4)
         model = init_model(4, 16, 2, seed=6)
         _, rep1 = run_stage(model, ds.features, ds.labels,
-                            stage_config(epochs=2), STAGE1,
-                            lr_sched(), seed=2)
+                            stage_config(epochs=2), STAGE1, seed=2)
         assert {r.branch for r in rep1.records} <= {
             curriculum.TOP_K_BRANCH, curriculum.TOTAL_BRANCH}
         _, rep2 = run_stage(model, ds.features, ds.labels,
-                            stage_config(epochs=2), STAGE2,
-                            lr_sched(), seed=2)
+                            stage_config(epochs=2), STAGE2, seed=2)
         assert {r.branch for r in rep2.records} <= {
             curriculum.TOP_K_PRIME_BRANCH, curriculum.TOP_K_BRANCH}
 
@@ -264,15 +272,14 @@ class TestRunStage:
         model = init_model(4, 16, 2, seed=6)
         with pytest.raises(NumericError,
                            match=r"logits .* at epoch 0, iteration \d+ \(seed 2\)"):
-            run_stage(model, ds.features, ds.labels, stage_config(),
-                      STAGE1, LrSchedule(base=1e200), seed=2)
+            run_stage(model, ds.features, ds.labels, stage_config(lr=1e200),
+                      STAGE1, seed=2)
 
     def test_empty_dataset_rejected(self):
         model = init_model(4, 8, 2, seed=1)
         with pytest.raises(ValidationError):
             run_stage(model, np.zeros((10, 4)), np.zeros(10, dtype=int),
-                      stage_config(batch=64), STAGE1,
-                      lr_sched(), seed=0)
+                      stage_config(batch=64), STAGE1, seed=0)
 
 
 class TestRunHadcl:
@@ -280,11 +287,9 @@ class TestRunHadcl:
         ds = separable_task(seed=5)
         model = init_model(4, 16, 2, seed=2)
         theta1, _ = run_stage(model, ds.features, ds.labels,
-                              stage_config(epochs=3), STAGE1,
-                              lr_sched(), seed=9)
+                              stage_config(epochs=3), STAGE1, seed=9)
         theta2, r2 = run_stage(theta1, ds.features, ds.labels,
-                               stage_config(epochs=0), STAGE2,
-                               lr_sched(), seed=9)
+                               stage_config(epochs=0), STAGE2, seed=9)
         assert model_bytes(theta2) == model_bytes(theta1)
         assert len(r2.records) == 0
 
@@ -296,14 +301,13 @@ class TestRunHadcl:
             ds = separable_task(seed=100 + seed)
             model = init_model(4, 16, 2, seed=seed)
             theta1, _ = run_stage(model, ds.features, ds.labels,
-                                  stage_config(epochs=15), STAGE1,
-                                  lr_sched(), seed=seed)
+                                  stage_config(epochs=15), STAGE1, seed=seed)
             fresh = init_model(4, 16, 2, seed=777 + seed)
 
             def first_loss(m):
                 _, rep = run_stage(m, ds.features, ds.labels,
-                                   stage_config(epochs=1), STAGE2,
-                                   lr_sched(lr=0.0), seed=seed)
+                                   stage_config(epochs=1, lr=0.0), STAGE2,
+                                   seed=seed)
                 return rep.records[0].mean_loss
 
             if first_loss(theta1) < first_loss(fresh):
@@ -327,12 +331,12 @@ class TestGoldenRun:
                                  seed=13)
         ds = data.generate_blobs(spec)
         model = init_model(5, 10, 2, seed=3)
-        s = LrSchedule(base=1e-3, milestones=(4,), gamma=0.1)
+        lr = dict(lr=1e-3, milestones=(4,), gamma=0.1)
         theta1, _ = run_stage(model, ds.features, ds.labels,
-                              stage_config(epochs=6, batch=32), STAGE1, s,
+                              stage_config(epochs=6, batch=32, **lr), STAGE1,
                               seed=42)
         theta2, _ = run_stage(theta1, ds.features, ds.labels,
-                              stage_config(epochs=2, batch=32), STAGE2, s,
+                              stage_config(epochs=2, batch=32, **lr), STAGE2,
                               seed=42)
         digest = hashlib.sha256(model_bytes(theta2)).hexdigest()
         assert digest == self.GOLDEN_THETA2
@@ -344,12 +348,10 @@ class TestValidationSelection:
         model = init_model(4, 16, 2, seed=4)
         val = separable_task(seed=9)
         best, rep_sel = run_stage(model, ds.features, ds.labels,
-                                  stage_config(epochs=6), STAGE2,
-                                  lr_sched(), seed=5,
+                                  stage_config(epochs=6), STAGE2, seed=5,
                                   select_set=(val.features, val.labels))
         final, _ = run_stage(model, ds.features, ds.labels,
-                             stage_config(epochs=6), STAGE2,
-                             lr_sched(), seed=5)
+                             stage_config(epochs=6), STAGE2, seed=5)
         assert rep_sel.best_epoch is not None
         assert -1 <= rep_sel.best_epoch < 6
         # the selected parameters never score below the final-epoch ones
@@ -363,8 +365,7 @@ class TestValidationSelection:
         model = init_model(4, 16, 2, seed=4)
         val = separable_task(seed=11)
         kept, rep = run_stage(model, ds.features, ds.labels,
-                              stage_config(epochs=3), STAGE1,
-                              lr_sched(lr=0.0), seed=5,
+                              stage_config(epochs=3, lr=0.0), STAGE1, seed=5,
                               select_set=(val.features, val.labels))
         assert rep.best_epoch == -1
         assert model_bytes(kept) == model_bytes(model)
@@ -373,7 +374,6 @@ class TestValidationSelection:
         ds = separable_task(seed=12)
         model = init_model(4, 16, 2, seed=4)
         _, rep = run_stage(model, ds.features, ds.labels,
-                           stage_config(epochs=2), STAGE1,
-                           lr_sched(), seed=5)
+                           stage_config(epochs=2), STAGE1, seed=5)
         assert rep.best_epoch is None
 

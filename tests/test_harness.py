@@ -40,6 +40,10 @@ def tiny_dict(**over):
     return d
 
 
+SLIDES = dict(height=5, width=5, n_slides=6, tumor_slide_fraction=0.5,
+              region_count=1, radius_lo=1.0, radius_hi=2.0, seed=21)
+
+
 def strip_wall_clock(cells):
     out = copy.deepcopy(cells)
     for c in out:
@@ -78,8 +82,15 @@ class TestConfig:
         ({"seeds": [0, 1, 0]}, "duplicate"),
         ({"strategies": "baseline"}, "must be a list"),
         ({"seeds": 3}, "must be a list"),
+        ({"strategies": [["baseline"]]}, "unknown strategies"),
+        ({"seeds": [1.5]}, "non-negative integers"),
+        ({"seeds": [-1]}, "non-negative integers"),
+        ({"seeds": ["a"]}, "non-negative integers"),
+        ({"seeds": [True]}, "non-negative integers"),
+        ({"output_dir": 5}, "output_dir must be a string"),
     ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
-            "scalar_seeds"])
+            "scalar_seeds", "nested_strategies", "float_seed", "negative_seed",
+            "string_seed", "bool_seed", "int_output_dir"])
     def test_malformed_lists_rejected(self, over, match):
         with pytest.raises(ValidationError, match=match):
             config_from_dict(tiny_dict(**over))
@@ -102,9 +113,7 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_smoke_all_cells_ok(self):
-        d = tiny_dict(slides=dict(height=5, width=5, n_slides=6,
-                                  tumor_slide_fraction=0.5, region_count=1,
-                                  radius_lo=1.0, radius_hi=2.0, seed=21))
+        d = tiny_dict(slides=SLIDES)
         report = run_experiment(config_from_dict(d))
         assert report.all_ok
         assert len(report.cells) == 6  # 3 strategies x 2 seeds
@@ -125,9 +134,7 @@ class TestRunExperiment:
             return generate_slides(spec)
 
         monkeypatch.setattr(data, "generate_slides", counting)
-        d = tiny_dict(slides=dict(height=5, width=5, n_slides=6,
-                                  tumor_slide_fraction=0.5, region_count=1,
-                                  radius_lo=1.0, radius_hi=2.0, seed=21))
+        d = tiny_dict(slides=SLIDES)
         report = run_experiment(config_from_dict(d))
         assert report.all_ok
         assert all("slide" in c["metrics"] for c in report.cells)
@@ -201,10 +208,35 @@ class TestRunExperiment:
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"schema": "other.v9", "config_hash": "",
-                                    "code_version": "", "cells": []}))
-        with pytest.raises(ValidationError):
-            RunReport.from_json(path)
+        good = {"schema": harness.REPORT_SCHEMA, "config_hash": "",
+                "code_version": "", "cells": []}
+        bad = [json.dumps(dict(good, schema="other.v9")), "{not json", "[]"]
+        bad += [json.dumps({k: v for k, v in good.items() if k != key})
+                for key in ("config_hash", "cells", "code_version")]
+        for text in bad:
+            path.write_text(text)
+            with pytest.raises(ValidationError):
+                RunReport.from_json(path)
+
+
+class TestGoldenReport:
+    # sha256 of a seeded run's cells without wall_clock (json.dumps with
+    # sorted keys) and of the curves.tsv and roc.tsv emit_plot_data writes
+    # for it. Any change to data, training numerics, evaluation, the report
+    # cells or the plot format moves them.
+    CELLS = "a8c05f43df62d39bb6ae4e6155735df554576340843e6be8b75ad957027be038"
+    CURVES = "33ffe55b482684f99fa0d4b36c09c09125779ef3c397ed4c9e6d70abe90780a9"
+    ROC = "1408fa049cd97c3da7ffbcc621fb2dd9c7a5aff4b32f126cfc81d17195db12cb"
+
+    def test_cells_and_plot_data_match_digests(self, tmp_path):
+        report = run_experiment(config_from_dict(tiny_dict(seeds=[0],
+                                                           slides=SLIDES)))
+        cells = json.dumps(strip_wall_clock(report.cells), sort_keys=True)
+        paths = harness.emit_plot_data(report, tmp_path)
+        digests = [hashlib.sha256(cells.encode()).hexdigest()]
+        digests += [hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()
+                    for key in ("curves", "roc")]
+        assert digests == [self.CELLS, self.CURVES, self.ROC]
 
 
 class TestAblation:
@@ -286,10 +318,15 @@ class TestCli:
         ("pretrain", "epochs", "3"),
         ("curriculum1", "batch_size", 25.5),
         ("eval", "test_per_class", 1),      # DeLong needs two per class
+        ("baseline", "batch_size", 0),
+        ("pretrain", "gamma", 0.0),
+        ("curriculum2", "alpha", 0.0),
+        ("baseline", "milestones", ["a"]),
     ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
             "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
             "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
-            "one_test_per_class"])
+            "one_test_per_class", "zero_batch_size", "zero_gamma", "zero_alpha",
+            "string_milestone"])
     def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
                                                section, key, value):
         d = tiny_dict()
@@ -305,6 +342,29 @@ class TestCli:
         code = cli.main(["validate-config", "--config",
                          str(tmp_path / "nope.yaml")])
         assert code == 2
+
+    @pytest.mark.parametrize("verb,content", [
+        ("validate-config", "seeds: [0\n"),
+        ("validate-config", None),
+        ("emit-plots", "{not json"),
+        ("emit-plots", json.dumps({"schema": harness.REPORT_SCHEMA})),
+        ("emit-plots", None),
+    ], ids=["config_not_yaml", "config_is_directory", "report_not_json",
+            "report_without_cells", "report_is_directory"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, verb,
+                                           content):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        if verb == "validate-config":
+            argv = [verb, "--config", str(path)]
+        else:
+            argv = [verb, "--report", str(path), "--output-dir",
+                    str(tmp_path / "plots")]
+        assert cli.main(argv) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_run_then_emit_plots(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

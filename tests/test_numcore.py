@@ -3,9 +3,8 @@ import pytest
 
 from hadcl import numcore
 from hadcl.exceptions import DimensionError, NumericError, ValidationError
-from hadcl.numcore import (LrSchedule, MlpModel, OptimizerState, adam_step,
-                           backward, forward, init_model, lr_at,
-                           per_sample_cross_entropy)
+from hadcl.numcore import (MlpModel, OptimizerState, adam_step, backward,
+                           forward, init_model, per_sample_cross_entropy)
 
 
 def random_model(rng, d=5, hidden=7, classes=3):
@@ -244,22 +243,6 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(m, grads, state, lr=0.1)
         assert state.step == 0
-
-
-class TestLrSchedule:
-    def test_paper_style_schedule(self):
-        sched = LrSchedule(base=5e-4, milestones=(60, 120, 180), gamma=0.1)
-        assert lr_at(sched, 0) == 5e-4
-        assert lr_at(sched, 60) == pytest.approx(5e-5)
-        assert lr_at(sched, 200) == pytest.approx(5e-7)
-
-    def test_bad_milestones(self):
-        with pytest.raises(ValidationError):
-            LrSchedule(base=1e-3, milestones=(10, 10))
-
-    def test_negative_epoch(self):
-        with pytest.raises(ValidationError):
-            lr_at(LrSchedule(base=1e-3), -1)
 
 
 def test_init_determinism():
