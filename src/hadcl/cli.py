@@ -69,7 +69,7 @@ def main(argv=None) -> int:
             return 0
 
         config = _load(args)
-        os.makedirs(config.output_dir, exist_ok=True)
+        harness.make_output_dir(config.output_dir)
 
         if args.verb == "run":
             report = harness.run_experiment(config, workers=args.workers)
@@ -82,8 +82,7 @@ def main(argv=None) -> int:
             sweep = harness.run_ablation_alpha(config, args.grid,
                                                workers=args.workers)
             out = os.path.join(config.output_dir, "alpha_sweep.json")
-            with open(out, "w") as f:
-                json.dump(sweep, f, indent=1)
+            harness.write_json(out, sweep, stream="entries")
             table = {e["alpha"]: {"val_auc": e["median_val_auc"],
                                   "val_accuracy": e["median_val_accuracy"]}
                      for e in sweep["entries"]}

@@ -339,16 +339,16 @@ class RunReport:
         return out
 
     def to_json(self, path) -> None:
-        doc = {"schema": self.schema, "config_hash": self.config_hash,
-               "code_version": self.code_version, "summary": self.summary(),
-               "cells": self.cells}
-        with open(path, "w") as f:
-            json.dump(doc, f, indent=1)
+        write_json(path, {"schema": self.schema, "config_hash": self.config_hash,
+                          "code_version": self.code_version,
+                          "summary": self.summary(), "cells": self.cells},
+                   stream="cells")
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
-        """The report at `path`; raises ValidationError for a file that cannot
-        be read, is not JSON, or lacks the schema or a required key."""
+        """The report at `path`, in any JSON layout; raises ValidationError
+        for a file that cannot be read, is not JSON, lacks the schema or a
+        required key, or holds a cell that emit_plot_data cannot read."""
         try:
             with open(path) as f:
                 doc = json.load(f)
@@ -360,8 +360,68 @@ class RunReport:
         missing = {"config_hash", "cells", "code_version"} - set(doc)
         if missing:
             raise ValidationError(f"report {path} lacks {sorted(missing)}")
+        if not isinstance(doc["cells"], list):
+            raise ValidationError(f"report {path}: cells must be a list")
+        for i, cell in enumerate(doc["cells"]):
+            _check_cell(cell, f"report {path} cell {i}")
         return cls(config_hash=doc["config_hash"], cells=doc["cells"],
                    code_version=doc["code_version"])
+
+
+def _check_cell(cell, where: str) -> None:
+    """Raises ValidationError unless `cell` has the keys every cell has and,
+    if ok, score and label lists of equal length for each split it reports.
+    Only lengths are checked, so the cost does not grow with the scores."""
+    if not isinstance(cell, dict):
+        raise ValidationError(f"{where} is not a mapping")
+    missing = [key for key in ("strategy", "seed", "status") if key not in cell]
+    if missing:
+        raise ValidationError(f"{where} lacks {missing}")
+    if not isinstance(cell.get("curve", []), list):
+        raise ValidationError(f"{where}: curve must be a list")
+    if cell["status"] != "ok":
+        return
+    metrics = cell.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ValidationError(f"{where}: an ok cell needs a metrics mapping")
+    for split in _roc_splits(metrics):
+        m = metrics.get(split)
+        if not (isinstance(m, dict) and isinstance(m.get("scores"), list)
+                and isinstance(m.get("labels"), list)
+                and len(m["scores"]) == len(m["labels"])):
+            raise ValidationError(f"{where}: metrics {split!r} needs scores and "
+                                  "labels lists of equal length")
+
+
+_COMPACT = (",", ":")
+
+
+def write_json(path, doc: dict, stream: str) -> None:
+    """Writes `doc` as compact JSON with the C encoder. The list doc[stream]
+    is encoded and written one item at a time, so the whole document is
+    never held as one string."""
+    with open(path, "w") as f:
+        f.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            f.write(("," if i else "") + json.dumps(key) + ":")
+            if key != stream:
+                f.write(json.dumps(value, separators=_COMPACT))
+                continue
+            f.write("[")
+            for j, item in enumerate(value):
+                f.write(("," if j else "") + json.dumps(item, separators=_COMPACT))
+            f.write("]")
+        f.write("}")
+
+
+def make_output_dir(path) -> None:
+    """Creates the directory `path` and its parents if missing; a path that
+    is a file, or any other reason it cannot be made, is a ValidationError."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot use {path} as the output directory: {exc}") from None
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
@@ -399,18 +459,30 @@ def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
 
 
 def roc_points(scores, labels):
-    """ROC curve as (threshold, fpr, tpr) rows, thresholds descending."""
+    """ROC curve as (threshold, fpr, tpr) rows, thresholds descending.
+
+    The thresholds are the distinct scores; a sample counts as predicted
+    positive at a threshold when its score is >= it. Labels other than 0 and
+    1 give thresholds but count as neither class, and an empty class divides
+    by 1, so its rate stays 0.0."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    n_pos = max(int((labels == 1).sum()), 1)
-    n_neg = max(int((labels == 0).sum()), 1)
-    rows = []
-    for thr in sorted(set(scores.tolist()), reverse=True):
-        pred = scores >= thr
-        tpr = float((pred & (labels == 1)).sum()) / n_pos
-        fpr = float((pred & (labels == 0)).sum()) / n_neg
-        rows.append((thr, fpr, tpr))
-    return rows
+    pos = np.sort(scores[labels == 1])
+    neg = np.sort(scores[labels == 0])
+    # the first occurrence of each distinct score, as set() would keep it
+    _, first = np.unique(scores, return_index=True)
+    thresholds = scores[first][::-1]
+    # samples with a score >= t: the class size minus those sorted below t
+    tp = len(pos) - np.searchsorted(pos, thresholds, side="left")
+    fp = len(neg) - np.searchsorted(neg, thresholds, side="left")
+    tpr = tp / max(len(pos), 1)
+    fpr = fp / max(len(neg), 1)
+    return list(zip(thresholds.tolist(), fpr.tolist(), tpr.tolist()))
+
+
+def _roc_splits(metrics: dict) -> tuple:
+    """The splits of a cell's metrics that get ROC points."""
+    return ("in_domain", "ood", "slide") if "slide" in metrics else ("in_domain", "ood")
 
 
 CURVES_HEADER = "strategy\tseed\tepoch\tt\tthres\tk\tk_prime\tbranch\tmean_loss\tlr\n"
@@ -419,7 +491,7 @@ ROC_HEADER = "strategy\tseed\tsplit\tthreshold\tfpr\ttpr\n"
 
 def emit_plot_data(report: RunReport, outdir) -> dict:
     """Write per-iteration curves and ROC points as TSV; byte-stable."""
-    os.makedirs(outdir, exist_ok=True)
+    make_output_dir(outdir)
     curves_path = os.path.join(outdir, "curves.tsv")
     roc_path = os.path.join(outdir, "roc.tsv")
     with open(curves_path, "w") as f:
@@ -434,10 +506,7 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
         for cell in report.cells:
             if cell["status"] != "ok":
                 continue
-            splits = ["in_domain", "ood"]
-            if "slide" in cell["metrics"]:
-                splits.append("slide")
-            for split in splits:
+            for split in _roc_splits(cell["metrics"]):
                 m = cell["metrics"][split]
                 for thr, fpr, tpr in roc_points(m["scores"], m["labels"]):
                     f.write(f"{cell['strategy']}\t{cell['seed']}\t{split}"

@@ -198,13 +198,28 @@ class TestRunExperiment:
         assert RunReport(config_hash="").code_version == hadcl.__version__
 
     def test_report_json_round_trip(self, tmp_path):
-        cfg = config_from_dict(tiny_dict(seeds=[0]))
-        report = run_experiment(cfg)
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        back = RunReport.from_json(path)
-        assert back.cells == json.loads(json.dumps(report.cells))
-        assert back.config_hash == report.config_hash
+        failing = tiny_dict(seeds=[0])
+        failing["curriculum1"]["lr"] = 1e200   # curriculum1 and 2 fail
+        reports = {"tiny_run": run_experiment(config_from_dict(tiny_dict(seeds=[0]))),
+                   "empty": RunReport(config_hash="h"),
+                   "failed_cell": run_experiment(config_from_dict(failing))}
+        assert not reports["failed_cell"].all_ok
+        for name, report in reports.items():
+            path = tmp_path / f"{name}.json"
+            report.to_json(path)
+            doc = {"schema": report.schema, "config_hash": report.config_hash,
+                   "code_version": report.code_version,
+                   "summary": report.summary(), "cells": report.cells}
+            # same values and the same key order at every level
+            want = json.dumps(json.loads(json.dumps(doc)))
+            assert json.dumps(json.loads(path.read_text())) == want, name
+            back = RunReport.from_json(path)
+            assert back.cells == json.loads(json.dumps(report.cells))
+            assert back.config_hash == report.config_hash
+            # reports written in the earlier indented layout still load
+            with open(path, "w") as f:
+                json.dump(doc, f, indent=1)
+            assert RunReport.from_json(path).cells == back.cells
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -213,10 +228,34 @@ class TestRunExperiment:
         bad = [json.dumps(dict(good, schema="other.v9")), "{not json", "[]"]
         bad += [json.dumps({k: v for k, v in good.items() if k != key})
                 for key in ("config_hash", "cells", "code_version")]
+        split = {"scores": [0.2, 0.7], "labels": [0, 1]}
+        cell = {"strategy": "baseline", "seed": 0, "status": "ok",
+                "metrics": {"in_domain": split, "ood": split}}
+        bad_cells = [
+            5,
+            [5],
+            [{k: v for k, v in cell.items() if k != "status"}],
+            [{k: v for k, v in cell.items() if k != "seed"}],
+            [{k: v for k, v in cell.items() if k != "metrics"}],
+            [dict(cell, curve=5)],
+            [dict(cell, metrics={"in_domain": split})],
+            [dict(cell, metrics={"in_domain": split, "ood": 5})],
+            [dict(cell, metrics={"in_domain": split,
+                                 "ood": dict(split, labels=[0])})],
+            [dict(cell, metrics={"in_domain": split,
+                                 "ood": dict(split, scores=0.5)})],
+            [dict(cell, metrics=dict(cell["metrics"], slide={"scores": []}))],
+        ]
+        bad += [json.dumps(dict(good, cells=cells)) for cells in bad_cells]
         for text in bad:
             path.write_text(text)
             with pytest.raises(ValidationError):
                 RunReport.from_json(path)
+        # the well-formed cells load, a failed cell needing no metrics
+        failed = {"strategy": "baseline", "seed": 1, "status": "failed",
+                  "error": "diverged"}
+        path.write_text(json.dumps(dict(good, cells=[cell, failed])))
+        assert len(RunReport.from_json(path).cells) == 2
 
 
 class TestGoldenReport:
@@ -285,6 +324,42 @@ class TestEmitPlots:
         assert rows[-1][1:] == (1.0, 1.0)
         assert rows[0][2] > 0.0
 
+    @staticmethod
+    def per_threshold_roc(scores, labels):
+        """The reference: one full scan of the scores per distinct score."""
+        scores = np.asarray(scores, dtype=np.float64)
+        labels = np.asarray(labels)
+        n_pos = max(int((labels == 1).sum()), 1)
+        n_neg = max(int((labels == 0).sum()), 1)
+        rows = []
+        for thr in sorted(set(scores.tolist()), reverse=True):
+            pred = scores >= thr
+            tpr = float((pred & (labels == 1)).sum()) / n_pos
+            fpr = float((pred & (labels == 0)).sum()) / n_neg
+            rows.append((thr, fpr, tpr))
+        return rows
+
+    def test_roc_points_match_per_threshold_scan(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for n in (2, 7, 50, 400, 1000):
+            for _ in range(20):
+                scores = rng.random(n)
+                cases.append((np.round(scores, 2).tolist(),  # heavy ties
+                              rng.integers(0, 2, n).tolist()))
+                cases.append((scores, rng.integers(0, 2, n)))
+        cases += [([0.3, 0.3, 0.9, 0.1], [1, 1, 1, 1]),   # one class only
+                  ([0.3, 0.3, 0.9, 0.1], [0, 0, 0, 0]),
+                  ([0.4], [1]), ([0.4], [0]),             # one score
+                  ([], []),                               # empty
+                  ([0.0, -0.0, 0.5], [1, 0, 1]),          # the first zero is
+                  ([-0.0, 0.0, 0.5], [1, 0, 1])]          # the one printed
+        for scores, labels in cases:
+            rows = harness.roc_points(scores, labels)
+            want = self.per_threshold_roc(scores, labels)
+            assert rows == want
+            assert repr(rows) == repr(want)   # the bytes roc.tsv gets
+
 
 class TestCli:
     def write_config(self, tmp_path, d=None):
@@ -349,22 +424,40 @@ class TestCli:
         ("emit-plots", "{not json"),
         ("emit-plots", json.dumps({"schema": harness.REPORT_SCHEMA})),
         ("emit-plots", None),
+        ("run", "output"),
+        ("ablate-alpha", "output"),
+        ("emit-plots", "output"),
     ], ids=["config_not_yaml", "config_is_directory", "report_not_json",
-            "report_without_cells", "report_is_directory"])
+            "report_without_cells", "report_is_directory",
+            "run_output_dir_is_file", "ablate_output_dir_is_file",
+            "plots_output_dir_is_file"])
     def test_unreadable_input_file_exits_2(self, tmp_path, capsys, verb,
                                            content):
+        """content None makes the input a directory; "output" gives a valid
+        input and makes --output-dir name an existing file."""
         path = tmp_path / "input"
+        outdir = tmp_path / "plots"
+        if content == "output":
+            outdir.write_text("")
+            content = (yaml.safe_dump(tiny_dict(seeds=[0])) if verb != "emit-plots"
+                       else json.dumps({"schema": harness.REPORT_SCHEMA,
+                                        "config_hash": "", "code_version": "",
+                                        "cells": []}))
         if content is None:
             path.mkdir()
         else:
             path.write_text(content)
-        if verb == "validate-config":
-            argv = [verb, "--config", str(path)]
+        if verb == "emit-plots":
+            argv = [verb, "--report", str(path), "--output-dir", str(outdir)]
         else:
-            argv = [verb, "--report", str(path), "--output-dir",
-                    str(tmp_path / "plots")]
+            argv = [verb, "--config", str(path)]
+            if verb != "validate-config":
+                argv += ["--output-dir", str(outdir)]
         assert cli.main(argv) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        if outdir.is_file():
+            assert str(outdir) in err
 
     def test_run_then_emit_plots(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
