@@ -40,9 +40,9 @@ for r in range(spec.height):
                          for p in grid.probs[r]))
 
 for tau in slidelevel.FEATURE_THRESHOLDS:
-    regions = slidelevel.connected_components(grid, tau)
-    sizes = sorted((reg.area for reg in regions), reverse=True)
-    print(f"tau={tau}: {len(regions)} region(s), areas {sizes}")
+    labels, n = slidelevel.connected_components(grid, tau)
+    sizes = sorted(np.bincount(labels.ravel())[1:].tolist(), reverse=True)
+    print(f"tau={tau}: {n} region(s), areas {sizes}")
 
 feats = slidelevel.extract_features(grid)
 print(f"\nfeature vector ({slidelevel.N_FEATURES} entries):")
@@ -54,6 +54,6 @@ x = np.array([slidelevel.extract_features(slidelevel.SlideGrid(
     for s in slides])
 y = np.array([s.label for s in slides])
 clf = slidelevel.train_slide_classifier(x, y)
-preds = (np.atleast_1d(clf.predict(x)) > 0.5).astype(int)
+preds = (clf.predict(x) > 0.5).astype(int)
 print(f"\nslide classifier training accuracy: {np.mean(preds == y):.2f} "
       f"({int(y.sum())}/{len(y)} slides contain tumor)")

@@ -54,6 +54,15 @@ def _load(args) -> harness.ExperimentConfig:
     return config
 
 
+def _output_file(config: harness.ExperimentConfig, name: str) -> str:
+    """The path of output file `name` in the output directory, checked before
+    any training so that a bad path does not lose a finished run."""
+    path = os.path.join(config.output_dir, name)
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    return path
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -72,16 +81,16 @@ def main(argv=None) -> int:
         harness.make_output_dir(config.output_dir)
 
         if args.verb == "run":
+            out = _output_file(config, "report.json")
             report = harness.run_experiment(config, workers=args.workers)
-            out = os.path.join(config.output_dir, "report.json")
             report.to_json(out)
             print(json.dumps({"report": out, "summary": report.summary()}, indent=1))
             return 0 if report.all_ok else 1
 
         if args.verb == "ablate-alpha":
+            out = _output_file(config, "alpha_sweep.json")
             sweep = harness.run_ablation_alpha(config, args.grid,
                                                workers=args.workers)
-            out = os.path.join(config.output_dir, "alpha_sweep.json")
             harness.write_json(out, sweep, stream="entries")
             table = {e["alpha"]: {"val_auc": e["median_val_auc"],
                                   "val_accuracy": e["median_val_accuracy"]}

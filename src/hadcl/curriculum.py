@@ -217,20 +217,25 @@ def _val_score(model: MlpModel, features: np.ndarray,
     return float(np.mean(preds == labels))
 
 
-def _run_loop(model: MlpModel, features, labels, config: CurriculumTrainConfig,
+def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
               decide, seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
-    """The training loop behind plain, stage-1 and stage-2 fine-tuning.
+    """Run one training stage from the given parameters: the loop behind
+    plain, stage-1 and stage-2 fine-tuning.
 
-    Each iteration hands the batch's per-sample losses, the threshold and K
-    to `decide(losses, thres, k)` and updates on the samples the returned
-    decision selects. Every caller draws identical
-    epoch shuffles from the same seed, so runs differ only in which samples
-    each update touches. A NumericError raised anywhere in an iteration is
-    re-raised with its epoch, iteration and seed.
+    `decide` is `decide_update_stage1` (returns theta_1),
+    `decide_update_stage2` (run from theta_1, returns theta_2) or the
+    whole-batch decision of `finetune_plain`. Each iteration hands the batch's
+    per-sample losses, the threshold and K to `decide(losses, thres, k)` and
+    updates on the samples the returned decision selects. Every caller draws
+    identical epoch shuffles from the same seed, so runs differ only in which
+    samples each update touches. A NumericError raised anywhere in an
+    iteration is re-raised with its epoch, iteration and seed.
 
-    When `select_set` is a (features, labels) pair, the parameters kept are
-    those of the epoch with the highest selection score on it (earliest
-    epoch on ties); otherwise the final-epoch parameters are returned.
+    Returns the trained parameters and the per-iteration report; the input
+    model is not mutated. When `select_set` is a validation (features,
+    labels) pair, the parameters kept are those of the epoch with the
+    highest selection score on it (earliest epoch on ties); otherwise the
+    final-epoch parameters are returned.
     """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
@@ -286,21 +291,8 @@ def _run_loop(model: MlpModel, features, labels, config: CurriculumTrainConfig,
     return model, report
 
 
-def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
-              decide, seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
-    """Run one curriculum stage from the given parameters.
-
-    `decide` is `decide_update_stage1` (returns theta_1) or
-    `decide_update_stage2` (run from theta_1, returns theta_2). Returns the
-    trained parameters and the per-iteration report. The input model is not
-    mutated. Pass a validation (features, labels) pair as `select_set` to
-    keep the best-validation-score epoch instead of the last one.
-    """
-    return _run_loop(model, features, labels, config, decide, seed, select_set)
-
-
 def finetune_plain(model: MlpModel, features, labels, config: TrainConfig,
-                   seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
+                   seed: int) -> tuple[MlpModel, StageReport]:
     """Baseline fine-tuning: every update uses the whole mini-batch.
 
     Plain fine-tuning has no gate, but its curve rows carry a threshold
@@ -311,5 +303,4 @@ def finetune_plain(model: MlpModel, features, labels, config: TrainConfig,
     stage = CurriculumTrainConfig(config.epochs, config.lr, config.milestones,
                                   config.gamma, config.batch_size,
                                   alpha=1.0, a=0.7, b=0.2)
-    return _run_loop(model, features, labels, stage, _decide_whole_batch, seed,
-                     select_set)
+    return run_stage(model, features, labels, stage, _decide_whole_batch, seed)

@@ -225,7 +225,7 @@ def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
     f_train, y_train = _slide_features(model, train, spec)
     f_test, y_test = _slide_features(model, test, spec)
     clf = slidelevel.train_slide_classifier(f_train, y_train)
-    scores = np.atleast_1d(clf.predict(f_test))
+    scores = clf.predict(f_test)
     est = metrics.delong_ci(metrics.ScoredOutcomes(scores, y_test))
     return {"auc": est.auc, "auc_variance": est.variance, "ci95": list(est.ci95),
             "scores": scores.tolist(), "labels": y_test.tolist()}
@@ -369,16 +369,20 @@ class RunReport:
 
 
 def _check_cell(cell, where: str) -> None:
-    """Raises ValidationError unless `cell` has the keys every cell has and,
-    if ok, score and label lists of equal length for each split it reports.
-    Only lengths are checked, so the cost does not grow with the scores."""
+    """Raises ValidationError unless `cell` has the keys every cell has, its
+    curve records the keys curves.tsv reads and, if ok, score and label lists
+    of equal length for each split it reports. Only lengths are checked, so
+    the cost does not grow with the scores."""
     if not isinstance(cell, dict):
         raise ValidationError(f"{where} is not a mapping")
     missing = [key for key in ("strategy", "seed", "status") if key not in cell]
     if missing:
         raise ValidationError(f"{where} lacks {missing}")
-    if not isinstance(cell.get("curve", []), list):
-        raise ValidationError(f"{where}: curve must be a list")
+    curve = cell.get("curve", [])
+    if not (isinstance(curve, list) and all(
+            isinstance(r, dict) and _CURVE_KEYS <= r.keys() for r in curve)):
+        raise ValidationError(f"{where}: curve must be a list of records "
+                              f"with keys {sorted(_CURVE_KEYS)}")
     if cell["status"] != "ok":
         return
     metrics = cell.get("metrics")
@@ -487,6 +491,8 @@ def _roc_splits(metrics: dict) -> tuple:
 
 CURVES_HEADER = "strategy\tseed\tepoch\tt\tthres\tk\tk_prime\tbranch\tmean_loss\tlr\n"
 ROC_HEADER = "strategy\tseed\tsplit\tthreshold\tfpr\ttpr\n"
+# the keys of a curve record, in the columns after strategy and seed
+_CURVE_KEYS = frozenset(CURVES_HEADER.split()[2:])
 
 
 def emit_plot_data(report: RunReport, outdir) -> dict:

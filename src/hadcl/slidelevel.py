@@ -34,50 +34,34 @@ class SlideGrid:
             raise ValidationError("probabilities must lie in [0, 1]")
 
 
-@dataclass
-class Region:
-    cells: np.ndarray          # (area, 2) grid coordinates
-    area: int
-    mean_prob: float
-    bbox: tuple                # (rmin, rmax, cmin, cmax), inclusive
-
-    @property
-    def extent(self) -> float:
-        rmin, rmax, cmin, cmax = self.bbox
-        return self.area / float((rmax - rmin + 1) * (cmax - cmin + 1))
-
-
-def connected_components(grid: SlideGrid, tau: float) -> list[Region]:
-    """Maximal 4-connected regions of cells with probability > tau."""
+def connected_components(grid: SlideGrid, tau: float) -> tuple[np.ndarray, int]:
+    """Maximal 4-connected regions of cells with probability > tau, as
+    (labels, n): labels numbers the regions 1..n in row-major order of their
+    first cell and is 0 elsewhere."""
     if not (0.0 < tau < 1.0):
         raise ValidationError("tau must lie in (0, 1)")
-    mask = grid.probs > tau
-    labeled, n_regions = ndimage.label(mask, structure=FOUR_CONN)
-    regions = []
-    for rid in range(1, n_regions + 1):
-        cells = np.argwhere(labeled == rid)
-        probs = grid.probs[cells[:, 0], cells[:, 1]]
-        regions.append(Region(
-            cells=cells, area=len(cells), mean_prob=float(probs.mean()),
-            bbox=(int(cells[:, 0].min()), int(cells[:, 0].max()),
-                  int(cells[:, 1].min()), int(cells[:, 1].max()))))
-    return regions
+    return ndimage.label(grid.probs > tau, structure=FOUR_CONN)
 
 
 def extract_features(grid: SlideGrid) -> np.ndarray:
     """11 geometric features: 5 per threshold in FEATURE_THRESHOLDS plus the
-    global max probability. All zeros on an empty heatmap."""
+    global max probability. All zeros on an empty heatmap. The largest
+    region is the first one labelled among those of the largest area."""
     feats = []
     for tau in FEATURE_THRESHOLDS:
-        regions = connected_components(grid, tau)
-        if regions:
-            largest = max(regions, key=lambda r: r.area)
+        labels, n = connected_components(grid, tau)
+        if n:
+            areas = np.bincount(labels.ravel())[1:]
+            i = int(np.argmax(areas))
+            rows, cols = ndimage.find_objects(labels, max_label=i + 1)[i]
+            largest = float(areas[i])
             feats.extend([
-                float(len(regions)),
-                float(largest.area),
-                float(sum(r.area for r in regions)),
-                largest.mean_prob,
-                largest.extent,
+                float(n),
+                largest,
+                float(areas.sum()),
+                # boolean indexing keeps the row-major order of the cells
+                float(grid.probs[labels == i + 1].mean()),
+                largest / float((rows.stop - rows.start) * (cols.stop - cols.start)),
             ])
         else:
             feats.extend([0.0] * 5)
@@ -95,12 +79,12 @@ class SlideClassifier:
     feat_std: np.ndarray
 
     def predict(self, features) -> np.ndarray:
-        """Slide probability for one feature vector or a stack of them."""
+        """Slide probabilities, one per row of `features`; a single feature
+        vector gives an array of shape (1,)."""
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         z = (x - self.feat_mean) / self.feat_std
         logit = z @ self.weights + self.bias
-        out = 1.0 / (1.0 + np.exp(-logit))
-        return out if out.size > 1 else float(out[0])
+        return 1.0 / (1.0 + np.exp(-logit))
 
 
 def train_slide_classifier(features, labels, l2: float = 1.0,

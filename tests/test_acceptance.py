@@ -275,9 +275,11 @@ def test_connected_components_match_flood_fill_200_grids():
         probs = rng.random((h, w))
         grid = slidelevel.SlideGrid(probs=probs)
         for tau in (0.5, 0.95):
-            got = {frozenset(map(tuple, reg.cells))
-                   for reg in slidelevel.connected_components(grid, tau)}
+            labels, n = slidelevel.connected_components(grid, tau)
+            got = {frozenset(map(tuple, np.argwhere(labels == i)))
+                   for i in range(1, n + 1)}
             want = _flood_fill_partition(probs > tau)
+            assert len(got) == n
             assert got == want
 
 

@@ -238,6 +238,8 @@ class TestRunExperiment:
             [{k: v for k, v in cell.items() if k != "seed"}],
             [{k: v for k, v in cell.items() if k != "metrics"}],
             [dict(cell, curve=5)],
+            [dict(cell, curve=[{"epoch": 0}])],
+            [dict(cell, curve=[5])],
             [dict(cell, metrics={"in_domain": split})],
             [dict(cell, metrics={"in_domain": split, "ood": 5})],
             [dict(cell, metrics={"in_domain": split,
@@ -427,22 +429,33 @@ class TestCli:
         ("run", "output"),
         ("ablate-alpha", "output"),
         ("emit-plots", "output"),
+        ("run", "report.json"),
+        ("ablate-alpha", "alpha_sweep.json"),
     ], ids=["config_not_yaml", "config_is_directory", "report_not_json",
             "report_without_cells", "report_is_directory",
             "run_output_dir_is_file", "ablate_output_dir_is_file",
-            "plots_output_dir_is_file"])
-    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, verb,
-                                           content):
+            "plots_output_dir_is_file", "run_report_file_is_directory",
+            "ablate_sweep_file_is_directory"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                           verb, content):
         """content None makes the input a directory; "output" gives a valid
-        input and makes --output-dir name an existing file."""
+        input and makes --output-dir name an existing file; a file name gives
+        a valid config and makes that output file an existing directory,
+        which must fail before any training."""
         path = tmp_path / "input"
         outdir = tmp_path / "plots"
+        named = None  # the path the error message must name
         if content == "output":
             outdir.write_text("")
+            named = outdir
             content = (yaml.safe_dump(tiny_dict(seeds=[0])) if verb != "emit-plots"
                        else json.dumps({"schema": harness.REPORT_SCHEMA,
                                         "config_hash": "", "code_version": "",
                                         "cells": []}))
+        elif content is not None and content.endswith(".json"):
+            named = outdir / content
+            named.mkdir(parents=True)
+            content = yaml.safe_dump(tiny_dict(seeds=[0]))
         if content is None:
             path.mkdir()
         else:
@@ -453,11 +466,13 @@ class TestCli:
             argv = [verb, "--config", str(path)]
             if verb != "validate-config":
                 argv += ["--output-dir", str(outdir)]
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *a, **k: pytest.fail("training started"))
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "error" in err
-        if outdir.is_file():
-            assert str(outdir) in err
+        if named is not None:
+            assert str(named) in err
 
     def test_run_then_emit_plots(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
