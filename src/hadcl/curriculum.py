@@ -248,6 +248,9 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
 
     model = model.copy()
     state = OptimizerState()
+    # backward reuses the ranking pass's activations on whole-batch updates
+    # and writes every step's gradients into one buffer
+    hidden, grads = [], model.copy()
     rng = np.random.default_rng(seed)
     report = StageReport()
     best_model, best_acc = None, -1.0
@@ -266,13 +269,13 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
             x, y = features[idx], labels[idx]
             thres = threshold(t, n_batches, config.a, config.b)
             try:
-                logits = numcore.forward(model, x)
+                logits = numcore.forward(model, x, hidden)
                 losses = numcore.per_sample_cross_entropy(logits, y)
                 if not np.all(np.isfinite(losses)):
                     raise NumericError("non-finite loss")
                 decision = decide(losses, thres, config.top_k)
-                grads, mean_loss = numcore.backward(model, x, y,
-                                                    sample_mask=decision.mask)
+                _, mean_loss = numcore.backward(
+                    model, x, y, decision.mask, (*hidden, logits, losses), grads)
                 numcore.adam_step(model, grads, state, lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, iteration {t} "

@@ -247,6 +247,11 @@ class SlideSpec:
         if self.patch_spec.n_classes != 2:
             raise ValidationError("patch_spec must be binary (normal/tumor)")
 
+    @property
+    def n_tumor(self) -> int:
+        """How many slides of the cohort get tumor regions."""
+        return int(round(self.tumor_slide_fraction * self.n_slides))
+
 
 @dataclass
 class Slide:
@@ -265,9 +270,8 @@ def _patch_features(labels_flat: np.ndarray, patch_spec: BlobTaskSpec,
 
 def generate_slides(spec: SlideSpec) -> list[Slide]:
     rng = np.random.default_rng((spec.seed, spec.draw_seed))
-    n_tumor = int(round(spec.tumor_slide_fraction * spec.n_slides))
     is_tumor = np.zeros(spec.n_slides, dtype=bool)
-    is_tumor[:n_tumor] = True
+    is_tumor[:spec.n_tumor] = True
     rng.shuffle(is_tumor)
 
     rows, cols = np.mgrid[0:spec.height, 0:spec.width]

@@ -13,6 +13,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -90,6 +91,15 @@ class ExperimentConfig:
             raise ValidationError("source and target feature dims must match")
         if self.target.n_classes != 2:
             raise ValidationError("AUC evaluation requires a binary target task")
+        if self.slides is not None:
+            # the slide classifier trains on both classes and DeLong needs
+            # two slides of each; a tumor slide without a region is normal
+            n_tumor = self.slides.n_tumor if self.slides.region_count > 0 else 0
+            n_normal = self.slides.n_slides - n_tumor
+            if n_tumor < 2 or n_normal < 2:
+                raise ValidationError(
+                    f"slides: a cohort needs >= 2 tumor and >= 2 normal slides "
+                    f"to be scored, got {n_tumor} and {n_normal}")
         if "curriculum2" in self.strategies and "curriculum1" not in self.strategies:
             raise ValidationError("curriculum2 requires curriculum1 (it starts "
                                   "from the stage-1 parameters)")
@@ -135,8 +145,8 @@ _NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 def _section(d: dict, name: str, cls, default=None, **extra):
     """`cls` built from the mapping d[name]; a missing section, an unknown
-    key, a value of the wrong numeric type or one `cls` rejects is a
-    ValidationError that names the section."""
+    key, a value of the wrong numeric type, a NaN or infinite number or a
+    value `cls` rejects is a ValidationError that names the section."""
     section = d.get(name, default)
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} is missing or not a mapping")
@@ -147,6 +157,8 @@ def _section(d: dict, name: str, cls, default=None, **extra):
             value = section.get(f.name, 0)  # a missing key is cls's to judge
             if types and (isinstance(value, bool) or not isinstance(value, types)):
                 raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{f.name} must be finite, got {value!r}")
         return cls(**dict(section, **extra))
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"config section {name!r}: {exc}") from None
@@ -283,7 +295,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                 cohorts = cohorts or _slide_cohorts(config.slides, seed)
                 cell["metrics"]["slide"] = _evaluate_slides(
                     model, config.slides, *cohorts)
-            cell["curve"] = [dataclasses.asdict(r) for r in report.records]
+            cell["curve"] = [dict(vars(r)) for r in report.records]
             cell["best_epoch"] = report.best_epoch
         except (NumericError, ValidationError) as exc:
             cell["status"] = "failed"

@@ -72,8 +72,9 @@ def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
     )
 
 
-def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    """Logits for a batch. inputs is (B, d)."""
+def forward(model: MlpModel, inputs: np.ndarray, hidden=None) -> np.ndarray:
+    """Logits for a batch. inputs is (B, d). When `hidden` is a list, it is
+    set to the post-ReLU activations [h1, h2], which `backward` can reuse."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise DimensionError(
@@ -84,6 +85,8 @@ def forward(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         logits = h2 @ model.w3 + model.b3
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
+    if hidden is not None:
+        hidden[:] = (h1, h2)
     return logits
 
 
@@ -108,15 +111,23 @@ def per_sample_cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
     return np.maximum(losses, 0.0)
 
 
-def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None):
+def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
+             forward_pass=None, out: MlpModel | None = None):
     """Gradients of the MEAN cross-entropy over the masked subset.
 
     sample_mask is an index subset of [0, B); None means all samples. The mask
     is sorted internally so the result is independent of the order the caller
     selected samples in (summation order matters bit-wise).
 
+    forward_pass is (h1, h2, logits, losses) of this model on all of
+    `inputs`: the hidden activations `forward(model, inputs, hidden)` set and
+    `per_sample_cross_entropy(logits, labels)`. It is used only when the mask
+    covers every row; a row subset is recomputed, because its products are
+    not bit-equal to the same rows of the whole batch's.
+
     Returns (grads, mean_loss) with grads an MlpModel of the model's shapes,
-    so grads.theta lines up with model.theta.
+    so grads.theta lines up with model.theta. The gradients are written into
+    `out` when it is given (and `out` is returned), else into a new model.
     """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -126,17 +137,19 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None):
             raise ValidationError("sample_mask must be nonempty")
         if mask.size and (mask[0] < 0 or mask[-1] >= x.shape[0]):
             raise ValidationError("sample_mask index out of range")
-        x = x[mask]
-        labels = labels[mask]
+        if mask.size < x.shape[0]:  # distinct and in range: not every row
+            x = x[mask]
+            labels = labels[mask]
+            forward_pass = None
 
+    if forward_pass is not None:
+        h1, h2, logits, losses = forward_pass
+    else:
+        h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
+        h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+        logits = h2 @ model.w3 + model.b3
+        losses = per_sample_cross_entropy(logits, labels)
     m = x.shape[0]
-    h1_pre = x @ model.w1 + model.b1
-    h1 = np.maximum(h1_pre, 0.0)
-    h2_pre = h1 @ model.w2 + model.b2
-    h2 = np.maximum(h2_pre, 0.0)
-    logits = h2 @ model.w3 + model.b3
-
-    losses = per_sample_cross_entropy(logits, labels)
     mean_loss = float(losses.mean())
 
     probs = softmax(logits)
@@ -144,11 +157,18 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None):
     d_logits[np.arange(m), labels] -= 1.0
     d_logits /= m
 
-    d_h2 = (d_logits @ model.w3.T) * (h2_pre > 0.0)
-    d_h1 = (d_h2 @ model.w2.T) * (h1_pre > 0.0)
-    grads = MlpModel(x.T @ d_h1, d_h1.sum(axis=0), h1.T @ d_h2, d_h2.sum(axis=0),
-                     h2.T @ d_logits, d_logits.sum(axis=0))
-    return grads, mean_loss
+    if out is None:
+        out = MlpModel(*(np.empty_like(getattr(model, name)) for name in PARAM_NAMES))
+    # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest
+    np.matmul(h2.T, d_logits, out=out.w3)
+    d_logits.sum(axis=0, out=out.b3)
+    d_h2 = (d_logits @ model.w3.T) * (h2 > 0.0)
+    np.matmul(h1.T, d_h2, out=out.w2)
+    d_h2.sum(axis=0, out=out.b2)
+    d_h1 = (d_h2 @ model.w2.T) * (h1 > 0.0)
+    np.matmul(x.T, d_h1, out=out.w1)
+    d_h1.sum(axis=0, out=out.b1)
+    return out, mean_loss
 
 
 @dataclass

@@ -399,14 +399,21 @@ class TestCli:
         ("pretrain", "gamma", 0.0),
         ("curriculum2", "alpha", 0.0),
         ("baseline", "milestones", ["a"]),
+        ("baseline", "lr", float("nan")),
+        ("curriculum1", "lr", float("inf")),
+        ("target", "spread", float("inf")),
+        ("slides", "n_slides", 3),          # 2 tumor slides, 1 normal
+        ("slides", "tumor_slide_fraction", 1.0),
+        ("slides", "region_count", 0),      # tumor slides would be normal
     ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
             "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
             "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
             "one_test_per_class", "zero_batch_size", "zero_gamma", "zero_alpha",
-            "string_milestone"])
+            "string_milestone", "nan_lr", "inf_lr", "inf_spread",
+            "three_slides", "all_tumor_slides", "no_tumor_regions"])
     def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
                                                section, key, value):
-        d = tiny_dict()
+        d = tiny_dict(slides=dict(SLIDES)) if section == "slides" else tiny_dict()
         if key is None:
             del d[section]
         else:
@@ -414,6 +421,12 @@ class TestCli:
         path = self.write_config(tmp_path, d)
         assert cli.main(["validate-config", "--config", path]) == 2
         assert section in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parents[1] / "configs").glob("*.yaml")),
+        ids=lambda p: p.name)
+    def test_shipped_config_validates(self, capsys, path):
+        assert cli.main(["validate-config", "--config", str(path)]) == 0
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = cli.main(["validate-config", "--config",

@@ -181,6 +181,53 @@ class TestBackward:
             offset += g.size
 
 
+@pytest.mark.parametrize("batch,dim,hidden", [(50, 12, 96), (512, 16, 64)],
+                         ids=["reference_shape", "large_batch_shape"])
+class TestForwardReuse:
+    """backward reuses the training loop's forward pass only where that is
+    bit-equal to recomputing it: masks that cover every row."""
+
+    def loop_pass(self, batch, dim, hidden):
+        rng = np.random.default_rng(batch)
+        m = init_model(dim, hidden, 2, seed=batch)
+        m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
+        x = rng.normal(size=(batch, dim))
+        y = rng.integers(0, 2, batch)
+        hidden_acts = []
+        logits = forward(m, x, hidden_acts)
+        losses = per_sample_cross_entropy(logits, y)
+        return rng, m, x, y, (*hidden_acts, logits, losses)
+
+    def test_whole_batch_reuse_is_bit_equal(self, batch, dim, hidden):
+        rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
+        want, want_loss = backward(m, x, y, None)
+        for mask in (None, rng.permutation(batch)):
+            got, got_loss = backward(m, x, y, mask, fp)
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert got_loss == want_loss
+
+    def test_row_subset_is_recomputed(self, batch, dim, hidden):
+        rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
+        for k in (2, 3, 5, 16, 25, 51):
+            if k >= batch:
+                continue
+            mask = rng.choice(batch, size=k, replace=False)
+            want, want_loss = backward(m, x, y, mask)
+            got, got_loss = backward(m, x, y, mask, fp)
+            assert got.theta.tobytes() == want.theta.tobytes(), k
+            assert got_loss == want_loss
+
+    def test_buffer_is_overwritten(self, batch, dim, hidden):
+        rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
+        buf = m.copy()
+        buf.theta[:] = np.nan
+        for mask in (None, rng.choice(batch, size=5, replace=False)):
+            want, _ = backward(m, x, y, mask)
+            got, _ = backward(m, x, y, mask, fp, out=buf)
+            assert got is buf
+            assert buf.theta.tobytes() == want.theta.tobytes()
+
+
 def zero_grads(m):
     """Zero gradients in the model's flat layout."""
     grads = m.copy()
