@@ -46,6 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> harness.ExperimentConfig:
+    harness.check_workers(args.workers)
     config = harness.load_config(args.config)
     if args.output_dir is not None:
         config = harness.replace(config, output_dir=args.output_dir)

@@ -265,6 +265,9 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     cells = []
     theta1 = None
     cohorts = None  # slide cohorts, generated when first needed
+    # split metrics by parameter bytes: a model equal to one already scored,
+    # such as a stage 2 that kept theta_1, is not evaluated again
+    scored = {}
     # curriculum2 starts from curriculum1's result, so run in STRATEGIES order
     for strategy in [s for s in STRATEGIES if s in config.strategies]:
         start = time.perf_counter()
@@ -290,11 +293,16 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                     theta1, target_train.features, target_train.labels,
                     config.curriculum2, curriculum.decide_update_stage2,
                     seed=4000 + seed, select_set=select_set)
-            cell["metrics"] = _evaluate(model, val, test, test_ood)
-            if config.slides is not None:
-                cohorts = cohorts or _slide_cohorts(config.slides, seed)
-                cell["metrics"]["slide"] = _evaluate_slides(
-                    model, config.slides, *cohorts)
+            key = model.theta.tobytes()
+            if key not in scored:
+                scored[key] = _evaluate(model, val, test, test_ood)
+                if config.slides is not None:
+                    cohorts = cohorts or _slide_cohorts(config.slides, seed)
+                    scored[key]["slide"] = _evaluate_slides(
+                        model, config.slides, *cohorts)
+            # each cell its own split dicts, which the paired tests below
+            # extend; the score and label lists are shared
+            cell["metrics"] = {split: dict(m) for split, m in scored[key].items()}
             cell["curve"] = [dict(vars(r)) for r in report.records]
             cell["best_epoch"] = report.best_epoch
         except (NumericError, ValidationError) as exc:
@@ -440,7 +448,14 @@ def make_output_dir(path) -> None:
             f"cannot use {path} as the output directory: {exc}") from None
 
 
+def check_workers(workers) -> None:
+    """Raises ValidationError unless `workers` is an integer >= 1."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
+    check_workers(workers)
     report = RunReport(config_hash=config.config_hash)
     if workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -512,13 +527,15 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
     make_output_dir(outdir)
     curves_path = os.path.join(outdir, "curves.tsv")
     roc_path = os.path.join(outdir, "roc.tsv")
+    # one string and one write per cell's curve and per (cell, split)'s ROC
     with open(curves_path, "w") as f:
         f.write(CURVES_HEADER)
         for cell in report.cells:
-            for r in cell.get("curve", []):
-                f.write(f"{cell['strategy']}\t{cell['seed']}\t{r['epoch']}\t{r['t']}"
-                        f"\t{r['thres']!r}\t{r['k']}\t{r['k_prime']}\t{r['branch']}"
-                        f"\t{r['mean_loss']!r}\t{r['lr']!r}\n")
+            prefix = f"{cell['strategy']}\t{cell['seed']}\t"
+            f.write("".join(
+                f"{prefix}{r['epoch']}\t{r['t']}\t{r['thres']!r}\t{r['k']}"
+                f"\t{r['k_prime']}\t{r['branch']}\t{r['mean_loss']!r}\t{r['lr']!r}\n"
+                for r in cell.get("curve", [])))
     with open(roc_path, "w") as f:
         f.write(ROC_HEADER)
         for cell in report.cells:
@@ -526,7 +543,8 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
                 continue
             for split in _roc_splits(cell["metrics"]):
                 m = cell["metrics"][split]
-                for thr, fpr, tpr in roc_points(m["scores"], m["labels"]):
-                    f.write(f"{cell['strategy']}\t{cell['seed']}\t{split}"
-                            f"\t{thr!r}\t{fpr!r}\t{tpr!r}\n")
+                prefix = f"{cell['strategy']}\t{cell['seed']}\t{split}\t"
+                f.write("".join(
+                    f"{prefix}{thr!r}\t{fpr!r}\t{tpr!r}\n"
+                    for thr, fpr, tpr in roc_points(m["scores"], m["labels"])))
     return {"curves": curves_path, "roc": roc_path}

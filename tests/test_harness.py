@@ -149,6 +149,46 @@ class TestRunExperiment:
         assert len(by["curriculum2"]["curve"]) == 1 * n_batches
         assert all(r["k_prime"] is not None for r in by["curriculum2"]["curve"])
 
+    def count_evaluations(self, monkeypatch, stage2_lr):
+        calls = []
+        evaluate = harness._evaluate
+
+        def counting(model, *args):
+            calls.append(model.theta.tobytes())
+            return evaluate(model, *args)
+
+        monkeypatch.setattr(harness, "_evaluate", counting)
+        d = tiny_dict(seeds=[0], slides=SLIDES)
+        d["curriculum2"]["lr"] = stage2_lr
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok
+        return calls, {c["strategy"]: c for c in report.cells}
+
+    def test_kept_theta1_is_evaluated_once(self, monkeypatch):
+        # with a zero stage-2 lr no epoch can beat theta_1, so stage 2
+        # returns parameters byte-equal to it
+        calls, by = self.count_evaluations(monkeypatch, 0.0)
+        assert by["curriculum2"]["best_epoch"] == -1
+        assert len(calls) == 2
+        c1, c2 = by["curriculum1"]["metrics"], by["curriculum2"]["metrics"]
+        assert c2 == c1
+        assert set(c1) == {"val", "in_domain", "ood", "slide"}
+        for split in c1:
+            assert c2[split] is not c1[split]
+
+    def test_moved_theta2_is_evaluated(self, monkeypatch):
+        calls, by = self.count_evaluations(monkeypatch, 5e-3)
+        assert by["curriculum2"]["best_epoch"] == 0
+        assert len(calls) == len(set(calls)) == 3
+
+    @pytest.mark.parametrize("workers", [0, -3, 1.5])
+    def test_workers_below_one_rejected(self, workers):
+        cfg = config_from_dict(tiny_dict(seeds=[0]))
+        with pytest.raises(ValidationError, match="workers"):
+            run_experiment(cfg, workers=workers)
+        with pytest.raises(ValidationError, match="workers"):
+            harness.run_ablation_alpha(cfg, [0.1], workers=workers)
+
     def test_deterministic_modulo_wall_clock(self):
         cfg = config_from_dict(tiny_dict())
         a = run_experiment(cfg)
@@ -486,6 +526,18 @@ class TestCli:
         assert "error" in err
         if named is not None:
             assert str(named) in err
+
+    @pytest.mark.parametrize("verb", ["run", "ablate-alpha"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch,
+                                       verb, workers):
+        monkeypatch.setattr(harness, "run_experiment",
+                            lambda *a, **k: pytest.fail("training started"))
+        argv = [verb, "--config", self.write_config(tmp_path),
+                "--output-dir", str(tmp_path / "out"), "--workers", workers]
+        assert cli.main(argv) == 2
+        assert f"workers must be an integer >= 1, got {workers}" in \
+            capsys.readouterr().err
 
     def test_run_then_emit_plots(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

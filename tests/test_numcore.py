@@ -58,6 +58,44 @@ class TestForward:
             forward(m, np.zeros((2, 4)))
 
 
+def unblocked_forward(model, x):
+    """The hidden layers and logits as one product per layer over all rows."""
+    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
+    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+    return h1, h2, h2 @ model.w3 + model.b3
+
+
+class TestBlockedForward:
+    """forward computes the hidden layers in row blocks; its bits must be
+    those of one product per layer over all rows."""
+
+    @pytest.mark.parametrize("rows,dim,hidden", [
+        (4000, 12, 96), (144, 12, 96), (50, 12, 96),
+        (10000, 16, 64), (5000, 16, 64), (576, 16, 64), (512, 16, 64),
+        (0, 12, 96), (1, 12, 96), (257, 12, 96), (513, 12, 96),
+    ])
+    def test_bytes_equal_unblocked(self, rows, dim, hidden):
+        rng = np.random.default_rng(rows)
+        m = init_model(dim, hidden, 2, seed=rows)
+        m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
+        x = rng.normal(size=(rows, dim))
+        h1, h2, logits = unblocked_forward(m, x)
+        acts = []
+        assert forward(m, x, acts).tobytes() == logits.tobytes()
+        assert forward(m, x).tobytes() == logits.tobytes()
+        assert acts[0].shape == h1.shape and acts[1].shape == h2.shape
+        assert acts[0].tobytes() == h1.tobytes()
+        assert acts[1].tobytes() == h2.tobytes()
+
+    @pytest.mark.parametrize("keep_hidden", [False, True])
+    def test_nonfinite_row_in_last_block_raises(self, keep_hidden):
+        m = init_model(12, 96, 2, seed=0)
+        x = np.random.default_rng(0).normal(size=(2 * numcore.BLOCK_ROWS + 10, 12))
+        x[-1, 3] = np.inf
+        with pytest.raises(NumericError, match="non-finite logits"):
+            forward(m, x, [] if keep_hidden else None)
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         losses = per_sample_cross_entropy(np.zeros((3, 2)), [0, 1, 0])
