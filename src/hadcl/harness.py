@@ -204,17 +204,27 @@ def _build_datasets(config: ExperimentConfig, seed: int):
     return source_train, target_train, val, test, test_ood
 
 
-def _evaluate(model, val, test, test_ood) -> dict:
-    out = {}
+_PAIRED_SPLITS = ("in_domain", "ood")
+
+
+def _evaluate(model, val, test, test_ood) -> tuple[dict, dict]:
+    """The model's metrics per split, and its ScoredOutcomes on the splits
+    that get a paired test."""
+    out, outcomes = {}, {}
     for name, ds in (("val", val), ("in_domain", test), ("ood", test_ood)):
-        probs = positive_probs(model, ds.features)
-        est = metrics.delong_ci(metrics.ScoredOutcomes(probs, ds.labels))
+        # a copy of the positive column, so that keeping it for the paired
+        # tests does not keep the whole (n, 2) softmax output
+        probs = positive_probs(model, ds.features).copy()
+        scored = metrics.ScoredOutcomes(probs, ds.labels)
+        if name in _PAIRED_SPLITS:
+            outcomes[name] = scored
+        est = metrics.delong_ci(scored)
         out[name] = {
             "accuracy": metrics.accuracy((probs > 0.5).astype(int), ds.labels),
             "auc": est.auc, "auc_variance": est.variance, "ci95": list(est.ci95),
             "scores": probs.tolist(), "labels": ds.labels.tolist(),
         }
-    return out
+    return out, outcomes
 
 
 def _slide_features(model, slides, spec: data.SlideSpec):
@@ -265,9 +275,11 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     cells = []
     theta1 = None
     cohorts = None  # slide cohorts, generated when first needed
-    # split metrics by parameter bytes: a model equal to one already scored,
-    # such as a stage 2 that kept theta_1, is not evaluated again
-    scored = {}
+    # split metrics and paired-split outcomes by parameter bytes: a model
+    # equal to one already scored, such as a stage 2 that kept theta_1, is
+    # not evaluated again
+    scored, outcomes = {}, {}
+    keys = {}  # parameter bytes of each ok strategy
     # curriculum2 starts from curriculum1's result, so run in STRATEGIES order
     for strategy in [s for s in STRATEGIES if s in config.strategies]:
         start = time.perf_counter()
@@ -295,7 +307,7 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
                     seed=4000 + seed, select_set=select_set)
             key = model.theta.tobytes()
             if key not in scored:
-                scored[key] = _evaluate(model, val, test, test_ood)
+                scored[key], outcomes[key] = _evaluate(model, val, test, test_ood)
                 if config.slides is not None:
                     cohorts = cohorts or _slide_cohorts(config.slides, seed)
                     scored[key]["slide"] = _evaluate_slides(
@@ -305,25 +317,27 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
             cell["metrics"] = {split: dict(m) for split, m in scored[key].items()}
             cell["curve"] = [dict(vars(r)) for r in report.records]
             cell["best_epoch"] = report.best_epoch
+            keys[strategy] = key
         except (NumericError, ValidationError) as exc:
             cell["status"] = "failed"
             cell["error"] = str(exc)
         cell["wall_clock"] = time.perf_counter() - start
         cells.append(cell)
 
-    # paired DeLong significance versus the baseline of the same seed
-    by_strategy = {c["strategy"]: c for c in cells}
-    base = by_strategy.get("baseline")
-    if base is not None and base["status"] == "ok":
-        for strategy, cell in by_strategy.items():
-            if strategy == "baseline" or cell["status"] != "ok":
+    # paired DeLong significance versus the baseline of the same seed, once
+    # per distinct parameter vector
+    if "baseline" in keys:
+        base = outcomes[keys["baseline"]]
+        p_values = {}  # parameter bytes -> p_vs_baseline by split
+        for cell in cells:
+            key = keys.get(cell["strategy"])
+            if cell["strategy"] == "baseline" or key is None:
                 continue
-            for split in ("in_domain", "ood"):
-                a = cell["metrics"][split]
-                b = base["metrics"][split]
-                cell["metrics"][split]["p_vs_baseline"] = metrics.delong_paired_test(
-                    metrics.ScoredOutcomes(np.array(a["scores"]), np.array(a["labels"])),
-                    metrics.ScoredOutcomes(np.array(b["scores"]), np.array(b["labels"])))
+            if key not in p_values:
+                p_values[key] = {split: metrics.delong_paired_test(
+                    outcomes[key][split], base[split]) for split in _PAIRED_SPLITS}
+            for split, p in p_values[key].items():
+                cell["metrics"][split]["p_vs_baseline"] = p
     return cells
 
 
@@ -368,7 +382,10 @@ class RunReport:
     def from_json(cls, path) -> "RunReport":
         """The report at `path`, in any JSON layout; raises ValidationError
         for a file that cannot be read, is not JSON, lacks the schema or a
-        required key, or holds a cell that emit_plot_data cannot read."""
+        required key, or holds a cell without the keys, curve records and
+        equal-length score and label lists that emit_plot_data reads. The
+        score and label values themselves are checked where emit_plot_data
+        converts them."""
         try:
             with open(path) as f:
                 doc = json.load(f)
@@ -489,15 +506,34 @@ def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
     return sweep
 
 
-def roc_points(scores, labels):
-    """ROC curve as (threshold, fpr, tpr) rows, thresholds descending.
+def _roc_arrays(scores, labels):
+    """A split's scores as a float64 array and its labels as an integer
+    array. Raises ValidationError unless the scores are finite numbers and
+    the labels integers, in two equal-length flat sequences; an empty pair
+    is valid."""
+    try:
+        scores = np.asarray(scores)
+        labels = np.asarray(labels)
+    except ValueError:  # ragged nesting, such as [0.5, [1]]
+        raise ValidationError("scores and labels must be flat lists") from None
+    if scores.ndim != 1 or labels.shape != scores.shape:
+        raise ValidationError("scores and labels must be equal-length flat lists")
+    if scores.size:
+        if scores.dtype.kind not in "iuf" or not np.isfinite(scores).all():
+            raise ValidationError("scores must be finite numbers")
+        if labels.dtype.kind not in "iu":
+            raise ValidationError("labels must be integers")
+    return scores.astype(np.float64, copy=False), labels
 
-    The thresholds are the distinct scores; a sample counts as predicted
-    positive at a threshold when its score is >= it. Labels other than 0 and
-    1 give thresholds but count as neither class, and an empty class divides
-    by 1, so its rate stays 0.0."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
+
+def _roc_counts(scores, labels):
+    """ROC counts as (thresholds, fp, tp, n_neg, n_pos), thresholds descending.
+
+    The thresholds are the distinct scores; fp[i] and tp[i] count the
+    negatives and positives whose score is >= thresholds[i]. Labels other
+    than 0 and 1 give thresholds but count as neither class. Scores and
+    labels are checked by _roc_arrays."""
+    scores, labels = _roc_arrays(scores, labels)
     pos = np.sort(scores[labels == 1])
     neg = np.sort(scores[labels == 0])
     # the first occurrence of each distinct score, as set() would keep it
@@ -506,9 +542,21 @@ def roc_points(scores, labels):
     # samples with a score >= t: the class size minus those sorted below t
     tp = len(pos) - np.searchsorted(pos, thresholds, side="left")
     fp = len(neg) - np.searchsorted(neg, thresholds, side="left")
-    tpr = tp / max(len(pos), 1)
-    fpr = fp / max(len(neg), 1)
-    return list(zip(thresholds.tolist(), fpr.tolist(), tpr.tolist()))
+    return thresholds, fp, tp, len(neg), len(pos)
+
+
+def _rates(counts, n: int) -> np.ndarray:
+    """counts / n as roc_points reports it: an empty class divides by 1, so
+    its rate stays 0.0."""
+    return counts / max(n, 1)
+
+
+def roc_points(scores, labels):
+    """ROC curve as (threshold, fpr, tpr) rows, thresholds descending: the
+    rates view of _roc_counts, whose rules and checks it shares."""
+    thresholds, fp, tp, n_neg, n_pos = _roc_counts(scores, labels)
+    return list(zip(thresholds.tolist(), _rates(fp, n_neg).tolist(),
+                    _rates(tp, n_pos).tolist()))
 
 
 def _roc_splits(metrics: dict) -> tuple:
@@ -523,7 +571,16 @@ _CURVE_KEYS = frozenset(CURVES_HEADER.split()[2:])
 
 
 def emit_plot_data(report: RunReport, outdir) -> dict:
-    """Write per-iteration curves and ROC points as TSV; byte-stable."""
+    """Write per-iteration curves and ROC points as TSV; byte-stable.
+
+    A ROC row's rates are fp / n_neg and tp / n_pos, so a class of n
+    samples has only the n + 1 rates k / n. Each distinct class size gets
+    one table of their reprs, built from the same int-array division as
+    roc_points, and rows look their rates up by count; only the threshold
+    column is formatted per row. A split bit-equal to the same split of the
+    previous ok cell reuses its rows. A split whose scores or labels
+    _roc_arrays rejects raises ValidationError naming its cell and split,
+    after the rows before it are written."""
     make_output_dir(outdir)
     curves_path = os.path.join(outdir, "curves.tsv")
     roc_path = os.path.join(outdir, "roc.tsv")
@@ -536,15 +593,42 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
                 f"{prefix}{r['epoch']}\t{r['t']}\t{r['thres']!r}\t{r['k']}"
                 f"\t{r['k_prime']}\t{r['branch']}\t{r['mean_loss']!r}\t{r['lr']!r}\n"
                 for r in cell.get("curve", [])))
+    rate_text = {}  # class size n -> [repr(k / n) for k in 0..n]
+
+    def rates(n: int) -> list:
+        if n not in rate_text:
+            rate_text[n] = list(map(repr, _rates(np.arange(n + 1), n).tolist()))
+        return rate_text[n]
+
+    def roc_rows(scores, labels) -> list:
+        """The split's roc.tsv rows without their prefix and newline."""
+        thresholds, fps, tps, n_neg, n_pos = _roc_counts(scores, labels)
+        fpr_text, tpr_text = rates(n_neg), rates(n_pos)
+        return [f"{thr!r}\t{fpr_text[fp]}\t{tpr_text[tp]}"
+                for thr, fp, tp in zip(thresholds.tolist(), fps.tolist(),
+                                       tps.tolist())]
+
     with open(roc_path, "w") as f:
         f.write(ROC_HEADER)
-        for cell in report.cells:
+        last = {}  # split -> (arrays' bytes, rows) of the last ok cell
+        for i, cell in enumerate(report.cells):
             if cell["status"] != "ok":
                 continue
             for split in _roc_splits(cell["metrics"]):
                 m = cell["metrics"][split]
-                prefix = f"{cell['strategy']}\t{cell['seed']}\t{split}\t"
-                f.write("".join(
-                    f"{prefix}{thr!r}\t{fpr!r}\t{tpr!r}\n"
-                    for thr, fpr, tpr in roc_points(m["scores"], m["labels"])))
+                try:
+                    scores, labels = _roc_arrays(m["scores"], m["labels"])
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"report cell {i} ({cell['strategy']}, seed "
+                        f"{cell['seed']}) split {split!r}: {exc}") from None
+                # a curriculum2 cell that kept theta_1 repeats curriculum1's
+                # splits bit for bit, and so its rows
+                key = (scores.tobytes(), labels.tobytes())
+                if split not in last or last[split][0] != key:
+                    last[split] = (key, roc_rows(scores, labels))
+                rows = last[split][1]
+                if rows:
+                    prefix = f"{cell['strategy']}\t{cell['seed']}\t{split}\t"
+                    f.write(prefix + f"\n{prefix}".join(rows) + "\n")
     return {"curves": curves_path, "roc": roc_path}

@@ -92,6 +92,29 @@ class TestGenerateBlobs:
         with pytest.raises(ValidationError):
             base_spec(per_class=0)
 
+    def test_provenance_ids_are_sorted_python_ints(self):
+        ds = generate_blobs(base_spec(hard_fraction=0.3, noise_fraction=0.1))
+        for key in ("hard_ids", "flipped_ids"):
+            ids = ds.provenance[key]
+            assert ids and ids == sorted(set(ids))
+            assert all(type(i) is int for i in ids)
+
+
+class TestDataset:
+    def make(self, ids):
+        n = len(ids)
+        return Dataset(features=np.zeros((n, 2)), labels=np.zeros(n, dtype=np.int64),
+                       ids=np.asarray(ids, dtype=np.int64), n_classes=2)
+
+    @pytest.mark.parametrize("ids", [[0, 0], [3, 1, 2, 1], [5, 9, 7, 9, 5]])
+    def test_duplicate_ids_rejected(self, ids):
+        with pytest.raises(ValidationError, match="ids must be unique"):
+            self.make(ids)
+
+    @pytest.mark.parametrize("ids", [[7], [2, 0, 1], [-4, 10, 3, 8]])
+    def test_unique_ids_accepted(self, ids):
+        assert self.make(ids).n == len(ids)
+
 
 class TestDomainShift:
     def test_identity_shift(self):

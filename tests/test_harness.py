@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import hadcl
-from hadcl import cli, data, harness
+from hadcl import cli, data, harness, metrics
 from hadcl.exceptions import ValidationError
 from hadcl.harness import RunReport, config_from_dict, run_experiment
 
@@ -49,6 +49,39 @@ def strip_wall_clock(cells):
     for c in out:
         c.pop("wall_clock")
     return out
+
+
+def roc_cases() -> list:
+    """(scores, labels) pairs: random scores with and without heavy ties,
+    one class only, one score, no scores, and +0.0 and -0.0 in either order."""
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (2, 7, 50, 400, 1000):
+        for _ in range(20):
+            scores = rng.random(n)
+            cases.append((np.round(scores, 2).tolist(),  # heavy ties
+                          rng.integers(0, 2, n).tolist()))
+            cases.append((scores, rng.integers(0, 2, n)))
+    cases += [([0.3, 0.3, 0.9, 0.1], [1, 1, 1, 1]),   # one class only
+              ([0.3, 0.3, 0.9, 0.1], [0, 0, 0, 0]),
+              ([0.4], [1]), ([0.4], [0]),             # one score
+              ([], []),                               # empty
+              ([0.0, -0.0, 0.5], [1, 0, 1]),          # the first zero is
+              ([-0.0, 0.0, 0.5], [1, 0, 1])]          # the one printed
+    return cases
+
+
+def report_json(cells) -> str:
+    return json.dumps({"schema": harness.REPORT_SCHEMA, "config_hash": "",
+                       "code_version": "", "cells": cells})
+
+
+def report_via_json(tmp_path, cells) -> RunReport:
+    """The report holding `cells`, read back from its JSON file as
+    emit-plots reads it."""
+    path = tmp_path / "report.json"
+    path.write_text(report_json(cells))
+    return RunReport.from_json(path)
 
 
 class TestConfig:
@@ -180,6 +213,52 @@ class TestRunExperiment:
         calls, by = self.count_evaluations(monkeypatch, 5e-3)
         assert by["curriculum2"]["best_epoch"] == 0
         assert len(calls) == len(set(calls)) == 3
+
+    def count_paired_tests(self, monkeypatch, stage2_lr, seeds):
+        calls = []
+        paired = metrics.delong_paired_test
+
+        def counting(a, b):
+            calls.append((a, b))
+            return paired(a, b)
+
+        monkeypatch.setattr(metrics, "delong_paired_test", counting)
+        d = tiny_dict(seeds=seeds)
+        d["curriculum2"]["lr"] = stage2_lr
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok
+        return calls, report.cells
+
+    @staticmethod
+    def list_p_value(cell, base, split, paired=metrics.delong_paired_test):
+        """The paired test, uncounted, on arrays rebuilt from the report's
+        lists."""
+        a, b = cell["metrics"][split], base["metrics"][split]
+        return paired(
+            metrics.ScoredOutcomes(np.array(a["scores"]), np.array(a["labels"])),
+            metrics.ScoredOutcomes(np.array(b["scores"]), np.array(b["labels"])))
+
+    def test_kept_theta1_is_paired_once(self, monkeypatch):
+        calls, cells = self.count_paired_tests(monkeypatch, 0.0, [0, 1])
+        assert len(calls) == 2 * 2   # curriculum1's two splits per seed
+        for seed in (0, 1):
+            by = {c["strategy"]: c for c in cells if c["seed"] == seed}
+            assert by["curriculum2"]["best_epoch"] == -1
+            for split in ("in_domain", "ood"):
+                p1 = by["curriculum1"]["metrics"][split]["p_vs_baseline"]
+                assert by["curriculum2"]["metrics"][split]["p_vs_baseline"] == p1
+                assert p1 == self.list_p_value(by["curriculum1"], by["baseline"],
+                                               split)
+
+    def test_moved_theta2_is_paired(self, monkeypatch):
+        calls, cells = self.count_paired_tests(monkeypatch, 5e-3, [0])
+        by = {c["strategy"]: c for c in cells}
+        assert by["curriculum2"]["best_epoch"] == 0
+        assert len(calls) == 4
+        for strategy in ("curriculum1", "curriculum2"):
+            for split in ("in_domain", "ood"):
+                assert (by[strategy]["metrics"][split]["p_vs_baseline"]
+                        == self.list_p_value(by[strategy], by["baseline"], split))
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5])
     def test_workers_below_one_rejected(self, workers):
@@ -382,25 +461,105 @@ class TestEmitPlots:
         return rows
 
     def test_roc_points_match_per_threshold_scan(self):
-        rng = np.random.default_rng(5)
-        cases = []
-        for n in (2, 7, 50, 400, 1000):
-            for _ in range(20):
-                scores = rng.random(n)
-                cases.append((np.round(scores, 2).tolist(),  # heavy ties
-                              rng.integers(0, 2, n).tolist()))
-                cases.append((scores, rng.integers(0, 2, n)))
-        cases += [([0.3, 0.3, 0.9, 0.1], [1, 1, 1, 1]),   # one class only
-                  ([0.3, 0.3, 0.9, 0.1], [0, 0, 0, 0]),
-                  ([0.4], [1]), ([0.4], [0]),             # one score
-                  ([], []),                               # empty
-                  ([0.0, -0.0, 0.5], [1, 0, 1]),          # the first zero is
-                  ([-0.0, 0.0, 0.5], [1, 0, 1])]          # the one printed
-        for scores, labels in cases:
+        for scores, labels in roc_cases():
             rows = harness.roc_points(scores, labels)
             want = self.per_threshold_roc(scores, labels)
             assert rows == want
             assert repr(rows) == repr(want)   # the bytes roc.tsv gets
+
+    @staticmethod
+    def assert_roc_tsv_as_formatted_per_row(tmp_path, splits):
+        """emit_plot_data's roc.tsv for a report whose ok cells hold `splits`,
+        three to a cell, equals rows formatted one by one, with a repr per
+        column, over roc_points. The report goes through its JSON file, as
+        emit-plots reads it, and a failed cell follows the first ok one."""
+        names = ("in_domain", "ood", "slide")
+        splits = [(np.asarray(s).tolist(), np.asarray(y).tolist()) for s, y in splits]
+        splits += [([], [])] * (-len(splits) % 3)   # an empty split has no rows
+        ok = [{"strategy": harness.STRATEGIES[i % 3], "seed": i // 3,
+               "status": "ok", "metrics": {
+                   name: {"scores": s, "labels": y}
+                   for name, (s, y) in zip(names, splits[i:i + 3])}}
+              for i in range(0, len(splits), 3)]
+        failed = {"strategy": "curriculum2", "seed": 9, "status": "failed",
+                  "error": "diverged"}
+        paths = harness.emit_plot_data(
+            report_via_json(tmp_path, ok[:1] + [failed] + ok[1:]), tmp_path / "plots")
+        want = [harness.ROC_HEADER]
+        for cell in ok:
+            for name in names:
+                m = cell["metrics"][name]
+                prefix = f"{cell['strategy']}\t{cell['seed']}\t{name}\t"
+                want += [f"{prefix}{t!r}\t{f!r}\t{p!r}\n"
+                         for t, f, p in harness.roc_points(m["scores"], m["labels"])]
+        assert Path(paths["roc"]).read_bytes() == "".join(want).encode()
+
+    def test_roc_tsv_on_the_scan_cases(self, tmp_path):
+        self.assert_roc_tsv_as_formatted_per_row(tmp_path, roc_cases())
+
+    def test_roc_tsv_with_labels_outside_0_1(self, tmp_path):
+        rng = np.random.default_rng(11)
+        splits = [(np.round(rng.random(n), 1), rng.choice([-1, 0, 1, 2, 7], n))
+                  for n in (1, 5, 40, 300)]
+        splits += [([0.2, 0.4, 0.4], [2, 3, -1]),     # neither class
+                   ([0.1, 0.6, 0.3], [1, 2, 1])]      # positives only
+        self.assert_roc_tsv_as_formatted_per_row(tmp_path, splits)
+
+    def test_roc_tsv_across_class_sizes(self, tmp_path):
+        # every pair of sizes, each in two cells: one table per size serves
+        # both classes of many splits
+        rng = np.random.default_rng(12)
+        sizes = (1, 3, 7, 12, 2000, 5000)
+        splits = []
+        for repeat in range(2):
+            for j, n_pos in enumerate(sizes):
+                n_neg = sizes[(j + repeat + 1) % len(sizes)]
+                labels = rng.permutation(np.repeat([1, 0], [n_pos, n_neg]))
+                scores = rng.random(n_pos + n_neg)
+                if repeat:
+                    scores = np.round(scores, 3)   # ties
+                splits.append((scores, labels))
+        splits.append((rng.random(12), np.repeat([0, 1], 6)))
+        self.assert_roc_tsv_as_formatted_per_row(tmp_path, splits)
+
+    def test_roc_tsv_with_repeated_splits(self, tmp_path):
+        # a split equal to the same split of the previous ok cell reuses its
+        # rows; one that differs in a zero's sign or in a label does not
+        rng = np.random.default_rng(13)
+        a = [0.0, -0.0] + np.round(rng.random(30), 1).tolist()
+        a_signed = [-0.0, 0.0] + a[2:]   # the first zero is the one printed
+        b = rng.random(20).tolist()
+        ya, yb = rng.integers(0, 2, 32).tolist(), rng.integers(0, 2, 20).tolist()
+        yb_flipped = [1 - yb[0]] + yb[1:]
+        cells = [[(a, ya), (b, yb), (b, yb)],
+                 [(a, ya), (b, yb), (b, yb)],        # after the failed cell
+                 [(a_signed, ya), (b, yb), (b, yb_flipped)],
+                 [(a_signed, ya), (a, ya), (b, yb_flipped)]]
+        self.assert_roc_tsv_as_formatted_per_row(
+            tmp_path, [split for cell in cells for split in cell])
+
+    @pytest.mark.parametrize("key,value", [
+        ("scores", ["x", 0.5]), ("scores", [[1], 0.5]), ("scores", [[1], [1]]),
+        ("scores", [None, 0.5]), ("scores", [float("nan"), 0.5]),
+        ("scores", [float("inf"), 0.5]),
+        ("labels", [[1], 0]), ("labels", [None, 0]), ("labels", [0.5, 0]),
+        ("labels", ["1", 0]),
+    ], ids=["string_score", "ragged_score", "nested_scores", "null_score",
+            "nan_score", "inf_score", "ragged_label",
+            "null_label", "float_label", "string_label"])
+    def test_malformed_split_values_rejected(self, tmp_path, key, value):
+        split = {"scores": [0.2, 0.7], "labels": [0, 1]}
+        cells = [{"strategy": s, "seed": 0, "status": "ok",
+                  "metrics": {"in_domain": split, "ood": split}}
+                 for s in ("baseline", "curriculum1")]
+        cells[1]["metrics"] = {"in_domain": split, "ood": dict(split, **{key: value})}
+        report = report_via_json(tmp_path, cells)   # checks only list lengths
+        with pytest.raises(ValidationError,
+                           match=r"cell 1 \(curriculum1, seed 0\) split 'ood'"):
+            harness.emit_plot_data(report, tmp_path / "plots")
+        with pytest.raises(ValidationError):
+            harness.roc_points(*(cells[1]["metrics"]["ood"][k]
+                                 for k in ("scores", "labels")))
 
 
 class TestCli:
@@ -526,6 +685,24 @@ class TestCli:
         assert "error" in err
         if named is not None:
             assert str(named) in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("scores", "x"), ("scores", [1]), ("labels", [1]),
+        ("scores", None), ("labels", None),
+    ], ids=["string_score", "list_score", "list_label", "null_score",
+            "null_label"])
+    def test_malformed_split_value_exits_2(self, tmp_path, capsys, key, value):
+        split = {"scores": [0.2, 0.7, 0.4], "labels": [0, 1, 1]}
+        bad = dict(split, **{key: split[key][:2] + [value]})
+        cells = [{"strategy": "baseline", "seed": 3, "status": "ok",
+                  "metrics": {"in_domain": split, "ood": bad}}]
+        path = tmp_path / "report.json"
+        path.write_text(report_json(cells))
+        argv = ["emit-plots", "--report", str(path),
+                "--output-dir", str(tmp_path / "plots")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: report cell 0 (baseline, seed 3) split 'ood'" in err
 
     @pytest.mark.parametrize("verb", ["run", "ablate-alpha"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
