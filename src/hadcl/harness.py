@@ -10,6 +10,7 @@ rule alone.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -17,6 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 import yaml
@@ -114,10 +116,19 @@ class ExperimentConfig:
                                       f"{n}, the size of its training set")
 
 
+# the top-level keys of a config; any other key would be silently ignored
+_CONFIG_KEYS = frozenset({"seeds", "output_dir", "model", "source", "target",
+                          "shift", "pretrain", "baseline", "curriculum1",
+                          "curriculum2", "eval", "slides", "strategies"})
+
+
 def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
+    unknown = sorted(set(d) - _CONFIG_KEYS, key=str)
+    if unknown:
+        raise ValidationError(f"unknown config keys {unknown}")
     target = _section(d, "target", data.BlobTaskSpec)
     slides = None
-    if d.get("slides"):
+    if d.get("slides") is not None:  # an empty mapping is an error, not "off"
         # patch features share the target task's class geometry
         slides = _section(d, "slides", data.SlideSpec, patch_spec=replace(
             target, hard_fraction=0.0, noise_fraction=0.0))
@@ -144,13 +155,18 @@ _NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _section(d: dict, name: str, cls, default=None, **extra):
-    """`cls` built from the mapping d[name]; a missing section, an unknown
-    key, a value of the wrong numeric type, a NaN or infinite number or a
-    value `cls` rejects is a ValidationError that names the section."""
+    """`cls` built from the mapping d[name] and `extra`; a missing section,
+    an unknown key, a key the pipeline sets itself (draw_seed, or one of
+    `extra`), a value of the wrong numeric type, a NaN or infinite number or
+    a value `cls` rejects is a ValidationError that names the section."""
     section = d.get(name, default)
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} is missing or not a mapping")
     try:
+        derived = sorted(section.keys() & {"draw_seed", *extra})
+        if derived:
+            raise ValidationError(f"{derived} are set by the pipeline, not "
+                                  "the config")
         for f in dataclasses.fields(cls):
             kind = getattr(f.type, "__name__", f.type)
             types = _NUMBER_TYPES.get(kind)
@@ -253,8 +269,16 @@ def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
             "scores": scores.tolist(), "labels": y_test.tolist()}
 
 
-def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
-    """All requested strategies for one seed; one report cell per strategy."""
+def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
+    """One seed's cells, all from its one pretrained model: baseline if
+    requested, then curriculum1 (and curriculum2) per config in `stage1`."""
+    runs = [("baseline", config.baseline)] if "baseline" in config.strategies else []
+    for stage in stage1:
+        runs.append(("curriculum1", stage))
+        if "curriculum2" in config.strategies:
+            runs.append(("curriculum2", config.curriculum2))
+    if not runs:
+        return []
     source_train, target_train, val, test, test_ood = _build_datasets(config, seed)
 
     model0 = numcore.init_model(config.target.dim, config.hidden,
@@ -273,37 +297,34 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
     # budget so their trajectories stay directly comparable.
     select_set = (val.features, val.labels)
     cells = []
-    theta1 = None
     cohorts = None  # slide cohorts, generated when first needed
     # split metrics and paired-split outcomes by parameter bytes: a model
     # equal to one already scored, such as a stage 2 that kept theta_1, is
     # not evaluated again
     scored, outcomes = {}, {}
-    keys = {}  # parameter bytes of each ok strategy
-    # curriculum2 starts from curriculum1's result, so run in STRATEGIES order
-    for strategy in [s for s in STRATEGIES if s in config.strategies]:
+    keys = {}  # cell index -> parameter bytes, for each ok cell
+    for i, (strategy, stage) in enumerate(runs):
         start = time.perf_counter()
         cell = {"strategy": strategy, "seed": seed, "status": "ok"}
         try:
             if strategy == "baseline":
                 model, report = curriculum.finetune_plain(
                     pretrained, target_train.features, target_train.labels,
-                    config.baseline, seed=ft_seed)
+                    stage, seed=ft_seed)
             elif strategy == "curriculum1":
                 model, report = curriculum.run_stage(
                     pretrained, target_train.features, target_train.labels,
-                    config.curriculum1, curriculum.decide_update_stage1,
-                    seed=ft_seed)
+                    stage, curriculum.decide_update_stage1, seed=ft_seed)
                 theta1 = model
             else:
-                if theta1 is None:
-                    stage1 = next(c for c in cells if c["strategy"] == "curriculum1")
+                # the cell before a curriculum2 cell is its curriculum1 cell
+                if cells[-1]["status"] != "ok":
                     raise ValidationError(
                         "curriculum2 starts from the curriculum1 parameters, "
-                        f"but curriculum1 failed: {stage1['error']}")
+                        f"but curriculum1 failed: {cells[-1]['error']}")
                 model, report = curriculum.run_stage(
                     theta1, target_train.features, target_train.labels,
-                    config.curriculum2, curriculum.decide_update_stage2,
+                    stage, curriculum.decide_update_stage2,
                     seed=4000 + seed, select_set=select_set)
             key = model.theta.tobytes()
             if key not in scored:
@@ -317,27 +338,24 @@ def run_seed(config: ExperimentConfig, seed: int) -> list[dict]:
             cell["metrics"] = {split: dict(m) for split, m in scored[key].items()}
             cell["curve"] = [dict(vars(r)) for r in report.records]
             cell["best_epoch"] = report.best_epoch
-            keys[strategy] = key
+            keys[i] = key
         except (NumericError, ValidationError) as exc:
             cell["status"] = "failed"
             cell["error"] = str(exc)
         cell["wall_clock"] = time.perf_counter() - start
         cells.append(cell)
 
-    # paired DeLong significance versus the baseline of the same seed, once
-    # per distinct parameter vector
-    if "baseline" in keys:
-        base = outcomes[keys["baseline"]]
+    # paired DeLong significance versus the baseline of the same seed, cell
+    # 0, once per distinct parameter vector
+    if "baseline" in config.strategies and 0 in keys:
+        base = outcomes[keys.pop(0)]
         p_values = {}  # parameter bytes -> p_vs_baseline by split
-        for cell in cells:
-            key = keys.get(cell["strategy"])
-            if cell["strategy"] == "baseline" or key is None:
-                continue
+        for i, key in keys.items():
             if key not in p_values:
                 p_values[key] = {split: metrics.delong_paired_test(
                     outcomes[key][split], base[split]) for split in _PAIRED_SPLITS}
             for split, p in p_values[key].items():
-                cell["metrics"][split]["p_vs_baseline"] = p
+                cells[i]["metrics"][split]["p_vs_baseline"] = p
     return cells
 
 
@@ -437,11 +455,36 @@ def _check_cell(cell, where: str) -> None:
 _COMPACT = (",", ":")
 
 
+@contextlib.contextmanager
+def _replacing(*paths):
+    """Text files, one per path, that replace `paths` only when the block
+    ends: each is written to a temporary file beside its path, and all are
+    renamed into place once every one is complete. If the block raises, the
+    temporary files are removed and `paths` keep what they held."""
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
+    files = []
+    try:
+        for temp in temps:
+            files.append(open(temp, "w"))
+        yield files
+        for f in files:
+            f.close()
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    except BaseException:
+        for f, temp in zip(files, temps):
+            f.close()
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+
+
 def write_json(path, doc: dict, stream: str) -> None:
-    """Writes `doc` as compact JSON with the C encoder. The list doc[stream]
-    is encoded and written one item at a time, so the whole document is
-    never held as one string."""
-    with open(path, "w") as f:
+    """Writes `doc` as compact JSON with the C encoder, replacing `path`
+    only once the whole document is written. The list doc[stream] is
+    encoded and written one item at a time, so the whole document is never
+    held as one string."""
+    with _replacing(path) as (f,):
         f.write("{")
         for i, (key, value) in enumerate(doc.items()):
             f.write(("," if i else "") + json.dumps(key) + ":")
@@ -471,59 +514,68 @@ def check_workers(workers) -> None:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
+def _per_seed(run, seeds, workers: int) -> list:
+    """[run(seed) for seed in seeds], on `workers` processes if more than one."""
     check_workers(workers)
-    report = RunReport(config_hash=config.config_hash)
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_seed, config, s) for s in config.seeds]
-            for fut in futures:
-                report.cells.extend(fut.result())
-    else:
-        for seed in config.seeds:
-            report.cells.extend(run_seed(config, seed))
-    return report
+    if workers == 1:
+        return [run(seed) for seed in seeds]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, seeds))
+
+
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
+    stage1 = [config.curriculum1] if "curriculum1" in config.strategies else []
+    per_seed = _per_seed(partial(run_seed, config, stage1=stage1), config.seeds,
+                         workers)
+    return RunReport(config_hash=config.config_hash,
+                     cells=[cell for cells in per_seed for cell in cells])
 
 
 def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
                        workers: int = 1) -> dict:
-    """One curriculum-1 run per alpha; summarized by median validation metrics."""
+    """One curriculum-1 run per alpha, each from the seed's one pretrained model."""
     # every alpha's config is built first, so a bad grid fails before training
-    configs = [replace(config, curriculum1=replace(config.curriculum1, alpha=alpha),
-                       strategies=("curriculum1",)) for alpha in alpha_grid]
-    sweep = {"schema": "hadcl.alpha_sweep.v1", "config_hash": config.config_hash,
-             "entries": []}
-    for cfg in configs:
-        report = run_experiment(cfg, workers=workers)
-        ok = [c for c in report.cells if c["status"] == "ok"]
-        entry = {"alpha": cfg.curriculum1.alpha, "all_ok": report.all_ok,
-                 "median_val_accuracy": float(np.median(
-                     [c["metrics"]["val"]["accuracy"] for c in ok])) if ok else None,
-                 "median_val_auc": float(np.median(
-                     [c["metrics"]["val"]["auc"] for c in ok])) if ok else None,
-                 "cells": report.cells}
-        sweep["entries"].append(entry)
-    return sweep
+    stage1 = [replace(config.curriculum1, alpha=alpha) for alpha in alpha_grid]
+    config = replace(config, strategies=("curriculum1",))
+    per_seed = _per_seed(partial(run_seed, config, stage1=stage1), config.seeds,
+                         workers)
+    entries = []
+    for i, stage in enumerate(stage1):
+        report = RunReport(config.config_hash, [cells[i] for cells in per_seed])
+        medians = report.summary().get("curriculum1", {})
+        entries.append({"alpha": stage.alpha, "all_ok": report.all_ok,
+                        "median_val_accuracy": medians.get("median_accuracy_val"),
+                        "median_val_auc": medians.get("median_auc_val"),
+                        "cells": report.cells})
+    return {"schema": "hadcl.alpha_sweep.v1", "config_hash": config.config_hash,
+            "entries": entries}
 
 
 def _roc_arrays(scores, labels):
     """A split's scores as a float64 array and its labels as an integer
     array. Raises ValidationError unless the scores are finite numbers and
     the labels integers, in two equal-length flat sequences; an empty pair
-    is valid."""
+    is valid. A bool, which NumPy would read as 1 or 0, is neither."""
     try:
-        scores = np.asarray(scores)
-        labels = np.asarray(labels)
+        score_array = np.asarray(scores)
+        label_array = np.asarray(labels)
     except ValueError:  # ragged nesting, such as [0.5, [1]]
         raise ValidationError("scores and labels must be flat lists") from None
-    if scores.ndim != 1 or labels.shape != scores.shape:
+    if score_array.ndim != 1 or label_array.shape != score_array.shape:
         raise ValidationError("scores and labels must be equal-length flat lists")
-    if scores.size:
-        if scores.dtype.kind not in "iuf" or not np.isfinite(scores).all():
+    if score_array.size:
+        if (score_array.dtype.kind not in "iuf" or _holds_bool(scores)
+                or not np.isfinite(score_array).all()):
             raise ValidationError("scores must be finite numbers")
-        if labels.dtype.kind not in "iu":
+        if label_array.dtype.kind not in "iu" or _holds_bool(labels):
             raise ValidationError("labels must be integers")
-    return scores.astype(np.float64, copy=False), labels
+    return score_array.astype(np.float64, copy=False), label_array
+
+
+def _holds_bool(values) -> bool:
+    """Whether a list (not an array, whose dtype tells) holds a bool; one
+    pass over the item types in C."""
+    return not isinstance(values, np.ndarray) and bool in set(map(type, values))
 
 
 def _roc_counts(scores, labels):
@@ -579,20 +631,12 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
     roc_points, and rows look their rates up by count; only the threshold
     column is formatted per row. A split bit-equal to the same split of the
     previous ok cell reuses its rows. A split whose scores or labels
-    _roc_arrays rejects raises ValidationError naming its cell and split,
-    after the rows before it are written."""
+    _roc_arrays rejects raises ValidationError naming its cell and split;
+    curves.tsv and roc.tsv are then left as they were. Both files replace
+    the old ones only once both are complete."""
     make_output_dir(outdir)
     curves_path = os.path.join(outdir, "curves.tsv")
     roc_path = os.path.join(outdir, "roc.tsv")
-    # one string and one write per cell's curve and per (cell, split)'s ROC
-    with open(curves_path, "w") as f:
-        f.write(CURVES_HEADER)
-        for cell in report.cells:
-            prefix = f"{cell['strategy']}\t{cell['seed']}\t"
-            f.write("".join(
-                f"{prefix}{r['epoch']}\t{r['t']}\t{r['thres']!r}\t{r['k']}"
-                f"\t{r['k_prime']}\t{r['branch']}\t{r['mean_loss']!r}\t{r['lr']!r}\n"
-                for r in cell.get("curve", [])))
     rate_text = {}  # class size n -> [repr(k / n) for k in 0..n]
 
     def rates(n: int) -> list:
@@ -608,8 +652,16 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
                 for thr, fp, tp in zip(thresholds.tolist(), fps.tolist(),
                                        tps.tolist())]
 
-    with open(roc_path, "w") as f:
-        f.write(ROC_HEADER)
+    # one string and one write per cell's curve and per (cell, split)'s ROC
+    with _replacing(curves_path, roc_path) as (curves, roc):
+        curves.write(CURVES_HEADER)
+        for cell in report.cells:
+            prefix = f"{cell['strategy']}\t{cell['seed']}\t"
+            curves.write("".join(
+                f"{prefix}{r['epoch']}\t{r['t']}\t{r['thres']!r}\t{r['k']}"
+                f"\t{r['k_prime']}\t{r['branch']}\t{r['mean_loss']!r}\t{r['lr']!r}\n"
+                for r in cell.get("curve", [])))
+        roc.write(ROC_HEADER)
         last = {}  # split -> (arrays' bytes, rows) of the last ok cell
         for i, cell in enumerate(report.cells):
             if cell["status"] != "ok":
@@ -630,5 +682,5 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
                 rows = last[split][1]
                 if rows:
                     prefix = f"{cell['strategy']}\t{cell['seed']}\t{split}\t"
-                    f.write(prefix + f"\n{prefix}".join(rows) + "\n")
+                    roc.write(prefix + f"\n{prefix}".join(rows) + "\n")
     return {"curves": curves_path, "roc": roc_path}

@@ -1,8 +1,10 @@
+import collections
 import copy
 import hashlib
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 import yaml
 
 import hadcl
-from hadcl import cli, data, harness, metrics
+from hadcl import cli, curriculum, data, harness, metrics
 from hadcl.exceptions import ValidationError
 from hadcl.harness import RunReport, config_from_dict, run_experiment
 
@@ -121,9 +123,23 @@ class TestConfig:
         ({"seeds": ["a"]}, "non-negative integers"),
         ({"seeds": [True]}, "non-negative integers"),
         ({"output_dir": 5}, "output_dir must be a string"),
+        ({"slide": SLIDES}, r"unknown config keys \['slide'\]"),
+        ({"evaluation": {"test_per_class": 15}},
+         r"unknown config keys \['evaluation'\]"),
+        ({"source": dict(tiny_dict()["source"], draw_seed=1)},
+         r"section 'source': \['draw_seed'\] are set by the pipeline"),
+        ({"target": dict(tiny_dict()["target"], draw_seed=1)},
+         r"section 'target': \['draw_seed'\] are set by the pipeline"),
+        ({"slides": dict(SLIDES, draw_seed=1)},
+         r"section 'slides': \['draw_seed'\] are set by the pipeline"),
+        ({"slides": dict(SLIDES, patch_spec={"dim": 3})},
+         r"section 'slides': \['patch_spec'\] are set by the pipeline"),
+        ({"slides": {}}, r"section 'slides': .*missing"),
     ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
             "scalar_seeds", "nested_strategies", "float_seed", "negative_seed",
-            "string_seed", "bool_seed", "int_output_dir"])
+            "string_seed", "bool_seed", "int_output_dir", "misspelt_slides",
+            "misspelt_eval", "source_draw_seed", "target_draw_seed",
+            "slides_draw_seed", "slides_patch_spec", "empty_slides"])
     def test_malformed_lists_rejected(self, over, match):
         with pytest.raises(ValidationError, match=match):
             config_from_dict(tiny_dict(**over))
@@ -340,6 +356,14 @@ class TestRunExperiment:
                 json.dump(doc, f, indent=1)
             assert RunReport.from_json(path).cells == back.cells
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("earlier")
+        with pytest.raises(TypeError):   # the second cell is not JSON
+            harness.write_json(path, {"cells": [1, object()]}, stream="cells")
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert path.read_text() == "earlier"
+
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         good = {"schema": harness.REPORT_SCHEMA, "config_hash": "",
@@ -413,6 +437,62 @@ class TestAblation:
         cfg = config_from_dict(tiny_dict(seeds=[0]))
         with pytest.raises(ValidationError):
             harness.run_ablation_alpha(cfg, [0.0, 0.1])
+
+    # at batch_size 20, alpha 0.10 and 0.11 both give K = 2; 0.3 gives K = 6
+    GRID = (0.10, 0.11, 0.3)
+
+    def test_entries_equal_one_run_per_alpha(self):
+        cfg = config_from_dict(tiny_dict(slides=SLIDES))
+        assert [replace(cfg.curriculum1, alpha=a).top_k for a in self.GRID] == [2, 2, 6]
+        sweep = harness.run_ablation_alpha(cfg, self.GRID)
+        assert [e["alpha"] for e in sweep["entries"]] == list(self.GRID)
+        for entry in sweep["entries"]:
+            # the whole experiment, pretraining included, for this alpha only
+            alone = run_experiment(replace(
+                cfg, curriculum1=replace(cfg.curriculum1, alpha=entry["alpha"]),
+                strategies=("curriculum1",)))
+            assert strip_wall_clock(entry["cells"]) == strip_wall_clock(alone.cells)
+            assert entry["all_ok"] and alone.all_ok
+            for key in ("auc", "accuracy"):
+                assert entry[f"median_val_{key}"] == float(np.median(
+                    [c["metrics"]["val"][key] for c in alone.cells]))
+
+    def test_workers_give_equal_sweeps(self):
+        cfg = config_from_dict(tiny_dict(slides=SLIDES))
+        one, two = (harness.run_ablation_alpha(cfg, self.GRID, workers=w)
+                    for w in (1, 2))
+        for sweep in (one, two):
+            for entry in sweep["entries"]:
+                entry["cells"] = strip_wall_clock(entry["cells"])
+        assert one == two
+
+    def test_data_and_pretraining_once_per_seed(self, monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((curriculum, "finetune_plain"),
+                             (data, "generate_blobs"), (data, "generate_slides")):
+            def counting(*args, _name=name, _wrapped=getattr(module, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(module, name, counting)
+        d = tiny_dict(slides=SLIDES)
+        sweep = harness.run_ablation_alpha(config_from_dict(d), self.GRID)
+        assert all(e["all_ok"] for e in sweep["entries"])
+        n = len(d["seeds"])
+        assert calls == {"finetune_plain": n, "generate_blobs": 4 * n,
+                         "generate_slides": 2 * n}
+        calls.clear()
+        assert harness.run_ablation_alpha(config_from_dict(d), [])["entries"] == []
+        assert not calls   # an empty grid trains nothing
+
+    def test_stage2_follows_each_stage1(self):
+        cfg = config_from_dict(tiny_dict(seeds=[0]))
+        stages = [replace(cfg.curriculum1, alpha=a) for a in (0.10, 0.3)]
+        cells = harness.run_seed(cfg, 0, stages)
+        assert [c["strategy"] for c in cells] == [
+            "baseline", "curriculum1", "curriculum2", "curriculum1", "curriculum2"]
+        alone = run_experiment(replace(cfg, curriculum1=stages[1])).cells
+        assert strip_wall_clock(cells[:1] + cells[3:]) == strip_wall_clock(alone)
 
 
 class TestEmitPlots:
@@ -543,10 +623,11 @@ class TestEmitPlots:
         ("scores", [None, 0.5]), ("scores", [float("nan"), 0.5]),
         ("scores", [float("inf"), 0.5]),
         ("labels", [[1], 0]), ("labels", [None, 0]), ("labels", [0.5, 0]),
-        ("labels", ["1", 0]),
+        ("labels", ["1", 0]), ("scores", [True, 0.5]), ("labels", [True, 0]),
     ], ids=["string_score", "ragged_score", "nested_scores", "null_score",
             "nan_score", "inf_score", "ragged_label",
-            "null_label", "float_label", "string_label"])
+            "null_label", "float_label", "string_label", "bool_score",
+            "bool_label"])
     def test_malformed_split_values_rejected(self, tmp_path, key, value):
         split = {"scores": [0.2, 0.7], "labels": [0, 1]}
         cells = [{"strategy": s, "seed": 0, "status": "ok",
@@ -604,12 +685,15 @@ class TestCli:
         ("slides", "n_slides", 3),          # 2 tumor slides, 1 normal
         ("slides", "tumor_slide_fraction", 1.0),
         ("slides", "region_count", 0),      # tumor slides would be normal
+        ("source", "draw_seed", 1),         # set per seed by the pipeline
+        ("slides", "patch_spec", {"dim": 3}),   # derived from target
     ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
             "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
             "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
             "one_test_per_class", "zero_batch_size", "zero_gamma", "zero_alpha",
             "string_milestone", "nan_lr", "inf_lr", "inf_spread",
-            "three_slides", "all_tumor_slides", "no_tumor_regions"])
+            "three_slides", "all_tumor_slides", "no_tumor_regions",
+            "source_draw_seed", "slides_patch_spec"])
     def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
                                                section, key, value):
         d = tiny_dict(slides=dict(SLIDES)) if section == "slides" else tiny_dict()
@@ -678,7 +762,7 @@ class TestCli:
             argv = [verb, "--config", str(path)]
             if verb != "validate-config":
                 argv += ["--output-dir", str(outdir)]
-        monkeypatch.setattr(harness, "run_experiment",
+        monkeypatch.setattr(harness, "run_seed",
                             lambda *a, **k: pytest.fail("training started"))
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -688,27 +772,38 @@ class TestCli:
 
     @pytest.mark.parametrize("key,value", [
         ("scores", "x"), ("scores", [1]), ("labels", [1]),
-        ("scores", None), ("labels", None),
+        ("scores", None), ("labels", None), ("scores", True), ("labels", True),
     ], ids=["string_score", "list_score", "list_label", "null_score",
-            "null_label"])
+            "null_label", "bool_score", "bool_label"])
     def test_malformed_split_value_exits_2(self, tmp_path, capsys, key, value):
         split = {"scores": [0.2, 0.7, 0.4], "labels": [0, 1, 1]}
         bad = dict(split, **{key: split[key][:2] + [value]})
         cells = [{"strategy": "baseline", "seed": 3, "status": "ok",
+                  "curve": [{"epoch": 0, "t": 0, "thres": 0.9, "k": 1,
+                             "k_prime": None, "branch": "total",
+                             "mean_loss": 0.5, "lr": 1e-3}],
                   "metrics": {"in_domain": split, "ood": bad}}]
         path = tmp_path / "report.json"
         path.write_text(report_json(cells))
-        argv = ["emit-plots", "--report", str(path),
-                "--output-dir", str(tmp_path / "plots")]
+        # the files of an earlier emit are left as they were, and the
+        # rejected emit leaves no file of its own
+        plots = tmp_path / "plots"
+        plots.mkdir()
+        before = {name: f"earlier {name}\n".encode()
+                  for name in ("curves.tsv", "roc.tsv")}
+        for name, content in before.items():
+            (plots / name).write_bytes(content)
+        argv = ["emit-plots", "--report", str(path), "--output-dir", str(plots)]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert "error: report cell 0 (baseline, seed 3) split 'ood'" in err
+        assert {p.name: p.read_bytes() for p in plots.iterdir()} == before
 
     @pytest.mark.parametrize("verb", ["run", "ablate-alpha"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch,
                                        verb, workers):
-        monkeypatch.setattr(harness, "run_experiment",
+        monkeypatch.setattr(harness, "run_seed",
                             lambda *a, **k: pytest.fail("training started"))
         argv = [verb, "--config", self.write_config(tmp_path),
                 "--output-dir", str(tmp_path / "out"), "--workers", workers]
