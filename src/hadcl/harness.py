@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -514,12 +515,40 @@ def check_workers(workers) -> None:
         raise ValidationError(f"workers must be an integer >= 1, got {workers!r}")
 
 
+# the variables that size the BLAS and OpenMP thread pools when NumPy loads
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _single_threaded_env():
+    """os.environ with every _THREAD_ENV variable set to 1 for the block,
+    restored to the values it had (or their absence) when the block ends."""
+    saved = {name: os.environ.get(name) for name in _THREAD_ENV}
+    os.environ.update(dict.fromkeys(_THREAD_ENV, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _per_seed(run, seeds, workers: int) -> list:
-    """[run(seed) for seed in seeds], on `workers` processes if more than one."""
+    """[run(seed) for seed in seeds], on `workers` processes if more than one.
+
+    The workers are fresh interpreters (the spawn start method) that load
+    NumPy with single-threaded BLAS, so `workers` processes use `workers`
+    cores; a forked worker would keep the parent's BLAS thread pool, already
+    sized when NumPy loaded. Each seed is deterministic, so the result does
+    not depend on `workers`."""
     check_workers(workers)
     if workers == 1:
         return [run(seed) for seed in seeds]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with _single_threaded_env(), concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn")) as pool:
         return list(pool.map(run, seeds))
 
 

@@ -3,7 +3,9 @@ mid-rank tie handling), DeLong variance and 95% CI, and the paired DeLong
 test for two models scored on the same cases.
 
 The DeLong quantities follow the fast mid-rank formulation of Sun & Xu
-(IEEE SPL 2014).
+(IEEE SPL 2014). The mid-ranks come from one sort of the pooled scores, and
+the normal quantile and tail from `scipy.special`, so importing this module
+does not load `scipy.stats`.
 """
 
 from __future__ import annotations
@@ -11,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, rankdata
+from scipy.special import ndtr, ndtri
 
 from .exceptions import ValidationError
 
 
 @dataclass
 class ScoredOutcomes:
-    """Positive-class scores with binary labels."""
+    """Positive-class scores with binary labels. The scores may be infinite
+    but not NaN, which has no rank."""
 
     scores: np.ndarray
     labels: np.ndarray
@@ -32,6 +35,8 @@ class ScoredOutcomes:
             raise ValidationError("empty outcomes")
         if not np.isin(self.labels, (0, 1)).all():
             raise ValidationError("labels must be 0/1")
+        if np.isnan(self.scores).any():
+            raise ValidationError("scores must not be NaN")
 
     @property
     def n_pos(self) -> int:
@@ -58,18 +63,40 @@ def accuracy(predictions, labels) -> float:
 
 
 def _placements(outcomes: ScoredOutcomes):
-    """Mid-rank placement components V10 (per positive), V01 (per negative)."""
+    """(AUC, V10, V01): the mid-rank placement components per positive and
+    per negative, in the order of the scores.
+
+    With mid-ranks, a positive's rank among all scores less its rank among
+    the positives is the number of negatives below its score plus half of
+    those tied with it; a negative's is the same count of positives. Both
+    counts come from one sort of the pooled scores and are exact multiples
+    of 1/2, so they equal the differences of the three rank vectors bit for
+    bit. The order of tied scores in the sort does not enter them."""
     scores, labels = outcomes.scores, outcomes.labels
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    m, n = len(pos), len(neg)
-    all_ranks = rankdata(np.concatenate([pos, neg]))
-    pos_ranks = rankdata(pos)
-    neg_ranks = rankdata(neg)
-    v10 = (all_ranks[:m] - pos_ranks) / n
-    v01 = 1.0 - (all_ranks[m:] - neg_ranks) / m
-    auc_val = float(v10.mean())
-    return auc_val, v10, v01
+    is_pos = labels == 1
+    order = np.argsort(scores)
+    sorted_scores, sorted_pos = scores[order], is_pos[order]
+    # tie groups of the sorted scores: their starts, and each score's group
+    new_group = np.empty(scores.size, dtype=bool)
+    new_group[0] = True
+    np.not_equal(sorted_scores[1:], sorted_scores[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    group = np.cumsum(new_group) - 1
+    # positives before each group and within it; negatives are the rest
+    bounds = np.append(starts, scores.size)
+    pos_upto = np.concatenate(([0], np.cumsum(sorted_pos)))[bounds]
+    pos_before, pos_in = pos_upto[:-1], np.diff(pos_upto)
+    neg_before, neg_in = starts - pos_before, np.diff(bounds) - pos_in
+    # each score counts the other class: below it, then tied with it
+    other_before = np.where(sorted_pos, neg_before[group], pos_before[group])
+    other_tied = np.where(sorted_pos, neg_in[group], pos_in[group])
+    placed = np.empty(scores.size)
+    placed[order] = other_before + other_tied / 2
+    m = int(pos_upto[-1])
+    n = scores.size - m
+    v10 = placed[is_pos] / n
+    v01 = 1.0 - placed[~is_pos] / m
+    return float(v10.mean()), v10, v01
 
 
 def auc(outcomes: ScoredOutcomes) -> float:
@@ -87,7 +114,7 @@ def delong_ci(outcomes: ScoredOutcomes, level: float = 0.95) -> AucEstimate:
         raise ValidationError("DeLong CI needs >= 2 positives and >= 2 negatives")
     auc_val, v10, v01 = _placements(outcomes)
     var = v10.var(ddof=1) / len(v10) + v01.var(ddof=1) / len(v01)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     half = z * np.sqrt(var)
     lo = float(np.clip(auc_val - half, 0.0, 1.0))
     hi = float(np.clip(auc_val + half, 0.0, 1.0))
@@ -112,4 +139,4 @@ def delong_paired_test(outcomes_a: ScoredOutcomes,
     if var_diff <= 0.0:
         return 1.0 if diff == 0.0 else 0.0
     z = diff / np.sqrt(var_diff)
-    return float(2.0 * norm.sf(abs(z)))
+    return float(2.0 * ndtr(-abs(z)))

@@ -2,6 +2,7 @@ import collections
 import copy
 import hashlib
 import json
+import os
 import re
 import shlex
 from dataclasses import replace
@@ -283,6 +284,17 @@ class TestRunExperiment:
             run_experiment(cfg, workers=workers)
         with pytest.raises(ValidationError, match="workers"):
             harness.run_ablation_alpha(cfg, [0.1], workers=workers)
+
+    def test_pool_workers_load_single_threaded_blas(self, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"]
+        assert harness._per_seed(os.getenv, names, workers=2) == ["1"] * 3
+        assert dict(os.environ) == before   # the parent's is restored
+        # one worker runs in this process, whose environment is not touched
+        assert harness._per_seed(os.getenv, names, workers=1) == [None, "3", None]
 
     def test_deterministic_modulo_wall_clock(self):
         cfg = config_from_dict(tiny_dict())

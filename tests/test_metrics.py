@@ -1,9 +1,15 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.stats import norm, rankdata
 
+import hadcl
 from hadcl.exceptions import ValidationError
-from hadcl.metrics import (AucEstimate, ScoredOutcomes, accuracy, auc,
-                           delong_ci, delong_paired_test)
+from hadcl.metrics import (AucEstimate, ScoredOutcomes, _placements, accuracy,
+                           auc, delong_ci, delong_paired_test)
 
 
 def pairwise_auc(scores, labels):
@@ -200,3 +206,121 @@ class TestDelongPaired:
         with pytest.raises(ValidationError):
             delong_paired_test(ScoredOutcomes(scores, la),
                                ScoredOutcomes(scores, lb))
+
+
+# --- the statistics as scipy.stats computes them ------------------------------
+
+def rankdata_placements(scores, labels):
+    """(AUC, V10, V01) from three scipy.stats.rankdata calls, the form of
+    Sun & Xu (IEEE SPL 2014)."""
+    scores, labels = np.asarray(scores, dtype=np.float64), np.asarray(labels)
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    m, n = len(pos), len(neg)
+    all_ranks = rankdata(np.concatenate([pos, neg]))
+    v10 = (all_ranks[:m] - rankdata(pos)) / n
+    v01 = 1.0 - (all_ranks[m:] - rankdata(neg)) / m
+    return float(v10.mean()), v10, v01
+
+
+def rankdata_delong_ci(scores, labels, level=0.95):
+    auc_val, v10, v01 = rankdata_placements(scores, labels)
+    var = v10.var(ddof=1) / len(v10) + v01.var(ddof=1) / len(v01)
+    half = norm.ppf(0.5 + level / 2.0) * np.sqrt(var)
+    return (auc_val, float(var), (float(np.clip(auc_val - half, 0.0, 1.0)),
+                                  float(np.clip(auc_val + half, 0.0, 1.0))))
+
+
+def rankdata_paired_p(scores_a, scores_b, labels):
+    auc_a, v10_a, v01_a = rankdata_placements(scores_a, labels)
+    auc_b, v10_b, v01_b = rankdata_placements(scores_b, labels)
+    diff = auc_a - auc_b
+    s = (np.cov(v10_a, v10_b, ddof=1) / len(v10_a)
+         + np.cov(v01_a, v01_b, ddof=1) / len(v01_a))
+    var_diff = s[0, 0] + s[1, 1] - 2.0 * s[0, 1]
+    if var_diff <= 0.0:
+        return 1.0 if diff == 0.0 else 0.0
+    return float(2.0 * norm.sf(abs(diff / np.sqrt(var_diff))))
+
+
+def oracle_cases():
+    """(scores, labels) with at least two of each class: continuous scores,
+    heavy ties, a few distinct values, all tied, infinities and signed
+    zeros, down to two positives and two negatives."""
+    rng = np.random.default_rng(12)
+    cases = []
+    for size in (4, 5, 9, 30, 257, 1000):
+        for _ in range(8):
+            labels = rng.permutation(np.arange(size) % 2)
+            if size > 4 and rng.random() < 0.5:  # unbalanced classes
+                labels = (rng.random(size) < 0.2).astype(int)
+                labels[:2], labels[2:4] = 1, 0
+            u = rng.random(size)
+            for scores in (u, np.round(u, 1), rng.integers(0, 3, size) * 0.5,
+                           np.full(size, 0.25),
+                           np.where(u < 0.1, -np.inf, np.where(u > 0.9, np.inf, u)),
+                           np.where(u < 0.5, -0.0, 0.0)):
+                cases.append((scores.astype(np.float64), labels))
+    return cases
+
+
+class TestRankdataOracle:
+    def test_placements_bit_equal(self):
+        for scores, labels in oracle_cases():
+            got = _placements(ScoredOutcomes(scores, labels))
+            want = rankdata_placements(scores, labels)
+            assert got[0] == want[0]
+            assert got[1].tobytes() == want[1].tobytes()
+            assert got[2].tobytes() == want[2].tobytes()
+
+    def test_auc_and_delong_ci_bit_equal(self):
+        for scores, labels in oracle_cases():
+            est = delong_ci(ScoredOutcomes(scores, labels))
+            assert (est.auc, est.variance, est.ci95) == rankdata_delong_ci(
+                scores, labels)
+            assert auc(ScoredOutcomes(scores, labels)) == est.auc
+
+    def test_other_levels_bit_equal(self):
+        scores, labels = oracle_cases()[-1]
+        for level in (0.5, 0.8, 0.9, 0.99, 0.999):
+            est = delong_ci(ScoredOutcomes(scores, labels), level=level)
+            assert (est.auc, est.variance, est.ci95) == rankdata_delong_ci(
+                scores, labels, level)
+
+    def test_paired_test_bit_equal(self):
+        cases = oracle_cases()
+        rng = np.random.default_rng(13)
+        p_values = set()
+        for scores, labels in cases:
+            # a second model on the same cases: a noisy copy, with ties
+            other = np.round(scores + rng.normal(0, 0.3, scores.size), 1)
+            for b in (other, scores[::-1].copy()):
+                p = delong_paired_test(ScoredOutcomes(scores, labels),
+                                       ScoredOutcomes(b, labels))
+                assert p == rankdata_paired_p(scores, b, labels)
+                p_values.add(p)
+        # the cases reach both degenerate returns and the normal tail
+        assert {0.0, 1.0} <= p_values and len(p_values) > 100
+
+    def test_one_of_each_class_auc(self):
+        for scores in ([0.2, 0.7], [0.7, 0.2], [0.5, 0.5], [np.inf, -np.inf]):
+            out = ScoredOutcomes(scores, [1, 0])
+            assert auc(out) == rankdata_placements(scores, [1, 0])[0]
+
+
+class TestScoreValues:
+    def test_nan_score_rejected(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            ScoredOutcomes([0.1, np.nan, 0.3], [0, 1, 1])
+
+    def test_infinite_scores_ranked(self):
+        out = ScoredOutcomes([np.inf, -np.inf, np.inf, 0.0], [1, 0, 0, 1])
+        # +inf ties +inf, -inf is below every positive, 0.0 is below +inf
+        assert auc(out) == pairwise_auc([np.inf, -np.inf, np.inf, 0.0],
+                                        [1, 0, 0, 1]) == 2.5 / 4
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    src = str(Path(hadcl.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hadcl.cli; "
+            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
+    subprocess.run([sys.executable, "-c", code, src], check=True)
