@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -91,6 +92,26 @@ class TestGenerateBlobs:
     def test_zero_samples_rejected(self):
         with pytest.raises(ValidationError):
             base_spec(per_class=0)
+
+    # frozen fixture: sha256 of a tilted, noisy task's bytes (features,
+    # labels, hard and flipped ids, then the shifted features); any change
+    # to the draws of the hard stratum or the label flips changes it
+    GOLDEN_TILTED = ("9cdb6cc95dc1e91a6f8b42b60d037735"
+                     "56fc6123b1a585e64236a142355f2fd4")
+
+    def test_tilted_hard_stratum_bytes_pinned(self):
+        spec = base_spec(per_class=300, hard_fraction=0.3, hard_tilt_angle=1.0,
+                         hard_wrong_side=0.1, noise_fraction=0.05)
+        ds = generate_blobs(spec)
+        shifted = apply_domain_shift(ds, DomainShiftSpec(
+            scale=1.3, rotation_angle=0.4, noise_level=0.3, seed=303))
+        digest = hashlib.sha256()
+        for part in (ds.features, ds.labels,
+                     np.asarray(ds.provenance["hard_ids"], dtype=np.int64),
+                     np.asarray(ds.provenance["flipped_ids"], dtype=np.int64),
+                     shifted.features):
+            digest.update(part.tobytes())
+        assert digest.hexdigest() == self.GOLDEN_TILTED
 
     def test_provenance_ids_are_sorted_python_ints(self):
         ds = generate_blobs(base_spec(hard_fraction=0.3, noise_fraction=0.1))
