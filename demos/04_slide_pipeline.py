@@ -15,9 +15,8 @@ patch_spec = data.BlobTaskSpec(dim=4, n_classes=2, per_class=1,
                                hard_fraction=0.0, noise_fraction=0.0, seed=5)
 spec = data.SlideSpec(height=10, width=14, n_slides=20,
                       tumor_slide_fraction=0.5, region_count=2,
-                      radius_lo=1.0, radius_hi=2.5,
-                      patch_spec=patch_spec, seed=9)
-slides = data.generate_slides(spec)
+                      radius_lo=1.0, radius_hi=2.5, seed=9)
+slides = data.generate_slides(spec, patch_spec)
 
 # stand-in patch scorer: distance to the tumor class center, squashed.
 # in the full pipeline this is the fine-tuned MLP's positive probability.

@@ -207,14 +207,9 @@ class StageReport:
 
 def _val_score(model: MlpModel, features: np.ndarray,
                labels: np.ndarray) -> float:
-    """Selection score on a held-out set: AUC for binary heads (the metric
-    the experiments report), accuracy otherwise."""
+    """Selection score on a held-out set: the AUC the experiments report."""
     logits = numcore.forward(model, features)
-    if logits.shape[1] == 2:
-        return metrics.auc(metrics.ScoredOutcomes(
-            logits[:, 1] - logits[:, 0], labels))
-    preds = np.argmax(logits, axis=1)
-    return float(np.mean(preds == labels))
+    return metrics.auc(metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], labels))
 
 
 def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
@@ -253,12 +248,12 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
     hidden, grads = [], model.copy()
     rng = np.random.default_rng(seed)
     report = StageReport()
-    best_model, best_acc = None, -1.0
+    best_model, best_score = None, -1.0
     if select_set is not None:
         # The incoming parameters compete too: epoch -1 means the stage kept
-        # its initial model because no epoch improved validation accuracy.
+        # its initial model because no epoch improved its validation AUC.
         best_model = model.copy()
-        best_acc = _val_score(model, select_set[0], select_set[1])
+        best_score = _val_score(model, select_set[0], select_set[1])
         report.best_epoch = -1
 
     for epoch in range(config.epochs):
@@ -285,9 +280,9 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
                 k_prime=decision.k_prime, branch=decision.branch,
                 mean_loss=mean_loss, lr=lr))
         if select_set is not None:
-            acc = _val_score(model, select_set[0], select_set[1])
-            if acc > best_acc:
-                best_model, best_acc = model.copy(), acc
+            score = _val_score(model, select_set[0], select_set[1])
+            if score > best_score:
+                best_model, best_score = model.copy(), score
                 report.best_epoch = epoch
     if best_model is not None:
         return best_model, report

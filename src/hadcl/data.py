@@ -3,14 +3,13 @@ controllable hard stratum (samples placed near the decision boundary) and
 label noise, a parametric domain shift, and grid "slide" synthesis for the
 slide-level pipeline.
 
-All generators are pure functions of their spec: same spec, same bytes.
+Every task is binary (class 1 = tumor, class 0 = normal), as the paper's
+tumor-vs-normal tasks are. All generators are pure functions of their spec
+and draw seed: same arguments, same bytes.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,14 +17,16 @@ import numpy as np
 from .exceptions import ValidationError
 
 
-def _spec_hash(spec) -> str:
-    payload = json.dumps(dataclasses.asdict(spec), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+def _check_seed(seed: int) -> None:
+    # NumPy seeds its generators only from non-negative integers
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
 class BlobTaskSpec:
     dim: int
+    # always 2; kept as a field so that configs state the task they describe
     n_classes: int
     per_class: int
     separation: float
@@ -40,21 +41,22 @@ class BlobTaskSpec:
     # region carries structure the easy bulk does not determine
     hard_tilt_angle: float = 0.0
     seed: int = 0
-    # varies the sample draws while keeping class centers (which depend only
-    # on `seed`) fixed, so train/val/test splits share one geometry
-    draw_seed: int = 0
 
     def __post_init__(self):
         if self.per_class < 1:
             raise ValidationError("per_class must be >= 1")
-        if self.dim < 2 or self.n_classes < 2:
-            raise ValidationError("need dim >= 2 and n_classes >= 2")
+        if self.dim < 2:
+            raise ValidationError("dim must be >= 2")
+        if self.n_classes != 2:
+            raise ValidationError(f"n_classes must be 2 (every task is binary), "
+                                  f"got {self.n_classes}")
         if self.separation <= 0 or self.spread <= 0:
             raise ValidationError("separation and spread must be > 0")
         if not (0.0 <= self.hard_fraction <= 1.0 and 0.0 <= self.noise_fraction <= 1.0):
             raise ValidationError("hard_fraction and noise_fraction must be in [0, 1]")
         if not (0.0 <= self.hard_wrong_side <= 0.5):
             raise ValidationError("hard_wrong_side must be in [0, 0.5]")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -71,32 +73,26 @@ class DomainShiftSpec:
             raise ValidationError("scale must be > 0")
         if self.noise_level < 0:
             raise ValidationError("noise_level must be >= 0")
+        _check_seed(self.seed)
 
 
 @dataclass
 class Dataset:
+    """Samples as rows of `features` with 0/1 `labels`; the ids in
+    `provenance` are row indices."""
+
     features: np.ndarray
     labels: np.ndarray
-    ids: np.ndarray
-    n_classes: int
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = self.features.shape[0]
         if n < 1:
             raise ValidationError("dataset must contain at least one sample")
-        if self.labels.shape != (n,) or self.ids.shape != (n,):
-            raise ValidationError("labels/ids must have one entry per sample")
-        if self.labels.min() < 0 or self.labels.max() >= self.n_classes:
-            raise ValidationError("labels out of range")
-        # equal sorted neighbours: np.unique's verdict on integer ids, cheaper
-        ids = np.sort(self.ids)
-        if (ids[1:] == ids[:-1]).any():
-            raise ValidationError("ids must be unique")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
+        if self.labels.shape != (n,):
+            raise ValidationError("labels must have one entry per sample")
+        if self.labels.min() < 0 or self.labels.max() > 1:
+            raise ValidationError("labels must be 0 or 1")
 
     @property
     def dim(self) -> int:
@@ -104,58 +100,53 @@ class Dataset:
 
 
 def class_centers(spec: BlobTaskSpec) -> np.ndarray:
-    """Class centers at separation/2 from the origin, seeded directions.
-
-    Two classes are placed antipodally so their distance equals `separation`.
-    """
+    """The two class centers, antipodal at separation/2 from the origin in a
+    direction seeded by `spec.seed`, so their distance equals `separation`."""
     rng = np.random.default_rng(spec.seed)
-    dirs = rng.normal(size=(spec.n_classes, spec.dim))
-    if spec.n_classes == 2:
-        dirs[1] = -dirs[0]
+    dirs = rng.normal(size=(2, spec.dim))
+    dirs[1] = -dirs[0]
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return dirs * (spec.separation / 2.0)
 
 
-def _hard_axis(spec: BlobTaskSpec, centers: np.ndarray, c: int,
-               nearest_pos: int, others: list) -> np.ndarray:
-    """Unit normal of the local boundary inside the hard stratum of class c.
+def _hard_axis(spec: BlobTaskSpec, centers: np.ndarray) -> np.ndarray:
+    """Unit normal of the local boundary inside the hard stratum, pointing
+    from class 0 toward class 1.
 
     With hard_tilt_angle 0 this is the inter-center direction; otherwise it
-    is rotated toward a fixed orthogonal direction shared by both classes of
-    the pair, so their hard strata see one consistent (tilted) boundary.
+    is rotated toward a seeded orthogonal direction, so the hard strata of
+    both classes see one consistent (tilted) boundary.
     """
-    other = others[nearest_pos]
-    lo, hi = min(c, other), max(c, other)
-    pair_axis = centers[hi] - centers[lo]
-    pair_axis = pair_axis / np.linalg.norm(pair_axis)
+    axis = centers[1] - centers[0]
+    axis = axis / np.linalg.norm(axis)
     if spec.hard_tilt_angle != 0.0:
-        ortho_rng = np.random.default_rng((spec.seed, lo, hi, 2))
-        v = ortho_rng.normal(size=spec.dim)
-        v -= (v @ pair_axis) * pair_axis
+        v = np.random.default_rng((spec.seed, 0, 1, 2)).normal(size=spec.dim)
+        v -= (v @ axis) * axis
         v /= np.linalg.norm(v)
-        pair_axis = (np.cos(spec.hard_tilt_angle) * pair_axis
-                     + np.sin(spec.hard_tilt_angle) * v)
-    return pair_axis if c == hi else -pair_axis
+        axis = (np.cos(spec.hard_tilt_angle) * axis
+                + np.sin(spec.hard_tilt_angle) * v)
+    return axis
 
 
-def generate_blobs(spec: BlobTaskSpec) -> Dataset:
+def generate_blobs(spec: BlobTaskSpec, draw_seed: int = 0) -> Dataset:
     """Gaussian blobs per class, with hard_fraction of each class drawn inside
-    a spread-radius ball around the midpoint to its nearest other class, and
-    noise_fraction of all labels flipped."""
-    rng = np.random.default_rng((spec.seed, spec.draw_seed, 1))
+    a spread-radius ball around the midpoint of the two centers, and
+    noise_fraction of all labels flipped.
+
+    `draw_seed` varies the sample draws while keeping the class centers
+    (which depend only on `spec.seed`) fixed, so train/val/test splits share
+    one geometry."""
+    rng = np.random.default_rng((spec.seed, draw_seed, 1))
     centers = class_centers(spec)
-    n_total = spec.per_class * spec.n_classes
+    midpoint = (centers[0] + centers[1]) / 2.0
+    hard_axis = _hard_axis(spec, centers)
+    n_total = 2 * spec.per_class
 
     feats = np.empty((n_total, spec.dim))
     labels = np.empty(n_total, dtype=np.int64)
     hard_flags = np.zeros(n_total, dtype=bool)
     row = 0
-    for c in range(spec.n_classes):
-        others = [k for k in range(spec.n_classes) if k != c]
-        dists = [np.linalg.norm(centers[c] - centers[k]) for k in others]
-        nearest = centers[others[int(np.argmin(dists))]]
-        midpoint = (centers[c] + nearest) / 2.0
-
+    for c in range(2):
         n_hard = int(round(spec.hard_fraction * spec.per_class))
         n_easy = spec.per_class - n_hard
         feats[row:row + n_easy] = centers[c] + spec.spread * rng.normal(
@@ -167,7 +158,7 @@ def generate_blobs(spec: BlobTaskSpec) -> Dataset:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         r = spec.spread * rng.uniform(size=(n_hard, 1)) ** (1.0 / spec.dim)
         u = r * v
-        axis = _hard_axis(spec, centers, c, int(np.argmin(dists)), others)
+        axis = hard_axis if c == 1 else -hard_axis
         proj = u @ axis
         wrong = proj < 0.0
         keep_wrong = rng.uniform(size=n_hard) < 2.0 * spec.hard_wrong_side
@@ -180,21 +171,15 @@ def generate_blobs(spec: BlobTaskSpec) -> Dataset:
 
     perm = rng.permutation(n_total)
     feats, labels, hard_flags = feats[perm], labels[perm], hard_flags[perm]
-    ids = np.arange(n_total, dtype=np.int64)
 
     n_flip = int(round(spec.noise_fraction * n_total))
     flip_idx = rng.choice(n_total, size=n_flip, replace=False)
-    for i in flip_idx:
-        choices = [c for c in range(spec.n_classes) if c != labels[i]]
-        labels[i] = choices[rng.integers(len(choices))]
+    labels[flip_idx] = 1 - labels[flip_idx]
 
-    return Dataset(
-        features=feats, labels=labels, ids=ids, n_classes=spec.n_classes,
-        provenance={
-            "spec_hash": _spec_hash(spec),
-            "hard_ids": ids[hard_flags].tolist(),  # ids is sorted
-            "flipped_ids": np.sort(flip_idx).tolist(),
-        })
+    return Dataset(features=feats, labels=labels, provenance={
+        "hard_ids": np.flatnonzero(hard_flags).tolist(),
+        "flipped_ids": np.sort(flip_idx).tolist(),
+    })
 
 
 def rotation_matrix(dim: int, angle: float) -> np.ndarray:
@@ -206,25 +191,19 @@ def rotation_matrix(dim: int, angle: float) -> np.ndarray:
 
 
 def apply_domain_shift(ds: Dataset, shift: DomainShiftSpec) -> Dataset:
-    """Deterministic covariate shift; labels and ids are untouched."""
+    """Deterministic covariate shift; labels and provenance are untouched."""
     rot = rotation_matrix(ds.dim, shift.rotation_angle)
     rng = np.random.default_rng(shift.seed)
     noise = shift.noise_level * rng.normal(size=ds.features.shape)
     shifted = (shift.scale * ds.features) @ rot.T + noise
-    provenance = dict(ds.provenance)
-    provenance["shift_hash"] = _spec_hash(shift)
-    return Dataset(features=shifted, labels=ds.labels.copy(), ids=ds.ids.copy(),
-                   n_classes=ds.n_classes, provenance=provenance)
+    return Dataset(features=shifted, labels=ds.labels.copy(),
+                   provenance=dict(ds.provenance))
 
 
 @dataclass(frozen=True)
 class SlideSpec:
-    """A cohort of grid slides with disk-shaped tumor regions.
-
-    Patch features come from the class-conditional blob distributions of
-    `patch_spec` (class 1 = tumor); the slide label is the OR over its patch
-    labels.
-    """
+    """A cohort of grid slides with disk-shaped tumor regions; the slide
+    label is the OR over its patch labels."""
 
     height: int
     width: int
@@ -233,9 +212,7 @@ class SlideSpec:
     region_count: int
     radius_lo: float
     radius_hi: float
-    patch_spec: BlobTaskSpec
     seed: int
-    draw_seed: int = 0
 
     def __post_init__(self):
         if self.height < 1 or self.width < 1:
@@ -246,8 +223,7 @@ class SlideSpec:
             raise ValidationError("tumor_slide_fraction must be in [0, 1]")
         if self.region_count < 0 or self.radius_lo < 0 or self.radius_hi < self.radius_lo:
             raise ValidationError("bad region count or radius range")
-        if self.patch_spec.n_classes != 2:
-            raise ValidationError("patch_spec must be binary (normal/tumor)")
+        _check_seed(self.seed)
 
     @property
     def n_tumor(self) -> int:
@@ -270,8 +246,12 @@ def _patch_features(labels_flat: np.ndarray, patch_spec: BlobTaskSpec,
     return centers[labels_flat] + noise
 
 
-def generate_slides(spec: SlideSpec) -> list[Slide]:
-    rng = np.random.default_rng((spec.seed, spec.draw_seed))
+def generate_slides(spec: SlideSpec, patch_spec: BlobTaskSpec,
+                    draw_seed: int = 0) -> list[Slide]:
+    """The cohort of `spec`. Patch features are drawn around the class
+    centers of `patch_spec` (class 1 = tumor) with its spread; its hard
+    stratum and label noise are not used. `draw_seed` varies the draws."""
+    rng = np.random.default_rng((spec.seed, draw_seed))
     is_tumor = np.zeros(spec.n_slides, dtype=bool)
     is_tumor[:spec.n_tumor] = True
     rng.shuffle(is_tumor)
@@ -290,7 +270,7 @@ def generate_slides(spec: SlideSpec) -> list[Slide]:
             if spec.region_count and not patch_labels.any():
                 # a region center always claims its nearest cell
                 patch_labels[int(round(cy)), int(round(cx))] = 1
-        feats = _patch_features(patch_labels.ravel(), spec.patch_spec, rng)
+        feats = _patch_features(patch_labels.ravel(), patch_spec, rng)
         slides.append(Slide(
             slide_id=sid, label=int(patch_labels.any()),
             patch_labels=patch_labels, features=feats))

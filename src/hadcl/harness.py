@@ -92,8 +92,6 @@ class ExperimentConfig:
                 raise ValidationError(f"duplicate {key} in {list(values)}")
         if self.source.dim != self.target.dim:
             raise ValidationError("source and target feature dims must match")
-        if self.target.n_classes != 2:
-            raise ValidationError("AUC evaluation requires a binary target task")
         if self.slides is not None:
             # the slide classifier trains on both classes and DeLong needs
             # two slides of each; a tumor slide without a region is normal
@@ -127,19 +125,16 @@ def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
     unknown = sorted(set(d) - _CONFIG_KEYS, key=str)
     if unknown:
         raise ValidationError(f"unknown config keys {unknown}")
-    target = _section(d, "target", data.BlobTaskSpec)
     slides = None
     if d.get("slides") is not None:  # an empty mapping is an error, not "off"
-        # patch features share the target task's class geometry
-        slides = _section(d, "slides", data.SlideSpec, patch_spec=replace(
-            target, hard_fraction=0.0, noise_fraction=0.0))
+        slides = _section(d, "slides", data.SlideSpec)
 
     return ExperimentConfig(
         seeds=_list(d, "seeds"),
         output_dir=d.get("output_dir", "runs"),
         hidden=_section(d, "model", ModelConfig).hidden,
         source=_section(d, "source", data.BlobTaskSpec),
-        target=target,
+        target=_section(d, "target", data.BlobTaskSpec),
         shift=_section(d, "shift", data.DomainShiftSpec, default={}),
         pretrain=_section(d, "pretrain", curriculum.TrainConfig),
         baseline=_section(d, "baseline", curriculum.TrainConfig),
@@ -155,19 +150,14 @@ def config_from_dict(d: dict, config_hash: str = "") -> ExperimentConfig:
 _NUMBER_TYPES = {"int": (int,), "float": (int, float)}
 
 
-def _section(d: dict, name: str, cls, default=None, **extra):
-    """`cls` built from the mapping d[name] and `extra`; a missing section,
-    an unknown key, a key the pipeline sets itself (draw_seed, or one of
-    `extra`), a value of the wrong numeric type, a NaN or infinite number or
-    a value `cls` rejects is a ValidationError that names the section."""
+def _section(d: dict, name: str, cls, default=None):
+    """`cls` built from the mapping d[name]; a missing section, an unknown
+    key, a value of the wrong numeric type, a NaN or infinite number or a
+    value `cls` rejects is a ValidationError that names the section."""
     section = d.get(name, default)
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} is missing or not a mapping")
     try:
-        derived = sorted(section.keys() & {"draw_seed", *extra})
-        if derived:
-            raise ValidationError(f"{derived} are set by the pipeline, not "
-                                  "the config")
         for f in dataclasses.fields(cls):
             kind = getattr(f.type, "__name__", f.type)
             types = _NUMBER_TYPES.get(kind)
@@ -176,7 +166,7 @@ def _section(d: dict, name: str, cls, default=None, **extra):
                 raise ValidationError(f"{f.name} must be {kind}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"{f.name} must be finite, got {value!r}")
-        return cls(**dict(section, **extra))
+        return cls(**section)
     except (TypeError, ValidationError) as exc:
         raise ValidationError(f"config section {name!r}: {exc}") from None
 
@@ -209,13 +199,13 @@ def positive_probs(model: numcore.MlpModel, features) -> np.ndarray:
 
 
 def _build_datasets(config: ExperimentConfig, seed: int):
-    source_train = data.generate_blobs(replace(config.source, draw_seed=seed))
-    target_train = data.generate_blobs(replace(config.target, draw_seed=seed))
+    source_train = data.generate_blobs(config.source, draw_seed=seed)
+    target_train = data.generate_blobs(config.target, draw_seed=seed)
     clean = replace(config.target, noise_fraction=0.0)
-    val = data.generate_blobs(replace(
-        clean, per_class=config.eval.val_per_class, draw_seed=seed + _VAL_OFFSET))
-    test = data.generate_blobs(replace(
-        clean, per_class=config.eval.test_per_class, draw_seed=seed + _TEST_OFFSET))
+    val = data.generate_blobs(replace(clean, per_class=config.eval.val_per_class),
+                              draw_seed=seed + _VAL_OFFSET)
+    test = data.generate_blobs(replace(clean, per_class=config.eval.test_per_class),
+                               draw_seed=seed + _TEST_OFFSET)
     test_ood = data.apply_domain_shift(
         test, replace(config.shift, seed=config.shift.seed + seed))
     return source_train, target_train, val, test, test_ood
@@ -254,10 +244,12 @@ def _slide_features(model, slides, spec: data.SlideSpec):
     return np.array(feats), np.array(labels)
 
 
-def _slide_cohorts(spec: data.SlideSpec, seed: int):
-    """The (train, test) slide cohorts of a seed, shared by every strategy."""
-    return (data.generate_slides(replace(spec, draw_seed=seed)),
-            data.generate_slides(replace(spec, draw_seed=seed + _SLIDE_TEST_OFFSET)))
+def _slide_cohorts(config: ExperimentConfig, seed: int):
+    """The (train, test) slide cohorts of a seed, shared by every strategy;
+    their patch features share the clean target task's class geometry."""
+    patch_spec = replace(config.target, hard_fraction=0.0, noise_fraction=0.0)
+    return tuple(data.generate_slides(config.slides, patch_spec, draw_seed=seed + offset)
+                 for offset in (0, _SLIDE_TEST_OFFSET))
 
 
 def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
@@ -282,14 +274,18 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
         return []
     source_train, target_train, val, test, test_ood = _build_datasets(config, seed)
 
-    model0 = numcore.init_model(config.target.dim, config.hidden,
-                                config.target.n_classes, seed=1000 + seed)
+    pretrained = numcore.init_model(config.target.dim, config.hidden,
+                                    config.target.n_classes, seed=1000 + seed)
     if config.pretrain.epochs > 0:
-        pretrained, _ = curriculum.finetune_plain(
-            model0, source_train.features, source_train.labels,
-            config.pretrain, seed=2000 + seed)
-    else:
-        pretrained = model0
+        try:
+            pretrained, _ = curriculum.finetune_plain(
+                pretrained, source_train.features, source_train.labels,
+                config.pretrain, seed=2000 + seed)
+        except (NumericError, ValidationError) as exc:
+            # every cell of the seed starts from the pretrained model
+            return [{"strategy": strategy, "seed": seed, "status": "failed",
+                     "error": f"pretraining: {exc}", "wall_clock": 0.0}
+                    for strategy, _ in runs]
 
     ft_seed = 3000 + seed  # shared by baseline and curriculum1: identical shuffles
     # Stage 2 is a short refinement of theta_1: its parameters are kept only
@@ -331,7 +327,7 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
             if key not in scored:
                 scored[key], outcomes[key] = _evaluate(model, val, test, test_ood)
                 if config.slides is not None:
-                    cohorts = cohorts or _slide_cohorts(config.slides, seed)
+                    cohorts = cohorts or _slide_cohorts(config, seed)
                     scored[key]["slide"] = _evaluate_slides(
                         model, config.slides, *cohorts)
             # each cell its own split dicts, which the paired tests below

@@ -207,7 +207,7 @@ class TestRunStage:
                                     stage_config(epochs=50), STAGE1, seed=3)
         preds = numcore.forward(trained, ds.features).argmax(axis=1)
         assert np.mean(preds == ds.labels) >= 0.99
-        assert len(report.records) == 50 * (ds.n // 30)
+        assert len(report.records) == 50 * (len(ds.labels) // 30)
 
     def test_alpha_one_matches_plain_finetuning_bitwise(self):
         ds = separable_task(seed=1)

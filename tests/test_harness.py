@@ -128,13 +128,13 @@ class TestConfig:
         ({"evaluation": {"test_per_class": 15}},
          r"unknown config keys \['evaluation'\]"),
         ({"source": dict(tiny_dict()["source"], draw_seed=1)},
-         r"section 'source': \['draw_seed'\] are set by the pipeline"),
+         r"section 'source': .*unexpected keyword argument 'draw_seed'"),
         ({"target": dict(tiny_dict()["target"], draw_seed=1)},
-         r"section 'target': \['draw_seed'\] are set by the pipeline"),
+         r"section 'target': .*unexpected keyword argument 'draw_seed'"),
         ({"slides": dict(SLIDES, draw_seed=1)},
-         r"section 'slides': \['draw_seed'\] are set by the pipeline"),
+         r"section 'slides': .*unexpected keyword argument 'draw_seed'"),
         ({"slides": dict(SLIDES, patch_spec={"dim": 3})},
-         r"section 'slides': \['patch_spec'\] are set by the pipeline"),
+         r"section 'slides': .*unexpected keyword argument 'patch_spec'"),
         ({"slides": {}}, r"section 'slides': .*missing"),
     ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
             "scalar_seeds", "nested_strategies", "float_seed", "negative_seed",
@@ -150,9 +150,12 @@ class TestConfig:
                                   tumor_slide_fraction=0.5, region_count=1,
                                   radius_lo=1.0, radius_hi=1.5, seed=21))
         cfg = config_from_dict(d)
-        assert cfg.slides.patch_spec.seed == cfg.target.seed
-        assert cfg.slides.patch_spec.hard_fraction == 0.0
-        assert cfg.slides.patch_spec.noise_fraction == 0.0
+        clean = replace(cfg.target, hard_fraction=0.0, noise_fraction=0.0)
+        train, test = harness._slide_cohorts(cfg, 3)
+        for cohort, draw_seed in ((train, 3), (test, 3 + harness._SLIDE_TEST_OFFSET)):
+            want = data.generate_slides(cfg.slides, clean, draw_seed=draw_seed)
+            assert [s.features.tobytes() for s in cohort] == \
+                [s.features.tobytes() for s in want]
 
     def test_config_hash_is_file_sha256(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -179,9 +182,9 @@ class TestRunExperiment:
         calls = []
         generate_slides = data.generate_slides
 
-        def counting(spec):
-            calls.append(spec.draw_seed)
-            return generate_slides(spec)
+        def counting(spec, patch_spec, draw_seed=0):
+            calls.append(draw_seed)
+            return generate_slides(spec, patch_spec, draw_seed)
 
         monkeypatch.setattr(data, "generate_slides", counting)
         d = tiny_dict(slides=SLIDES)
@@ -699,13 +702,20 @@ class TestCli:
         ("slides", "region_count", 0),      # tumor slides would be normal
         ("source", "draw_seed", 1),         # set per seed by the pipeline
         ("slides", "patch_spec", {"dim": 3}),   # derived from target
+        ("source", "n_classes", 3),         # every task is binary
+        ("source", "seed", -1),
+        ("target", "seed", -1),
+        ("shift", "seed", -1),
+        ("slides", "seed", -1),
     ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
             "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
             "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
             "one_test_per_class", "zero_batch_size", "zero_gamma", "zero_alpha",
             "string_milestone", "nan_lr", "inf_lr", "inf_spread",
             "three_slides", "all_tumor_slides", "no_tumor_regions",
-            "source_draw_seed", "slides_patch_spec"])
+            "source_draw_seed", "slides_patch_spec", "three_class_source",
+            "negative_source_seed", "negative_target_seed",
+            "negative_shift_seed", "negative_slides_seed"])
     def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
                                                section, key, value):
         d = tiny_dict(slides=dict(SLIDES)) if section == "slides" else tiny_dict()
@@ -834,6 +844,19 @@ class TestCli:
         assert cli.main(["emit-plots", "--report", str(report_path),
                          "--output-dir", str(tmp_path / "plots")]) == 0
         assert (tmp_path / "plots" / "curves.tsv").exists()
+
+    def test_diverging_pretraining_fails_its_cells(self, tmp_path, capsys):
+        d = tiny_dict(seeds=[0, 1])
+        d["pretrain"]["lr"] = 1e300
+        outdir = tmp_path / "out"
+        assert cli.main(["run", "--config", self.write_config(tmp_path, d),
+                         "--output-dir", str(outdir)]) == 1
+        report = RunReport.from_json(outdir / "report.json")
+        assert [(c["strategy"], c["seed"]) for c in report.cells] == \
+            [(s, seed) for seed in (0, 1) for s in harness.STRATEGIES]
+        for cell in report.cells:
+            assert cell["status"] == "failed"
+            assert cell["error"].startswith("pretraining: non-finite")
 
     def test_seed_override(self, tmp_path, capsys):
         path = self.write_config(tmp_path)
