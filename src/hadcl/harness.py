@@ -27,7 +27,10 @@ import yaml
 from . import __version__, curriculum, data, metrics, numcore, slidelevel
 from .exceptions import NumericError, ValidationError
 
-REPORT_SCHEMA = "hadcl.run_report.v1"
+REPORT_SCHEMA = "hadcl.run_report.v2"
+# the earlier layout, which from_json still reads: each ok cell held the
+# validation split in metrics["val"], with its scores, labels and DeLong CI
+_REPORT_SCHEMA_V1 = "hadcl.run_report.v1"
 STRATEGIES = ("baseline", "curriculum1", "curriculum2")
 
 # draw-seed offsets keep the per-seed splits disjoint
@@ -157,8 +160,12 @@ def _section(d: dict, name: str, cls, default=None):
     section = d.get(name, default)
     if not isinstance(section, dict):
         raise ValidationError(f"config section {name!r} is missing or not a mapping")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(section) - {f.name for f in fields}, key=str)
+    if unknown:
+        raise ValidationError(f"config section {name!r}: unknown keys {unknown}")
     try:
-        for f in dataclasses.fields(cls):
+        for f in fields:
             kind = getattr(f.type, "__name__", f.type)
             types = _NUMBER_TYPES.get(kind)
             value = section.get(f.name, 0)  # a missing key is cls's to judge
@@ -214,24 +221,27 @@ def _build_datasets(config: ExperimentConfig, seed: int):
 _PAIRED_SPLITS = ("in_domain", "ood")
 
 
-def _evaluate(model, val, test, test_ood) -> tuple[dict, dict]:
-    """The model's metrics per split, and its ScoredOutcomes on the splits
-    that get a paired test."""
+def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
+    """The model's validation AUC and accuracy, its metrics per test split,
+    and its ScoredOutcomes on the splits that get a paired test. Validation
+    only ranks models, so it keeps no scores, labels or CI."""
+    probs = positive_probs(model, val.features)
+    val_result = {
+        "accuracy": metrics.accuracy((probs > 0.5).astype(int), val.labels),
+        "auc": metrics.auc(metrics.ScoredOutcomes(probs, val.labels))}
     out, outcomes = {}, {}
-    for name, ds in (("val", val), ("in_domain", test), ("ood", test_ood)):
+    for name, ds in (("in_domain", test), ("ood", test_ood)):
         # a copy of the positive column, so that keeping it for the paired
         # tests does not keep the whole (n, 2) softmax output
         probs = positive_probs(model, ds.features).copy()
-        scored = metrics.ScoredOutcomes(probs, ds.labels)
-        if name in _PAIRED_SPLITS:
-            outcomes[name] = scored
+        outcomes[name] = scored = metrics.ScoredOutcomes(probs, ds.labels)
         est = metrics.delong_ci(scored)
         out[name] = {
             "accuracy": metrics.accuracy((probs > 0.5).astype(int), ds.labels),
             "auc": est.auc, "auc_variance": est.variance, "ci95": list(est.ci95),
             "scores": probs.tolist(), "labels": ds.labels.tolist(),
         }
-    return out, outcomes
+    return val_result, out, outcomes
 
 
 def _slide_features(model, slides, spec: data.SlideSpec):
@@ -295,10 +305,10 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
     select_set = (val.features, val.labels)
     cells = []
     cohorts = None  # slide cohorts, generated when first needed
-    # split metrics and paired-split outcomes by parameter bytes: a model
-    # equal to one already scored, such as a stage 2 that kept theta_1, is
-    # not evaluated again
-    scored, outcomes = {}, {}
+    # validation results, split metrics and paired-split outcomes by
+    # parameter bytes: a model equal to one already scored, such as a stage 2
+    # that kept theta_1, is not evaluated again
+    vals, scored, outcomes = {}, {}, {}
     keys = {}  # cell index -> parameter bytes, for each ok cell
     for i, (strategy, stage) in enumerate(runs):
         start = time.perf_counter()
@@ -325,11 +335,13 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
                     seed=4000 + seed, select_set=select_set)
             key = model.theta.tobytes()
             if key not in scored:
-                scored[key], outcomes[key] = _evaluate(model, val, test, test_ood)
+                vals[key], scored[key], outcomes[key] = _evaluate(
+                    model, val, test, test_ood)
                 if config.slides is not None:
                     cohorts = cohorts or _slide_cohorts(config, seed)
                     scored[key]["slide"] = _evaluate_slides(
                         model, config.slides, *cohorts)
+            cell["val"] = dict(vals[key])
             # each cell its own split dicts, which the paired tests below
             # extend; the score and label lists are shared
             cell["metrics"] = {split: dict(m) for split, m in scored[key].items()}
@@ -377,10 +389,12 @@ class RunReport:
                 continue
             entry = {}
             for split in ("val", "in_domain", "ood"):
+                results = [c["val"] if split == "val" else c["metrics"][split]
+                           for c in cells]
                 entry[f"median_auc_{split}"] = float(np.median(
-                    [c["metrics"][split]["auc"] for c in cells]))
+                    [m["auc"] for m in results]))
                 entry[f"median_accuracy_{split}"] = float(np.median(
-                    [c["metrics"][split]["accuracy"] for c in cells]))
+                    [m["accuracy"] for m in results]))
             if all("slide" in c["metrics"] for c in cells):
                 entry["median_auc_slide"] = float(np.median(
                     [c["metrics"]["slide"]["auc"] for c in cells]))
@@ -388,43 +402,110 @@ class RunReport:
         return out
 
     def to_json(self, path) -> None:
+        """Writes the report as schema v2: a cell whose metrics repeat those
+        of an earlier cell of its seed, such as a curriculum2 cell that kept
+        theta_1, holds that cell's index as "metrics_from" instead."""
         write_json(path, {"schema": self.schema, "config_hash": self.config_hash,
                           "code_version": self.code_version,
-                          "summary": self.summary(), "cells": self.cells},
+                          "summary": self.summary(),
+                          "cells": _cells_written(self.cells)},
                    stream="cells")
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
-        """The report at `path`, in any JSON layout; raises ValidationError
-        for a file that cannot be read, is not JSON, lacks the schema or a
-        required key, or holds a cell without the keys, curve records and
-        equal-length score and label lists that emit_plot_data reads. The
-        score and label values themselves are checked where emit_plot_data
-        converts them."""
+        """The report at `path`, schema v2 or v1, in any JSON layout; its
+        cells as run_experiment returned them. A v2 cell's "metrics_from"
+        becomes a copy of the named cell's split dicts; a v1 cell's
+        metrics["val"] moves to its "val", keeping only AUC and accuracy.
+        Raises ValidationError for a file that cannot be read, is not JSON,
+        lacks the schema or a required key, or holds a cell without the
+        keys, curve records and equal-length score and label lists that
+        emit_plot_data reads. The score and label values themselves are
+        checked where emit_plot_data converts them."""
         try:
             with open(path) as f:
                 doc = json.load(f)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read report {path}: {exc}") from None
         schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema != REPORT_SCHEMA:
+        if schema not in (REPORT_SCHEMA, _REPORT_SCHEMA_V1):
             raise ValidationError(f"unknown report schema {schema!r}")
         missing = {"config_hash", "cells", "code_version"} - set(doc)
         if missing:
             raise ValidationError(f"report {path} lacks {sorted(missing)}")
-        if not isinstance(doc["cells"], list):
+        cells = doc["cells"]
+        if not isinstance(cells, list):
             raise ValidationError(f"report {path}: cells must be a list")
-        for i, cell in enumerate(doc["cells"]):
-            _check_cell(cell, f"report {path} cell {i}")
-        return cls(config_hash=doc["config_hash"], cells=doc["cells"],
+        for i, cell in enumerate(cells):
+            where = f"report {path} cell {i}"
+            _check_cell_keys(cell, where)
+            if cell["status"] != "ok":
+                continue
+            if schema == _REPORT_SCHEMA_V1:
+                _move_v1_val(cell)
+            elif "metrics_from" in cell:
+                cells[i] = cell = _metrics_restored(cells, i, where)
+            _check_metrics(cell, where)
+        return cls(config_hash=doc["config_hash"], cells=cells,
                    code_version=doc["code_version"])
 
 
-def _check_cell(cell, where: str) -> None:
-    """Raises ValidationError unless `cell` has the keys every cell has, its
-    curve records the keys curves.tsv reads and, if ok, score and label lists
-    of equal length for each split it reports. Only lengths are checked, so
-    the cost does not grow with the scores."""
+def _renamed(cell: dict, old: str, new: str, value) -> dict:
+    """`cell` with the key `old` replaced, in its place, by `new`: `value`."""
+    return {(new if k == old else k): (value if k == old else v)
+            for k, v in cell.items()}
+
+
+def _cells_written(cells):
+    """`cells` as to_json writes them: an ok cell whose metrics encode to the
+    same JSON as those of an earlier ok cell of its seed holds that cell's
+    index as "metrics_from" in place of "metrics". Equality is tested first,
+    so only a repeat is encoded, and then the encoding, so that no 0.0 stands
+    in for a -0.0 or 1 for 1.0."""
+    earlier = {}  # seed -> [(index, metrics)] of the ok cells written in full
+    for i, cell in enumerate(cells):
+        if cell["status"] == "ok":
+            metrics = cell["metrics"]
+            same = earlier.setdefault(cell["seed"], [])
+            j = next((j for j, m in same if m == metrics
+                      and json.dumps(m) == json.dumps(metrics)), None)
+            if j is not None:
+                yield _renamed(cell, "metrics", "metrics_from", j)
+                continue
+            same.append((i, metrics))
+        yield cell
+
+
+def _metrics_restored(cells: list, i: int, where: str) -> dict:
+    """Cell i with its "metrics_from" index replaced by "metrics": a copy of
+    each split dict of that earlier ok cell of the same seed, sharing its
+    score and label lists as run_seed's cells do."""
+    cell, j = cells[i], cells[i]["metrics_from"]
+    if "metrics" in cell:
+        raise ValidationError(f"{where} has both metrics and metrics_from")
+    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < i:
+        raise ValidationError(f"{where}: metrics_from must be the index of an "
+                              f"earlier cell, got {j!r}")
+    source = cells[j]
+    if source["status"] != "ok" or source["seed"] != cell["seed"]:
+        raise ValidationError(f"{where}: metrics_from {j} is not an ok cell of "
+                              f"seed {cell['seed']!r}")
+    return _renamed(cell, "metrics_from", "metrics",
+                    {split: dict(m) for split, m in source["metrics"].items()})
+
+
+def _move_v1_val(cell: dict) -> None:
+    """Moves a v1 cell's metrics["val"] mapping to cell["val"], keeping its
+    AUC and accuracy; any other "val" is left for _check_metrics to reject."""
+    metrics = cell.get("metrics")
+    if isinstance(metrics, dict) and isinstance(metrics.get("val"), dict):
+        val = metrics.pop("val")
+        cell["val"] = {k: val[k] for k in ("accuracy", "auc") if k in val}
+
+
+def _check_cell_keys(cell, where: str) -> None:
+    """Raises ValidationError unless `cell` is a mapping with the keys every
+    cell has and its curve records the keys curves.tsv reads."""
     if not isinstance(cell, dict):
         raise ValidationError(f"{where} is not a mapping")
     missing = [key for key in ("strategy", "seed", "status") if key not in cell]
@@ -435,11 +516,18 @@ def _check_cell(cell, where: str) -> None:
             isinstance(r, dict) and _CURVE_KEYS <= r.keys() for r in curve)):
         raise ValidationError(f"{where}: curve must be a list of records "
                               f"with keys {sorted(_CURVE_KEYS)}")
-    if cell["status"] != "ok":
-        return
+
+
+def _check_metrics(cell: dict, where: str) -> None:
+    """Raises ValidationError unless the ok `cell` has a metrics mapping of
+    split mappings, with score and label lists of equal length for each
+    split emit_plot_data reads. Only lengths are checked, so the cost does
+    not grow with the scores."""
     metrics = cell.get("metrics")
-    if not isinstance(metrics, dict):
-        raise ValidationError(f"{where}: an ok cell needs a metrics mapping")
+    if not (isinstance(metrics, dict)
+            and all(isinstance(m, dict) for m in metrics.values())):
+        raise ValidationError(f"{where}: an ok cell needs a metrics mapping "
+                              "of split mappings")
     for split in _roc_splits(metrics):
         m = metrics.get(split)
         if not (isinstance(m, dict) and isinstance(m.get("scores"), list)
@@ -478,9 +566,9 @@ def _replacing(*paths):
 
 def write_json(path, doc: dict, stream: str) -> None:
     """Writes `doc` as compact JSON with the C encoder, replacing `path`
-    only once the whole document is written. The list doc[stream] is
-    encoded and written one item at a time, so the whole document is never
-    held as one string."""
+    only once the whole document is written. The items of doc[stream], a
+    list or any iterable, are encoded and written one at a time, so the
+    whole document is never held as one string."""
     with _replacing(path) as (f,):
         f.write("{")
         for i, (key, value) in enumerate(doc.items()):
@@ -572,7 +660,7 @@ def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
                         "median_val_accuracy": medians.get("median_accuracy_val"),
                         "median_val_auc": medians.get("median_auc_val"),
                         "cells": report.cells})
-    return {"schema": "hadcl.alpha_sweep.v1", "config_hash": config.config_hash,
+    return {"schema": "hadcl.alpha_sweep.v2", "config_hash": config.config_hash,
             "entries": entries}
 
 

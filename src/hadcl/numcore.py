@@ -29,6 +29,9 @@ PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 # rows per block of the hidden layers in `forward`: a 256 x 96 float64 block
 # is 192 KiB
 BLOCK_ROWS = 256
+# adam_step takes gradient entries below this size only: the square of
+# each, in the second moment, must stay finite
+_GRAD_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
 
 
 @dataclass
@@ -223,8 +226,8 @@ def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
               lr: float) -> None:
     """One bias-corrected Adam step with decoupled weight decay, in place."""
     g = grads.theta
-    if not np.all(np.isfinite(g)):
-        raise NumericError("non-finite gradient; step aborted")
+    if not np.abs(g).max() < _GRAD_LIMIT:  # False for NaN too
+        raise NumericError("non-finite or overflowing gradient; step aborted")
     state.step += 1
     t = state.step
     state.m = state.beta1 * state.m + (1.0 - state.beta1) * g

@@ -74,6 +74,51 @@ def roc_cases() -> list:
     return cases
 
 
+def written_cells(cells) -> list:
+    """`cells` as a v2 report holds them: an ok cell whose metrics equal
+    those of an earlier ok cell of the same seed names the first such cell
+    in "metrics_from", at the place of its metrics."""
+    out = []
+    for i, cell in enumerate(cells):
+        j = next((j for j, c in enumerate(cells[:i])
+                  if c["status"] == "ok" == cell["status"]
+                  and c["seed"] == cell["seed"] and c["metrics"] == cell["metrics"]),
+                 None)
+        out.append(cell if j is None else {
+            ("metrics_from" if k == "metrics" else k): (j if k == "metrics" else v)
+            for k, v in cell.items()})
+    return out
+
+
+def run_with_v1_cells(monkeypatch, config):
+    """The config's report, and its cells in the v1 layout: each ok cell's
+    "val" moved back into metrics with the scores, labels and DeLong CI a v1
+    report held, recomputed from the model that was evaluated."""
+    full = []   # (in-domain scores, the rest of the v1 val split) per model
+    evaluate = harness._evaluate
+
+    def recording(model, val, test, test_ood):
+        out = evaluate(model, val, test, test_ood)
+        probs = harness.positive_probs(model, val.features).copy()
+        est = metrics.delong_ci(metrics.ScoredOutcomes(probs, val.labels))
+        full.append((out[1]["in_domain"]["scores"],
+                     {"auc_variance": est.variance, "ci95": list(est.ci95),
+                      "scores": probs.tolist(), "labels": val.labels.tolist()}))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_evaluate", recording)
+        report = run_experiment(config)
+    v1 = copy.deepcopy(report.cells)
+    for cell, old in zip(report.cells, v1):
+        if cell["status"] == "ok":
+            # a cell shares its in-domain score list with its evaluation
+            scores = cell["metrics"]["in_domain"]["scores"]
+            rest = next(r for s, r in full if s is scores)
+            old["metrics"]["val"] = dict(old.pop("val"), **rest)
+    return report, v1
+
+
 def report_json(cells) -> str:
     return json.dumps({"schema": harness.REPORT_SCHEMA, "config_hash": "",
                        "code_version": "", "cells": cells})
@@ -128,19 +173,22 @@ class TestConfig:
         ({"evaluation": {"test_per_class": 15}},
          r"unknown config keys \['evaluation'\]"),
         ({"source": dict(tiny_dict()["source"], draw_seed=1)},
-         r"section 'source': .*unexpected keyword argument 'draw_seed'"),
+         r"^config section 'source': unknown keys \['draw_seed'\]$"),
         ({"target": dict(tiny_dict()["target"], draw_seed=1)},
-         r"section 'target': .*unexpected keyword argument 'draw_seed'"),
+         r"^config section 'target': unknown keys \['draw_seed'\]$"),
         ({"slides": dict(SLIDES, draw_seed=1)},
-         r"section 'slides': .*unexpected keyword argument 'draw_seed'"),
+         r"^config section 'slides': unknown keys \['draw_seed'\]$"),
         ({"slides": dict(SLIDES, patch_spec={"dim": 3})},
-         r"section 'slides': .*unexpected keyword argument 'patch_spec'"),
+         r"^config section 'slides': unknown keys \['patch_spec'\]$"),
+        ({"source": dict(tiny_dict()["source"], spec_hash="x", draw_seed=1)},
+         r"^config section 'source': unknown keys \['draw_seed', 'spec_hash'\]$"),
         ({"slides": {}}, r"section 'slides': .*missing"),
     ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
             "scalar_seeds", "nested_strategies", "float_seed", "negative_seed",
             "string_seed", "bool_seed", "int_output_dir", "misspelt_slides",
             "misspelt_eval", "source_draw_seed", "target_draw_seed",
-            "slides_draw_seed", "slides_patch_spec", "empty_slides"])
+            "slides_draw_seed", "slides_patch_spec", "source_two_unknown_keys",
+            "empty_slides"])
     def test_malformed_lists_rejected(self, over, match):
         with pytest.raises(ValidationError, match=match):
             config_from_dict(tiny_dict(**over))
@@ -171,7 +219,10 @@ class TestRunExperiment:
         assert report.all_ok
         assert len(report.cells) == 6  # 3 strategies x 2 seeds
         for cell in report.cells:
-            for split in ("val", "in_domain", "ood", "slide"):
+            assert set(cell["val"]) == {"accuracy", "auc"}
+            assert 0.0 <= cell["val"]["auc"] <= 1.0
+            assert set(cell["metrics"]) == {"in_domain", "ood", "slide"}
+            for split in ("in_domain", "ood", "slide"):
                 assert 0.0 <= cell["metrics"][split]["auc"] <= 1.0
             assert cell["wall_clock"] > 0
         summary = report.summary()
@@ -223,9 +274,10 @@ class TestRunExperiment:
         calls, by = self.count_evaluations(monkeypatch, 0.0)
         assert by["curriculum2"]["best_epoch"] == -1
         assert len(calls) == 2
+        assert by["curriculum2"]["val"] == by["curriculum1"]["val"]
         c1, c2 = by["curriculum1"]["metrics"], by["curriculum2"]["metrics"]
         assert c2 == c1
-        assert set(c1) == {"val", "in_domain", "ood", "slide"}
+        assert set(c1) == {"in_domain", "ood", "slide"}
         for split in c1:
             assert c2[split] is not c1[split]
 
@@ -312,7 +364,8 @@ class TestRunExperiment:
         d["curriculum1"].update(alpha=1.0, a=0.79, b=0.2)  # thres < 1 always
         report = run_experiment(config_from_dict(d))
         by = {c["strategy"]: c for c in report.cells}
-        for split in ("val", "in_domain", "ood"):
+        assert by["curriculum1"]["val"] == by["baseline"]["val"]
+        for split in ("in_domain", "ood"):
             assert (by["curriculum1"]["metrics"][split]["scores"]
                     == by["baseline"]["metrics"][split]["scores"])
 
@@ -350,22 +403,43 @@ class TestRunExperiment:
     def test_report_json_round_trip(self, tmp_path):
         failing = tiny_dict(seeds=[0])
         failing["curriculum1"]["lr"] = 1e200   # curriculum1 and 2 fail
+        kept = tiny_dict(slides=SLIDES)
+        kept["curriculum2"]["lr"] = 0.0   # every curriculum2 cell keeps theta_1
+        no_baseline = dict(kept, strategies=["curriculum1", "curriculum2"])
         reports = {"tiny_run": run_experiment(config_from_dict(tiny_dict(seeds=[0]))),
                    "empty": RunReport(config_hash="h"),
-                   "failed_cell": run_experiment(config_from_dict(failing))}
+                   "failed_cell": run_experiment(config_from_dict(failing)),
+                   "kept_theta1": run_experiment(config_from_dict(kept)),
+                   "no_baseline": run_experiment(config_from_dict(no_baseline))}
         assert not reports["failed_cell"].all_ok
+        # cells written as "metrics_from": one per kept theta_1
+        n_from = {"tiny_run": 1, "empty": 0, "failed_cell": 0, "kept_theta1": 2,
+                  "no_baseline": 2}
         for name, report in reports.items():
             path = tmp_path / f"{name}.json"
             report.to_json(path)
             doc = {"schema": report.schema, "config_hash": report.config_hash,
                    "code_version": report.code_version,
-                   "summary": report.summary(), "cells": report.cells}
+                   "summary": report.summary(),
+                   "cells": written_cells(report.cells)}
             # same values and the same key order at every level
             want = json.dumps(json.loads(json.dumps(doc)))
-            assert json.dumps(json.loads(path.read_text())) == want, name
+            raw = path.read_text()
+            assert json.dumps(json.loads(raw)) == want, name
+            assert raw.count('"metrics_from"') == n_from[name], name
             back = RunReport.from_json(path)
-            assert back.cells == json.loads(json.dumps(report.cells))
+            assert back.cells == report.cells
             assert back.config_hash == report.config_hash
+            # a restored cell has split dicts of its own, as run_seed's have
+            for cell, written in zip(back.cells, doc["cells"]):
+                if "metrics_from" in written:
+                    source = back.cells[written["metrics_from"]]["metrics"]
+                    for split, m in cell["metrics"].items():
+                        assert m is not source[split]
+                        assert m["scores"] is source[split]["scores"]
+            # written again, the loaded report gives the same bytes
+            back.to_json(tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_text() == raw
             # reports written in the earlier indented layout still load
             with open(path, "w") as f:
                 json.dump(doc, f, indent=1)
@@ -423,19 +497,128 @@ class TestGoldenReport:
     # sorted keys) and of the curves.tsv and roc.tsv emit_plot_data writes
     # for it. Any change to data, training numerics, evaluation, the report
     # cells or the plot format moves them.
-    CELLS = "a8c05f43df62d39bb6ae4e6155735df554576340843e6be8b75ad957027be038"
+    CELLS = "0f430b30c688e29ea07aeb4a2dac683cd0518bd006fc14cfb141526433f7061b"
     CURVES = "33ffe55b482684f99fa0d4b36c09c09125779ef3c397ed4c9e6d70abe90780a9"
     ROC = "1408fa049cd97c3da7ffbcc621fb2dd9c7a5aff4b32f126cfc81d17195db12cb"
+    # the same cells in the v1 layout, where metrics["val"] also held the
+    # validation scores, labels, auc_variance and ci95
+    V1_CELLS = "a8c05f43df62d39bb6ae4e6155735df554576340843e6be8b75ad957027be038"
+
+    @staticmethod
+    def config():
+        return config_from_dict(tiny_dict(seeds=[0], slides=SLIDES))
 
     def test_cells_and_plot_data_match_digests(self, tmp_path):
-        report = run_experiment(config_from_dict(tiny_dict(seeds=[0],
-                                                           slides=SLIDES)))
+        report = run_experiment(self.config())
         cells = json.dumps(strip_wall_clock(report.cells), sort_keys=True)
         paths = harness.emit_plot_data(report, tmp_path)
         digests = [hashlib.sha256(cells.encode()).hexdigest()]
         digests += [hashlib.sha256(Path(paths[key]).read_bytes()).hexdigest()
                     for key in ("curves", "roc")]
         assert digests == [self.CELLS, self.CURVES, self.ROC]
+
+    def test_cells_are_the_v1_cells_with_val_reduced(self, monkeypatch):
+        # the v2 cells with "val" moved back into metrics and its removed
+        # keys recomputed are the v1 cells: v2 removed those keys and moved
+        # AUC and accuracy, and changed nothing else
+        _, v1 = run_with_v1_cells(monkeypatch, self.config())
+        cells = json.dumps(strip_wall_clock(v1), sort_keys=True)
+        assert hashlib.sha256(cells.encode()).hexdigest() == self.V1_CELLS
+
+
+def metrics_from_cells(**over) -> list:
+    """An ok cell, a failed one, an ok cell (index 2) with no metrics, whose
+    keys, metrics_from among them, `over` sets, and an ok cell."""
+    split = {"accuracy": 0.5, "auc": 1.0, "scores": [0.2, 0.7], "labels": [0, 1]}
+    ok = {"strategy": "baseline", "seed": 0, "status": "ok",
+          "val": {"accuracy": 0.5, "auc": 1.0},
+          "metrics": {"in_domain": split, "ood": split}}
+    return [ok, {"strategy": "curriculum1", "seed": 0, "status": "failed",
+                 "error": "diverged"},
+            dict({"strategy": "curriculum2", "seed": 0, "status": "ok"}, **over),
+            dict(ok, strategy="curriculum1")]
+
+
+class TestReportV2:
+    def test_only_repeats_that_encode_equally_are_shared(self, tmp_path):
+        # equal copies are written once; 0.0 == -0.0 and 1 == 1.0, but each
+        # is written differently, so such a cell keeps its metrics
+        base = metrics_from_cells()[0]
+        base["metrics"]["ood"] = dict(base["metrics"]["ood"], scores=[0.0, 0.7])
+        cells = [copy.deepcopy(base) for _ in range(4)]
+        cells[2]["metrics"]["ood"]["scores"] = [-0.0, 0.7]
+        cells[3]["metrics"]["ood"]["labels"] = [0.0, 1]
+        assert all(c["metrics"] == base["metrics"] for c in cells)
+        path = tmp_path / "report.json"
+        RunReport("", cells).to_json(path)
+        raw = json.loads(path.read_text())["cells"]
+        assert [c.get("metrics_from") for c in raw] == [None, 0, None, None]
+        back = RunReport.from_json(path).cells
+        assert back == cells
+        assert [repr(c["metrics"]["ood"]["scores"][0]) for c in back] == \
+            ["0.0", "0.0", "-0.0", "0.0"]
+        assert repr(back[3]["metrics"]["ood"]["labels"][0]) == "0.0"
+
+    @pytest.mark.parametrize("over", [
+        {"metrics_from": True}, {"metrics_from": -1}, {"metrics_from": 2},
+        {"metrics_from": 3}, {"metrics_from": "0"}, {"metrics_from": 1},
+        {"metrics_from": 0, "seed": 1},
+        {"metrics_from": 0, "metrics": {}},
+    ], ids=["bool", "negative", "self", "forward", "string", "failed_cell",
+            "other_seed", "with_metrics"])
+    def test_malformed_metrics_from_rejected(self, tmp_path, capsys, over):
+        path = tmp_path / "report.json"
+        path.write_text(report_json(metrics_from_cells(**over)))
+        with pytest.raises(ValidationError, match=r" cell 2\b"):
+            RunReport.from_json(path)
+        # emit-plots exits 2 and leaves the files of an earlier emit
+        plots = tmp_path / "plots"
+        plots.mkdir()
+        before = {name: f"earlier {name}\n".encode()
+                  for name in ("curves.tsv", "roc.tsv")}
+        for name, content in before.items():
+            (plots / name).write_bytes(content)
+        argv = ["emit-plots", "--report", str(path), "--output-dir", str(plots)]
+        assert cli.main(argv) == 2
+        assert " cell 2" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in plots.iterdir()} == before
+
+    def test_metrics_from_restores_the_named_cell(self, tmp_path):
+        path = tmp_path / "report.json"
+        cells = metrics_from_cells(metrics_from=0)
+        path.write_text(report_json(cells))
+        back = RunReport.from_json(path).cells
+        assert back[2] == {"strategy": "curriculum2", "seed": 0, "status": "ok",
+                           "metrics": cells[0]["metrics"]}
+
+    def test_v1_val_must_be_a_mapping(self, tmp_path):
+        cell = metrics_from_cells()[0]
+        del cell["val"]
+        cell["metrics"]["val"] = 5
+        path = tmp_path / "v1.json"
+        path.write_text(report_json([cell]).replace(harness.REPORT_SCHEMA,
+                                                    "hadcl.run_report.v1"))
+        with pytest.raises(ValidationError, match="cell 0: an ok cell needs"):
+            RunReport.from_json(path)
+
+    def test_v1_report_loads(self, tmp_path, monkeypatch):
+        d = tiny_dict(slides=SLIDES)
+        d["curriculum2"]["lr"] = 0.0   # a kept theta_1 per seed
+        report, v1 = run_with_v1_cells(monkeypatch, config_from_dict(d))
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({
+            "schema": "hadcl.run_report.v1", "config_hash": "h",
+            "code_version": "0", "summary": report.summary(), "cells": v1}))
+        back = RunReport.from_json(path)
+        assert back.cells == report.cells
+        assert back.summary() == report.summary()
+        want = harness.emit_plot_data(report, tmp_path / "v2")
+        got = harness.emit_plot_data(back, tmp_path / "v1")
+        for key in ("curves", "roc"):
+            assert Path(got[key]).read_bytes() == Path(want[key]).read_bytes()
+        # rewritten, it is a v2 report of the same cells
+        back.to_json(tmp_path / "v2.json")
+        assert RunReport.from_json(tmp_path / "v2.json").cells == report.cells
 
 
 class TestAblation:
@@ -470,7 +653,7 @@ class TestAblation:
             assert entry["all_ok"] and alone.all_ok
             for key in ("auc", "accuracy"):
                 assert entry[f"median_val_{key}"] == float(np.median(
-                    [c["metrics"]["val"][key] for c in alone.cells]))
+                    [c["val"][key] for c in alone.cells]))
 
     def test_workers_give_equal_sweeps(self):
         cfg = config_from_dict(tiny_dict(slides=SLIDES))
@@ -857,6 +1040,19 @@ class TestCli:
         for cell in report.cells:
             assert cell["status"] == "failed"
             assert cell["error"].startswith("pretraining: non-finite")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_smoke_run_is_quiet(self, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        d = yaml.safe_load((root / "configs" / "smoke.yaml").read_text())
+        d["pretrain"]["lr"] = 1.0e12
+        argv = ["run", "--config", self.write_config(tmp_path, d),
+                "--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == ""
+        report = RunReport.from_json(tmp_path / "out" / "report.json")
+        assert all(c["error"].startswith("pretraining: non-finite")
+                   for c in report.cells)
 
     def test_seed_override(self, tmp_path, capsys):
         path = self.write_config(tmp_path)

@@ -329,6 +329,30 @@ class TestAdam:
             adam_step(m, grads, state, lr=0.1)
         assert state.step == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e155, -1e300])
+    def test_overflowing_gradient_aborts_without_warning(self, value):
+        # a gradient whose square would overflow the second moment is
+        # rejected before any arithmetic, like a non-finite one
+        m = init_model(3, 4, 2, seed=3)
+        before = m.theta.copy()
+        state = OptimizerState()
+        grads = zero_grads(m)
+        grads.b3[1] = value
+        with pytest.raises(NumericError, match="overflowing gradient"):
+            adam_step(m, grads, state, lr=0.1)
+        assert state.step == 0
+        np.testing.assert_array_equal(m.theta, before)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_gradient_steps(self):
+        m = init_model(3, 4, 2, seed=3)
+        state = OptimizerState()
+        grads = zero_grads(m)
+        grads.w1[0, 0] = -1e150
+        adam_step(m, grads, state, lr=0.1)
+        assert state.step == 1 and np.isfinite(m.theta).all()
+
 
 def test_init_determinism():
     a = init_model(6, 8, 3, seed=99)
