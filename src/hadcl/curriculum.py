@@ -224,7 +224,7 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
     updates on the samples the returned decision selects. Every caller draws
     identical epoch shuffles from the same seed, so runs differ only in which
     samples each update touches. A NumericError raised anywhere in an
-    iteration is re-raised with its epoch, iteration and seed.
+    iteration is re-raised with its epoch, iteration and shuffle seed.
 
     Returns the trained parameters and the per-iteration report; the input
     model is not mutated. When `select_set` is a validation (features,
@@ -274,7 +274,7 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
                 numcore.adam_step(model, grads, state, lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, iteration {t} "
-                                   f"(seed {seed}); run aborted") from None
+                                   f"(shuffle seed {seed}); run aborted") from None
             report.records.append(IterationRecord(
                 epoch=epoch, t=t, thres=thres, k=decision.k,
                 k_prime=decision.k_prime, branch=decision.branch,

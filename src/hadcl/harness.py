@@ -219,6 +219,8 @@ def _build_datasets(config: ExperimentConfig, seed: int):
 
 
 _PAIRED_SPLITS = ("in_domain", "ood")
+# what summary() reads of "val" and of each paired split
+_SUMMARY_KEYS = ("accuracy", "auc")
 
 
 def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
@@ -459,21 +461,32 @@ def _renamed(cell: dict, old: str, new: str, value) -> dict:
 def _cells_written(cells):
     """`cells` as to_json writes them: an ok cell whose metrics encode to the
     same JSON as those of an earlier ok cell of its seed holds that cell's
-    index as "metrics_from" in place of "metrics". Equality is tested first,
-    so only a repeat is encoded, and then the encoding, so that no 0.0 stands
-    in for a -0.0 or 1 for 1.0."""
+    index as "metrics_from" in place of "metrics". Split dicts whose values
+    are the same objects, in the same key order, as run_seed and
+    _metrics_restored share them, encode alike. Other metrics are tested
+    for equality first, so only a repeat is encoded, and then by their
+    encoding, so that no 0.0 stands in for a -0.0 or 1 for 1.0."""
     earlier = {}  # seed -> [(index, metrics)] of the ok cells written in full
     for i, cell in enumerate(cells):
         if cell["status"] == "ok":
             metrics = cell["metrics"]
             same = earlier.setdefault(cell["seed"], [])
-            j = next((j for j, m in same if m == metrics
-                      and json.dumps(m) == json.dumps(metrics)), None)
+            j = next((j for j, m in same if _shares_values(m, metrics)
+                      or (m == metrics and json.dumps(m) == json.dumps(metrics))),
+                     None)
             if j is not None:
                 yield _renamed(cell, "metrics", "metrics_from", j)
                 continue
             same.append((i, metrics))
         yield cell
+
+
+def _shares_values(a: dict, b: dict) -> bool:
+    """Whether metrics `a` and `b` have the same splits and keys in the same
+    order, with each value the same object in both."""
+    return list(a) == list(b) and all(
+        list(a[split]) == list(b[split])
+        and all(v is b[split][k] for k, v in a[split].items()) for split in a)
 
 
 def _metrics_restored(cells: list, i: int, where: str) -> dict:
@@ -521,8 +534,10 @@ def _check_cell_keys(cell, where: str) -> None:
 def _check_metrics(cell: dict, where: str) -> None:
     """Raises ValidationError unless the ok `cell` has a metrics mapping of
     split mappings, with score and label lists of equal length for each
-    split emit_plot_data reads. Only lengths are checked, so the cost does
-    not grow with the scores."""
+    split emit_plot_data reads, and the numbers summary() reads: AUC and
+    accuracy of "val" and of each paired split, and the slide AUC if there
+    is one. Only lengths are checked, so the cost does not grow with the
+    scores."""
     metrics = cell.get("metrics")
     if not (isinstance(metrics, dict)
             and all(isinstance(m, dict) for m in metrics.values())):
@@ -535,6 +550,16 @@ def _check_metrics(cell: dict, where: str) -> None:
                 and len(m["scores"]) == len(m["labels"])):
             raise ValidationError(f"{where}: metrics {split!r} needs scores and "
                                   "labels lists of equal length")
+    summarised = [("val", cell.get("val"), _SUMMARY_KEYS)]
+    summarised += [(f"metrics {split!r}", metrics[split], _SUMMARY_KEYS)
+                   for split in _PAIRED_SPLITS]
+    if "slide" in metrics:
+        summarised.append(("metrics 'slide'", metrics["slide"], ("auc",)))
+    for name, m, keys in summarised:
+        if not (isinstance(m, dict) and all(
+                type(m.get(key)) in (int, float) for key in keys)):
+            raise ValidationError(f"{where}: {name} needs a numeric "
+                                  f"{' and '.join(keys)}")
 
 
 _COMPACT = (",", ":")

@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .exceptions import ValidationError
 
@@ -16,10 +15,6 @@ FEATURE_THRESHOLDS = (0.5, 0.95)
 # per threshold: region count, largest area, total area, largest-region mean
 # prob, largest-region extent; plus the global max probability
 N_FEATURES = 5 * len(FEATURE_THRESHOLDS) + 1
-
-FOUR_CONN = np.array([[0, 1, 0],
-                      [1, 1, 1],
-                      [0, 1, 0]])
 
 
 @dataclass
@@ -36,11 +31,44 @@ class SlideGrid:
 
 def connected_components(grid: SlideGrid, tau: float) -> tuple[np.ndarray, int]:
     """Maximal 4-connected regions of cells with probability > tau, as
-    (labels, n): labels numbers the regions 1..n in row-major order of their
-    first cell and is 0 elsewhere."""
+    (labels, n): labels (int32) numbers the regions 1..n in row-major order
+    of their first cell and is 0 elsewhere.
+
+    The row runs of on-cells are numbered in row-major order and joined
+    where they touch vertically by a union-find in which the smaller root
+    wins, so each region's root is its first run."""
     if not (0.0 < tau < 1.0):
         raise ValidationError("tau must lie in (0, 1)")
-    return ndimage.label(grid.probs > tau, structure=FOUR_CONN)
+    mask = grid.probs > tau
+    if not mask.any():
+        return np.zeros(mask.shape, dtype=np.int32), 0
+    w = mask.shape[1]
+    starts = mask.copy()
+    starts[:, 1:] &= ~mask[:, :-1]
+    run_at = np.cumsum(starts.ravel()) - 1  # the run of each on-cell
+    flat = mask.ravel()
+    above = np.flatnonzero(flat[:-w] & flat[w:])  # on-cells with one below
+    parent = list(range(int(run_at[-1]) + 1))
+    for a, b in zip(run_at[above].tolist(), run_at[above + w].tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # a run's parent precedes it and so already points at its root
+    number, n = [], 0
+    for r, p in enumerate(parent):
+        if p == r:
+            n += 1
+            number.append(n)
+        else:
+            parent[r] = root = parent[p]
+            number.append(number[root])
+    numbered = np.array(number, dtype=np.int32)[run_at].reshape(mask.shape)
+    return np.where(mask, numbered, 0), n
 
 
 def extract_features(grid: SlideGrid) -> np.ndarray:
@@ -53,15 +81,17 @@ def extract_features(grid: SlideGrid) -> np.ndarray:
         if n:
             areas = np.bincount(labels.ravel())[1:]
             i = int(np.argmax(areas))
-            rows, cols = ndimage.find_objects(labels, max_label=i + 1)[i]
+            region = labels == i + 1
+            rows, cols = np.nonzero(region)  # rows ascending
             largest = float(areas[i])
             feats.extend([
                 float(n),
                 largest,
                 float(areas.sum()),
                 # boolean indexing keeps the row-major order of the cells
-                float(grid.probs[labels == i + 1].mean()),
-                largest / float((rows.stop - rows.start) * (cols.stop - cols.start)),
+                float(grid.probs[region].mean()),
+                largest / float((rows[-1] - rows[0] + 1)
+                                * (cols.max() - cols.min() + 1)),
             ])
         else:
             feats.extend([0.0] * 5)

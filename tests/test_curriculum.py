@@ -271,7 +271,7 @@ class TestRunStage:
         ds = separable_task(seed=4)
         model = init_model(4, 16, 2, seed=6)
         with pytest.raises(NumericError,
-                           match=r"logits .* at epoch 0, iteration \d+ \(seed 2\)"):
+                           match=r"logits .* at epoch 0, iteration \d+ \(shuffle seed 2\)"):
             run_stage(model, ds.features, ds.labels, stage_config(lr=1e200),
                       STAGE1, seed=2)
 

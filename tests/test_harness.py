@@ -5,6 +5,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -117,6 +119,11 @@ def run_with_v1_cells(monkeypatch, config):
             rest = next(r for s, r in full if s is scores)
             old["metrics"]["val"] = dict(old.pop("val"), **rest)
     return report, v1
+
+
+# the AUC and accuracy that summary() reads of an ok cell's "val" and of its
+# paired splits
+SCORED = {"accuracy": 0.5, "auc": 0.5}
 
 
 def report_json(cells) -> str:
@@ -460,8 +467,8 @@ class TestRunExperiment:
         bad = [json.dumps(dict(good, schema="other.v9")), "{not json", "[]"]
         bad += [json.dumps({k: v for k, v in good.items() if k != key})
                 for key in ("config_hash", "cells", "code_version")]
-        split = {"scores": [0.2, 0.7], "labels": [0, 1]}
-        cell = {"strategy": "baseline", "seed": 0, "status": "ok",
+        split = dict(SCORED, scores=[0.2, 0.7], labels=[0, 1])
+        cell = {"strategy": "baseline", "seed": 0, "status": "ok", "val": SCORED,
                 "metrics": {"in_domain": split, "ood": split}}
         bad_cells = [
             5,
@@ -490,6 +497,40 @@ class TestRunExperiment:
                   "error": "diverged"}
         path.write_text(json.dumps(dict(good, cells=[cell, failed])))
         assert len(RunReport.from_json(path).cells) == 2
+
+
+    @pytest.mark.parametrize("path,value", [
+        (("val",), None), (("val", "auc"), None), (("val", "accuracy"), None),
+        (("in_domain", "auc"), None), (("ood", "accuracy"), None),
+        (("slide", "auc"), None), (("val", "auc"), "0.9"),
+        (("ood", "auc"), True), (("in_domain", "accuracy"), [0.5]),
+    ], ids=["no_val", "no_val_auc", "no_val_accuracy", "no_in_domain_auc",
+            "no_ood_accuracy", "no_slide_auc", "string_val_auc", "bool_ood_auc",
+            "list_in_domain_accuracy"])
+    def test_cell_without_summary_numbers_rejected(self, tmp_path, path, value):
+        # from_json rejects a report that summary(), and so to_json, cannot
+        # read, naming the cell
+        split = dict(SCORED, scores=[0.2, 0.7], labels=[0, 1])
+        cell = {"strategy": "curriculum1", "seed": 4, "status": "ok",
+                "val": dict(SCORED), "metrics": {
+                    name: dict(split) for name in ("in_domain", "ood", "slide")}}
+        failed = {"strategy": "baseline", "seed": 4, "status": "failed",
+                  "error": "diverged"}
+        # the well-formed cell loads and writes, slide accuracy not needed
+        del cell["metrics"]["slide"]["accuracy"]
+        report = report_via_json(tmp_path, [failed, cell])
+        report.to_json(tmp_path / "again.json")
+        holder = cell if path[0] == "val" else cell["metrics"]
+        if len(path) == 1:
+            del holder[path[0]]
+        else:
+            target = holder[path[0]]
+            if value is None:
+                del target[path[1]]
+            else:
+                target[path[1]] = value
+        with pytest.raises(ValidationError, match=r" cell 1: .*needs a numeric"):
+            report_via_json(tmp_path, [failed, cell])
 
 
 class TestGoldenReport:
@@ -535,7 +576,8 @@ def metrics_from_cells(**over) -> list:
           "metrics": {"in_domain": split, "ood": split}}
     return [ok, {"strategy": "curriculum1", "seed": 0, "status": "failed",
                  "error": "diverged"},
-            dict({"strategy": "curriculum2", "seed": 0, "status": "ok"}, **over),
+            dict({"strategy": "curriculum2", "seed": 0, "status": "ok",
+                  "val": ok["val"]}, **over),
             dict(ok, strategy="curriculum1")]
 
 
@@ -558,6 +600,26 @@ class TestReportV2:
         assert [repr(c["metrics"]["ood"]["scores"][0]) for c in back] == \
             ["0.0", "0.0", "-0.0", "0.0"]
         assert repr(back[3]["metrics"]["ood"]["labels"][0]) == "0.0"
+
+    def test_shared_repeat_is_not_encoded(self, monkeypatch):
+        # split dicts holding the same objects, as run_seed's cells of one
+        # parameter vector do, are a repeat without encoding them; the same
+        # objects in another key order are not one
+        base = metrics_from_cells()[0]
+        shared = dict(base, strategy="curriculum2", metrics={
+            split: dict(m) for split, m in base["metrics"].items()})
+        reordered = dict(base, strategy="curriculum2", metrics={
+            split: dict(reversed(m.items())) for split, m in base["metrics"].items()})
+        encoded = []
+        dumps = json.dumps
+        monkeypatch.setattr(json, "dumps",
+                            lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
+        written = list(harness._cells_written([base, shared]))
+        assert written[1]["metrics_from"] == 0 and "metrics" not in written[1]
+        assert encoded == []
+        written = list(harness._cells_written([base, reordered]))
+        assert written[1] is reordered
+        assert encoded == [base["metrics"], reordered["metrics"]]
 
     @pytest.mark.parametrize("over", [
         {"metrics_from": True}, {"metrics_from": -1}, {"metrics_from": 2},
@@ -589,7 +651,7 @@ class TestReportV2:
         path.write_text(report_json(cells))
         back = RunReport.from_json(path).cells
         assert back[2] == {"strategy": "curriculum2", "seed": 0, "status": "ok",
-                           "metrics": cells[0]["metrics"]}
+                           "val": cells[0]["val"], "metrics": cells[0]["metrics"]}
 
     def test_v1_val_must_be_a_mapping(self, tmp_path):
         cell = metrics_from_cells()[0]
@@ -755,8 +817,8 @@ class TestEmitPlots:
         splits = [(np.asarray(s).tolist(), np.asarray(y).tolist()) for s, y in splits]
         splits += [([], [])] * (-len(splits) % 3)   # an empty split has no rows
         ok = [{"strategy": harness.STRATEGIES[i % 3], "seed": i // 3,
-               "status": "ok", "metrics": {
-                   name: {"scores": s, "labels": y}
+               "status": "ok", "val": SCORED, "metrics": {
+                   name: dict(SCORED, scores=s, labels=y)
                    for name, (s, y) in zip(names, splits[i:i + 3])}}
               for i in range(0, len(splits), 3)]
         failed = {"strategy": "curriculum2", "seed": 9, "status": "failed",
@@ -827,8 +889,8 @@ class TestEmitPlots:
             "null_label", "float_label", "string_label", "bool_score",
             "bool_label"])
     def test_malformed_split_values_rejected(self, tmp_path, key, value):
-        split = {"scores": [0.2, 0.7], "labels": [0, 1]}
-        cells = [{"strategy": s, "seed": 0, "status": "ok",
+        split = dict(SCORED, scores=[0.2, 0.7], labels=[0, 1])
+        cells = [{"strategy": s, "seed": 0, "status": "ok", "val": SCORED,
                   "metrics": {"in_domain": split, "ood": split}}
                  for s in ("baseline", "curriculum1")]
         cells[1]["metrics"] = {"in_domain": split, "ood": dict(split, **{key: value})}
@@ -981,9 +1043,9 @@ class TestCli:
     ], ids=["string_score", "list_score", "list_label", "null_score",
             "null_label", "bool_score", "bool_label"])
     def test_malformed_split_value_exits_2(self, tmp_path, capsys, key, value):
-        split = {"scores": [0.2, 0.7, 0.4], "labels": [0, 1, 1]}
+        split = dict(SCORED, scores=[0.2, 0.7, 0.4], labels=[0, 1, 1])
         bad = dict(split, **{key: split[key][:2] + [value]})
-        cells = [{"strategy": "baseline", "seed": 3, "status": "ok",
+        cells = [{"strategy": "baseline", "seed": 3, "status": "ok", "val": SCORED,
                   "curve": [{"epoch": 0, "t": 0, "thres": 0.9, "k": 1,
                              "k_prime": None, "branch": "total",
                              "mean_loss": 0.5, "lr": 1e-3}],
@@ -1027,6 +1089,22 @@ class TestCli:
         assert cli.main(["emit-plots", "--report", str(report_path),
                          "--output-dir", str(tmp_path / "plots")]) == 0
         assert (tmp_path / "plots" / "curves.tsv").exists()
+
+    def test_smoke_run_and_emit_plots_without_scipy(self, tmp_path):
+        # SciPy is only a test oracle: the CLI runs with it unimportable
+        root = Path(__file__).resolve().parents[1]
+        code = ("import sys; sys.modules['scipy'] = None; "
+                "sys.path.insert(0, sys.argv[1]); from hadcl import cli; "
+                "out = sys.argv[3]; "
+                "sys.exit(cli.main(['run', '--config', sys.argv[2], "
+                "'--output-dir', out]) or cli.main(['emit-plots', '--report', "
+                "out + '/report.json', '--output-dir', out + '/plots']))")
+        subprocess.run([sys.executable, "-c", code,
+                        str(Path(hadcl.__file__).resolve().parent.parent),
+                        str(root / "configs" / "smoke.yaml"), str(tmp_path)],
+                       check=True, capture_output=True)
+        assert (tmp_path / "plots" / "roc.tsv").stat().st_size > len(
+            harness.ROC_HEADER)
 
     def test_diverging_pretraining_fails_its_cells(self, tmp_path, capsys):
         d = tiny_dict(seeds=[0, 1])

@@ -1,15 +1,18 @@
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import norm, rankdata
 
 import hadcl
 from hadcl.exceptions import ValidationError
-from hadcl.metrics import (AucEstimate, ScoredOutcomes, _placements, accuracy,
-                           auc, delong_ci, delong_paired_test)
+from hadcl.metrics import (AucEstimate, ScoredOutcomes, _ndtr, _ndtri,
+                           _placements, accuracy, auc, delong_ci,
+                           delong_paired_test)
 
 
 def pairwise_auc(scores, labels):
@@ -319,8 +322,58 @@ class TestScoreValues:
                                         [1, 0, 0, 1]) == 2.5 / 4
 
 
-def test_cli_import_does_not_load_scipy_stats():
+# --- the normal tail and quantile as scipy.special computes them --------------
+
+def around(values, ulps=40):
+    """Each of `values` and its `ulps` nearest floats on either side."""
+    out = []
+    for v in values:
+        out.append(v)
+        lo = hi = v
+        for _ in range(ulps):
+            lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+            out += [lo, hi]
+    return out
+
+
+def assert_bits_equal(got, want):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+class TestNormalPorts:
+    def test_ndtr_bit_equal(self):
+        rng = np.random.default_rng(14)
+        # |a| / sqrt(2) at sqrt(1/2) (erf or erfc), at 1 (erfc's own erf
+        # branch) and at 8 (its two rational forms), and a^2 / 2 at MAXLOG
+        # (underflow to 0); each with either sign
+        edges = around([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0),
+                        math.sqrt(2.0 * 7.09782712893383996843E2)])
+        xs = np.concatenate([
+            rng.uniform(-40.0, 40.0, 20_000), rng.normal(0.0, 3.0, 20_000),
+            edges, np.negative(edges),
+            [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300]])
+        assert_bits_equal([_ndtr(float(x)) for x in xs], special.ndtr(xs))
+
+    def test_ndtri_bit_equal(self):
+        rng = np.random.default_rng(15)
+        # y at exp(-2) and 1 - exp(-2) (the central form or the tails) and at
+        # exp(-32) (the tail's two forms), and the ends of [0, 1]
+        edges = around([math.exp(-2.0), 1.0 - math.exp(-2.0), math.exp(-32.0),
+                        0.5, 1.0 - 2.0 ** -53])
+        ys = np.concatenate([
+            rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-300, 0, 20_000),
+            1.0 - 10.0 ** rng.uniform(-16, 0, 10_000), edges,
+            [0.0, -0.0, 1.0, 5e-324, 1e-310, -1e-300, 1.5, math.inf,
+             -math.inf, math.nan]])
+        assert_bits_equal([_ndtri(float(y)) for y in ys], special.ndtri(ys))
+
+
+def test_cli_import_loads_no_scipy():
     src = str(Path(hadcl.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hadcl.cli; "
-            "assert 'scipy.stats' not in sys.modules, 'scipy.stats loaded'")
+            "loaded = sorted(m for m in sys.modules if m.startswith('scipy')); "
+            "assert not loaded, loaded")
     subprocess.run([sys.executable, "-c", code, src], check=True)

@@ -75,6 +75,46 @@ class TestConnectedComponents:
             connected_components(SlideGrid(np.zeros((2, 2))), 1.0)
 
 
+def oracle_masks():
+    """Seeded masks: empty, full, checkerboard, snake, single rows and
+    columns, combs whose teeth a later run joins, and random masks of every
+    density from 1x1 to 24x24."""
+    rng = np.random.default_rng(16)
+    masks = [np.zeros((5, 7), bool), np.ones((6, 4), bool), np.zeros((0, 3), bool),
+             np.zeros((1, 1), bool), np.ones((1, 1), bool)]
+    for h, w in ((1, 1), (2, 2), (5, 8), (9, 9)):
+        board = np.indices((h, w)).sum(axis=0) % 2 == 0
+        masks += [board, ~board]
+    for h, w in ((5, 5), (7, 10), (9, 3)):
+        # rows 0, 2, 4, ... full, joined at alternating ends
+        snake = np.zeros((h, w), bool)
+        snake[::2] = True
+        snake[1::4, -1] = True
+        snake[3::4, 0] = True
+        masks += [snake, snake.T, snake[::-1]]
+    for n in (2, 7, 24):
+        masks += [rng.random((1, n)) < 0.5, rng.random((n, 1)) < 0.5,
+                  np.ones((1, n), bool), np.ones((n, 1), bool)]
+    comb = np.zeros((6, 9), bool)
+    comb[:, ::2] = True
+    comb[-1] = True
+    masks += [comb, comb[::-1], comb.T, comb.T[:, ::-1]]
+    for _ in range(400):
+        h, w = (int(v) for v in rng.integers(1, 25, 2))
+        masks.append(rng.random((h, w)) < rng.random())
+    return masks
+
+
+def test_connected_components_match_ndimage_label():
+    four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+    for mask in oracle_masks():
+        labels, n = connected_components(SlideGrid(mask * 0.75), 0.5)
+        want, want_n = ndimage.label(mask, structure=four)
+        assert n == want_n
+        assert labels.dtype == want.dtype and labels.shape == want.shape
+        assert np.array_equal(labels, want)
+
+
 class TestExtractFeatures:
     def test_zero_grid(self):
         feats = extract_features(SlideGrid(np.zeros((4, 4))))
