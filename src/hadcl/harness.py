@@ -24,14 +24,9 @@ from functools import partial
 import numpy as np
 import yaml
 
-from . import __version__, curriculum, data, metrics, numcore, slidelevel
+from . import __version__, curriculum, data, metrics, numcore, reportfile, slidelevel
 from .exceptions import NumericError, ValidationError
-
-REPORT_SCHEMA = "hadcl.run_report.v2"
-# the earlier layout, which from_json still reads: each ok cell held the
-# validation split in metrics["val"], with its scores, labels and DeLong CI
-_REPORT_SCHEMA_V1 = "hadcl.run_report.v1"
-STRATEGIES = ("baseline", "curriculum1", "curriculum2")
+from .reportfile import STRATEGIES
 
 # draw-seed offsets keep the per-seed splits disjoint
 _VAL_OFFSET = 9000
@@ -218,11 +213,6 @@ def _build_datasets(config: ExperimentConfig, seed: int):
     return source_train, target_train, val, test, test_ood
 
 
-_PAIRED_SPLITS = ("in_domain", "ood")
-# what summary() reads of "val" and of each paired split
-_SUMMARY_KEYS = ("accuracy", "auc")
-
-
 def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
     """The model's validation AUC and accuracy, its metrics per test split,
     and its ScoredOutcomes on the splits that get a paired test. Validation
@@ -363,8 +353,9 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
         p_values = {}  # parameter bytes -> p_vs_baseline by split
         for i, key in keys.items():
             if key not in p_values:
-                p_values[key] = {split: metrics.delong_paired_test(
-                    outcomes[key][split], base[split]) for split in _PAIRED_SPLITS}
+                p_values[key] = {
+                    split: metrics.delong_paired_test(outcomes[key][split], base[split])
+                    for split in reportfile.PAIRED_SPLITS}
             for split, p in p_values[key].items():
                 cells[i]["metrics"][split]["p_vs_baseline"] = p
     return cells
@@ -374,7 +365,6 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
 class RunReport:
     config_hash: str
     cells: list = field(default_factory=list)
-    schema: str = REPORT_SCHEMA
     code_version: str = __version__
 
     @property
@@ -404,189 +394,16 @@ class RunReport:
         return out
 
     def to_json(self, path) -> None:
-        """Writes the report as schema v2: a cell whose metrics repeat those
-        of an earlier cell of its seed, such as a curriculum2 cell that kept
-        theta_1, holds that cell's index as "metrics_from" instead."""
-        write_json(path, {"schema": self.schema, "config_hash": self.config_hash,
-                          "code_version": self.code_version,
-                          "summary": self.summary(),
-                          "cells": _cells_written(self.cells)},
-                   stream="cells")
+        """Writes the report to `path` as reportfile.write does: schema v3,
+        JSON lines, with no summary, which summary() computes from the cells."""
+        reportfile.write(path, self.config_hash, self.code_version, self.cells)
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
-        """The report at `path`, schema v2 or v1, in any JSON layout; its
-        cells as run_experiment returned them. A v2 cell's "metrics_from"
-        becomes a copy of the named cell's split dicts; a v1 cell's
-        metrics["val"] moves to its "val", keeping only AUC and accuracy.
-        Raises ValidationError for a file that cannot be read, is not JSON,
-        lacks the schema or a required key, or holds a cell without the
-        keys, curve records and equal-length score and label lists that
-        emit_plot_data reads. The score and label values themselves are
-        checked where emit_plot_data converts them."""
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except (OSError, ValueError) as exc:
-            raise ValidationError(f"cannot read report {path}: {exc}") from None
-        schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema not in (REPORT_SCHEMA, _REPORT_SCHEMA_V1):
-            raise ValidationError(f"unknown report schema {schema!r}")
-        missing = {"config_hash", "cells", "code_version"} - set(doc)
-        if missing:
-            raise ValidationError(f"report {path} lacks {sorted(missing)}")
-        cells = doc["cells"]
-        if not isinstance(cells, list):
-            raise ValidationError(f"report {path}: cells must be a list")
-        for i, cell in enumerate(cells):
-            where = f"report {path} cell {i}"
-            _check_cell_keys(cell, where)
-            if cell["status"] != "ok":
-                continue
-            if schema == _REPORT_SCHEMA_V1:
-                _move_v1_val(cell)
-            elif "metrics_from" in cell:
-                cells[i] = cell = _metrics_restored(cells, i, where)
-            _check_metrics(cell, where)
-        return cls(config_hash=doc["config_hash"], cells=cells,
-                   code_version=doc["code_version"])
-
-
-def _renamed(cell: dict, old: str, new: str, value) -> dict:
-    """`cell` with the key `old` replaced, in its place, by `new`: `value`."""
-    return {(new if k == old else k): (value if k == old else v)
-            for k, v in cell.items()}
-
-
-def _cells_written(cells):
-    """`cells` as to_json writes them: an ok cell whose metrics encode to the
-    same JSON as those of an earlier ok cell of its seed holds that cell's
-    index as "metrics_from" in place of "metrics". Split dicts whose values
-    are the same objects, in the same key order, as run_seed and
-    _metrics_restored share them, encode alike. Other metrics are tested
-    for equality first, so only a repeat is encoded, and then by their
-    encoding, so that no 0.0 stands in for a -0.0 or 1 for 1.0."""
-    earlier = {}  # seed -> [(index, metrics)] of the ok cells written in full
-    for i, cell in enumerate(cells):
-        if cell["status"] == "ok":
-            metrics = cell["metrics"]
-            same = earlier.setdefault(cell["seed"], [])
-            j = next((j for j, m in same if _shares_values(m, metrics)
-                      or (m == metrics and json.dumps(m) == json.dumps(metrics))),
-                     None)
-            if j is not None:
-                yield _renamed(cell, "metrics", "metrics_from", j)
-                continue
-            same.append((i, metrics))
-        yield cell
-
-
-def _shares_values(a: dict, b: dict) -> bool:
-    """Whether metrics `a` and `b` have the same splits and keys in the same
-    order, with each value the same object in both."""
-    return list(a) == list(b) and all(
-        list(a[split]) == list(b[split])
-        and all(v is b[split][k] for k, v in a[split].items()) for split in a)
-
-
-def _metrics_restored(cells: list, i: int, where: str) -> dict:
-    """Cell i with its "metrics_from" index replaced by "metrics": a copy of
-    each split dict of that earlier ok cell of the same seed, sharing its
-    score and label lists as run_seed's cells do."""
-    cell, j = cells[i], cells[i]["metrics_from"]
-    if "metrics" in cell:
-        raise ValidationError(f"{where} has both metrics and metrics_from")
-    if isinstance(j, bool) or not isinstance(j, int) or not 0 <= j < i:
-        raise ValidationError(f"{where}: metrics_from must be the index of an "
-                              f"earlier cell, got {j!r}")
-    source = cells[j]
-    if source["status"] != "ok" or source["seed"] != cell["seed"]:
-        raise ValidationError(f"{where}: metrics_from {j} is not an ok cell of "
-                              f"seed {cell['seed']!r}")
-    return _renamed(cell, "metrics_from", "metrics",
-                    {split: dict(m) for split, m in source["metrics"].items()})
-
-
-def _move_v1_val(cell: dict) -> None:
-    """Moves a v1 cell's metrics["val"] mapping to cell["val"], keeping its
-    AUC and accuracy; any other "val" is left for _check_metrics to reject."""
-    metrics = cell.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("val"), dict):
-        val = metrics.pop("val")
-        cell["val"] = {k: val[k] for k in ("accuracy", "auc") if k in val}
-
-
-def _check_cell_keys(cell, where: str) -> None:
-    """Raises ValidationError unless `cell` is a mapping with the keys every
-    cell has and its curve records the keys curves.tsv reads."""
-    if not isinstance(cell, dict):
-        raise ValidationError(f"{where} is not a mapping")
-    missing = [key for key in ("strategy", "seed", "status") if key not in cell]
-    if missing:
-        raise ValidationError(f"{where} lacks {missing}")
-    curve = cell.get("curve", [])
-    if not (isinstance(curve, list) and all(
-            isinstance(r, dict) and _CURVE_KEYS <= r.keys() for r in curve)):
-        raise ValidationError(f"{where}: curve must be a list of records "
-                              f"with keys {sorted(_CURVE_KEYS)}")
-
-
-def _check_metrics(cell: dict, where: str) -> None:
-    """Raises ValidationError unless the ok `cell` has a metrics mapping of
-    split mappings, with score and label lists of equal length for each
-    split emit_plot_data reads, and the numbers summary() reads: AUC and
-    accuracy of "val" and of each paired split, and the slide AUC if there
-    is one. Only lengths are checked, so the cost does not grow with the
-    scores."""
-    metrics = cell.get("metrics")
-    if not (isinstance(metrics, dict)
-            and all(isinstance(m, dict) for m in metrics.values())):
-        raise ValidationError(f"{where}: an ok cell needs a metrics mapping "
-                              "of split mappings")
-    for split in _roc_splits(metrics):
-        m = metrics.get(split)
-        if not (isinstance(m, dict) and isinstance(m.get("scores"), list)
-                and isinstance(m.get("labels"), list)
-                and len(m["scores"]) == len(m["labels"])):
-            raise ValidationError(f"{where}: metrics {split!r} needs scores and "
-                                  "labels lists of equal length")
-    summarised = [("val", cell.get("val"), _SUMMARY_KEYS)]
-    summarised += [(f"metrics {split!r}", metrics[split], _SUMMARY_KEYS)
-                   for split in _PAIRED_SPLITS]
-    if "slide" in metrics:
-        summarised.append(("metrics 'slide'", metrics["slide"], ("auc",)))
-    for name, m, keys in summarised:
-        if not (isinstance(m, dict) and all(
-                type(m.get(key)) in (int, float) for key in keys)):
-            raise ValidationError(f"{where}: {name} needs a numeric "
-                                  f"{' and '.join(keys)}")
-
-
-_COMPACT = (",", ":")
-
-
-@contextlib.contextmanager
-def _replacing(*paths):
-    """Text files, one per path, that replace `paths` only when the block
-    ends: each is written to a temporary file beside its path, and all are
-    renamed into place once every one is complete. If the block raises, the
-    temporary files are removed and `paths` keep what they held."""
-    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
-    files = []
-    try:
-        for temp in temps:
-            files.append(open(temp, "w"))
-        yield files
-        for f in files:
-            f.close()
-        for temp, path in zip(temps, paths):
-            os.replace(temp, path)
-    except BaseException:
-        for f, temp in zip(files, temps):
-            f.close()
-            with contextlib.suppress(OSError):
-                os.remove(temp)
-        raise
+        """The report at `path`, schema v3, v2 or v1, with its cells as
+        run_experiment returned them; reportfile.read says what it checks."""
+        config_hash, code_version, cells = reportfile.read(path)
+        return cls(config_hash=config_hash, cells=cells, code_version=code_version)
 
 
 def write_json(path, doc: dict, stream: str) -> None:
@@ -594,16 +411,17 @@ def write_json(path, doc: dict, stream: str) -> None:
     only once the whole document is written. The items of doc[stream], a
     list or any iterable, are encoded and written one at a time, so the
     whole document is never held as one string."""
-    with _replacing(path) as (f,):
+    with reportfile.replacing(path) as (f,):
         f.write("{")
         for i, (key, value) in enumerate(doc.items()):
             f.write(("," if i else "") + json.dumps(key) + ":")
             if key != stream:
-                f.write(json.dumps(value, separators=_COMPACT))
+                f.write(json.dumps(value, separators=reportfile.COMPACT))
                 continue
             f.write("[")
             for j, item in enumerate(value):
-                f.write(("," if j else "") + json.dumps(item, separators=_COMPACT))
+                f.write(("," if j else "")
+                        + json.dumps(item, separators=reportfile.COMPACT))
             f.write("]")
         f.write("}")
 
@@ -749,15 +567,8 @@ def roc_points(scores, labels):
                     _rates(tp, n_pos).tolist()))
 
 
-def _roc_splits(metrics: dict) -> tuple:
-    """The splits of a cell's metrics that get ROC points."""
-    return ("in_domain", "ood", "slide") if "slide" in metrics else ("in_domain", "ood")
-
-
-CURVES_HEADER = "strategy\tseed\tepoch\tt\tthres\tk\tk_prime\tbranch\tmean_loss\tlr\n"
+CURVES_HEADER = "\t".join(("strategy", "seed") + reportfile.CURVE_COLUMNS) + "\n"
 ROC_HEADER = "strategy\tseed\tsplit\tthreshold\tfpr\ttpr\n"
-# the keys of a curve record, in the columns after strategy and seed
-_CURVE_KEYS = frozenset(CURVES_HEADER.split()[2:])
 
 
 def emit_plot_data(report: RunReport, outdir) -> dict:
@@ -791,7 +602,7 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
                                        tps.tolist())]
 
     # one string and one write per cell's curve and per (cell, split)'s ROC
-    with _replacing(curves_path, roc_path) as (curves, roc):
+    with reportfile.replacing(curves_path, roc_path) as (curves, roc):
         curves.write(CURVES_HEADER)
         for cell in report.cells:
             prefix = f"{cell['strategy']}\t{cell['seed']}\t"
@@ -804,7 +615,7 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
         for i, cell in enumerate(report.cells):
             if cell["status"] != "ok":
                 continue
-            for split in _roc_splits(cell["metrics"]):
+            for split in reportfile.roc_splits(cell["metrics"]):
                 m = cell["metrics"][split]
                 try:
                     scores, labels = _roc_arrays(m["scores"], m["labels"])

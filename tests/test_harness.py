@@ -1,7 +1,9 @@
+import base64
 import collections
 import copy
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -13,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import hadcl
-from hadcl import cli, curriculum, data, harness, metrics
+from hadcl import cli, curriculum, data, harness, metrics, reportfile
 from hadcl.exceptions import ValidationError
 from hadcl.harness import RunReport, config_from_dict, run_experiment
 
@@ -92,6 +96,65 @@ def written_cells(cells) -> list:
     return out
 
 
+def b64(values, dtype="<f8") -> str:
+    """`values` as a v3 report writes scores: base64 of their bytes."""
+    return base64.b64encode(np.asarray(values, dtype).tobytes()).decode("ascii")
+
+
+def v3_lines(report) -> list:
+    """The lines of `report` in schema v3, built from the layout's
+    definition: a header with the seeds in cell order, then per seed each
+    split's labels as its first cell written in full has them and its cells
+    as written_cells gives them, with scores as base64 float64 bytes, labels
+    left out where they equal the line's, and curves by column."""
+    cells = written_cells(report.cells)
+    seeds = list(dict.fromkeys(c["seed"] for c in cells))
+    lines = [{"schema": reportfile.REPORT_SCHEMA, "config_hash": report.config_hash,
+              "code_version": report.code_version, "seeds": seeds}]
+    columns = harness.CURVES_HEADER.split()[2:]
+    for seed in seeds:
+        group = [c for c in cells if c["seed"] == seed]
+        labels = {}
+        for c in group:
+            for split, m in c.get("metrics", {}).items():
+                labels.setdefault(split, m["labels"])
+        written = []
+        for c in group:
+            c = dict(c)
+            if "metrics" in c:
+                c["metrics"] = {split: {
+                    k: (b64(v) if k == "scores" else v) for k, v in m.items()
+                    if not (k == "labels" and v == labels[split])}
+                    for split, m in c["metrics"].items()}
+            if "curve" in c:
+                c["curve"] = {k: [r[k] for r in c["curve"]] for k in columns}
+            written.append(c)
+        lines.append({"seed": seed, "labels": labels, "cells": written})
+    return lines
+
+
+def written_v3_cells(path) -> list:
+    """The cells of the v3 report at `path` as its seed lines hold them."""
+    return [cell for line in Path(path).read_text().splitlines()[1:]
+            for cell in json.loads(line)["cells"]]
+
+
+def assert_emit_plots_rejects(path, tmp_path, capsys, place: str) -> None:
+    """emit-plots of the report at `path` exits 2 with an error naming
+    `place`, and leaves the files of an earlier emit as they were."""
+    plots = tmp_path / "plots"
+    plots.mkdir(exist_ok=True)
+    before = {name: f"earlier {name}\n".encode()
+              for name in ("curves.tsv", "roc.tsv")}
+    for name, content in before.items():
+        (plots / name).write_bytes(content)
+    argv = ["emit-plots", "--report", str(path), "--output-dir", str(plots)]
+    capsys.readouterr()
+    assert cli.main(argv) == 2
+    assert place in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in plots.iterdir()} == before
+
+
 def run_with_v1_cells(monkeypatch, config):
     """The config's report, and its cells in the v1 layout: each ok cell's
     "val" moved back into metrics with the scores, labels and DeLong CI a v1
@@ -127,7 +190,9 @@ SCORED = {"accuracy": 0.5, "auc": 0.5}
 
 
 def report_json(cells) -> str:
-    return json.dumps({"schema": harness.REPORT_SCHEMA, "config_hash": "",
+    """`cells` as a v2 report, which holds its scores and labels as JSON
+    lists, so that any cell, even one to_json cannot encode, can be read."""
+    return json.dumps({"schema": reportfile._REPORT_SCHEMA_V2, "config_hash": "",
                        "code_version": "", "cells": cells})
 
 
@@ -425,32 +490,37 @@ class TestRunExperiment:
         for name, report in reports.items():
             path = tmp_path / f"{name}.json"
             report.to_json(path)
-            doc = {"schema": report.schema, "config_hash": report.config_hash,
-                   "code_version": report.code_version,
-                   "summary": report.summary(),
-                   "cells": written_cells(report.cells)}
-            # same values and the same key order at every level
-            want = json.dumps(json.loads(json.dumps(doc)))
             raw = path.read_text()
-            assert json.dumps(json.loads(raw)) == want, name
+            # same values and the same key order at every level, one line
+            # each, and no summary: summary() computes it on read
+            assert [json.dumps(json.loads(line)) for line in raw.splitlines()] == \
+                [json.dumps(line) for line in v3_lines(report)], name
+            assert raw.endswith("\n") and '"summary"' not in raw
             assert raw.count('"metrics_from"') == n_from[name], name
             back = RunReport.from_json(path)
             assert back.cells == report.cells
-            assert back.config_hash == report.config_hash
+            assert (back.config_hash, back.code_version) == \
+                (report.config_hash, report.code_version)
             # a restored cell has split dicts of its own, as run_seed's have
-            for cell, written in zip(back.cells, doc["cells"]):
-                if "metrics_from" in written:
-                    source = back.cells[written["metrics_from"]]["metrics"]
+            written = written_cells(report.cells)
+            for cell, w in zip(back.cells, written):
+                if "metrics_from" in w:
+                    source = back.cells[w["metrics_from"]]["metrics"]
                     for split, m in cell["metrics"].items():
                         assert m is not source[split]
                         assert m["scores"] is source[split]["scores"]
             # written again, the loaded report gives the same bytes
             back.to_json(tmp_path / "again.json")
             assert (tmp_path / "again.json").read_text() == raw
-            # reports written in the earlier indented layout still load
-            with open(path, "w") as f:
-                json.dump(doc, f, indent=1)
-            assert RunReport.from_json(path).cells == back.cells
+            # the same cells as a v2 report, compact or indented, still load
+            doc = {"schema": reportfile._REPORT_SCHEMA_V2,
+                   "config_hash": report.config_hash,
+                   "code_version": report.code_version,
+                   "summary": report.summary(), "cells": written}
+            for indent in (None, 1):
+                with open(path, "w") as f:
+                    json.dump(doc, f, indent=indent)
+                assert RunReport.from_json(path).cells == back.cells
 
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "report.json"
@@ -462,7 +532,7 @@ class TestRunExperiment:
 
     def test_bad_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        good = {"schema": harness.REPORT_SCHEMA, "config_hash": "",
+        good = {"schema": reportfile._REPORT_SCHEMA_V2, "config_hash": "",
                 "code_version": "", "cells": []}
         bad = [json.dumps(dict(good, schema="other.v9")), "{not json", "[]"]
         bad += [json.dumps({k: v for k, v in good.items() if k != key})
@@ -593,8 +663,11 @@ class TestReportV2:
         assert all(c["metrics"] == base["metrics"] for c in cells)
         path = tmp_path / "report.json"
         RunReport("", cells).to_json(path)
-        raw = json.loads(path.read_text())["cells"]
+        raw = written_v3_cells(path)
         assert [c.get("metrics_from") for c in raw] == [None, 0, None, None]
+        # float labels encode unlike the line's int labels, so stay inline
+        assert ["labels" in c["metrics"]["ood"] for c in raw if "metrics" in c] \
+            == [False, False, True]
         back = RunReport.from_json(path).cells
         assert back == cells
         assert [repr(c["metrics"]["ood"]["scores"][0]) for c in back] == \
@@ -614,10 +687,10 @@ class TestReportV2:
         dumps = json.dumps
         monkeypatch.setattr(json, "dumps",
                             lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
-        written = list(harness._cells_written([base, shared]))
+        written = list(reportfile._cells_written([base, shared]))
         assert written[1]["metrics_from"] == 0 and "metrics" not in written[1]
         assert encoded == []
-        written = list(harness._cells_written([base, reordered]))
+        written = list(reportfile._cells_written([base, reordered]))
         assert written[1] is reordered
         assert encoded == [base["metrics"], reordered["metrics"]]
 
@@ -633,17 +706,7 @@ class TestReportV2:
         path.write_text(report_json(metrics_from_cells(**over)))
         with pytest.raises(ValidationError, match=r" cell 2\b"):
             RunReport.from_json(path)
-        # emit-plots exits 2 and leaves the files of an earlier emit
-        plots = tmp_path / "plots"
-        plots.mkdir()
-        before = {name: f"earlier {name}\n".encode()
-                  for name in ("curves.tsv", "roc.tsv")}
-        for name, content in before.items():
-            (plots / name).write_bytes(content)
-        argv = ["emit-plots", "--report", str(path), "--output-dir", str(plots)]
-        assert cli.main(argv) == 2
-        assert " cell 2" in capsys.readouterr().err
-        assert {p.name: p.read_bytes() for p in plots.iterdir()} == before
+        assert_emit_plots_rejects(path, tmp_path, capsys, " cell 2")
 
     def test_metrics_from_restores_the_named_cell(self, tmp_path):
         path = tmp_path / "report.json"
@@ -658,7 +721,7 @@ class TestReportV2:
         del cell["val"]
         cell["metrics"]["val"] = 5
         path = tmp_path / "v1.json"
-        path.write_text(report_json([cell]).replace(harness.REPORT_SCHEMA,
+        path.write_text(report_json([cell]).replace(reportfile._REPORT_SCHEMA_V2,
                                                     "hadcl.run_report.v1"))
         with pytest.raises(ValidationError, match="cell 0: an ok cell needs"):
             RunReport.from_json(path)
@@ -678,9 +741,194 @@ class TestReportV2:
         got = harness.emit_plot_data(back, tmp_path / "v1")
         for key in ("curves", "roc"):
             assert Path(got[key]).read_bytes() == Path(want[key]).read_bytes()
-        # rewritten, it is a v2 report of the same cells
-        back.to_json(tmp_path / "v2.json")
-        assert RunReport.from_json(tmp_path / "v2.json").cells == report.cells
+        # rewritten, it is a v3 report of the same cells
+        back.to_json(tmp_path / "v3.json")
+        assert RunReport.from_json(tmp_path / "v3.json").cells == report.cells
+
+
+def two_seed_cells() -> list:
+    """An ok cell for each of seeds 0 and 1, with a two-record curve."""
+    split = dict(SCORED, scores=[0.2, 0.7, 0.4], labels=[0, 1, 1])
+    curve = [{"epoch": 0, "t": t, "thres": 0.9, "k": 1, "k_prime": None,
+              "branch": "total", "mean_loss": 0.5, "lr": 1e-3} for t in (0, 1)]
+    return [{"strategy": "baseline", "seed": seed, "status": "ok",
+             "val": dict(SCORED),
+             "metrics": {"in_domain": dict(split), "ood": dict(split)},
+             "curve": copy.deepcopy(curve), "best_epoch": None, "wall_clock": 0.0}
+            for seed in (0, 1)]
+
+
+def first_ood(lines) -> dict:
+    return lines[1]["cells"][0]["metrics"]["ood"]
+
+
+def first_curve(lines) -> dict:
+    return lines[1]["cells"][0]["curve"]
+
+
+def metrics_from_first_cell(cell: dict) -> None:
+    del cell["metrics"]
+    cell["metrics_from"] = 0
+
+
+# edits of the v3 report of two_seed_cells, as a list of its parsed lines,
+# and the place and message of the error each must raise
+MALFORMED_V3 = {
+    "no_header": (lambda lines: lines.pop(0),
+                  r"line 1: not a hadcl\.run_report\.v3 header"),
+    "v2_header": (lambda lines: lines[0].update(schema="hadcl.run_report.v2"),
+                  r"line 1: not a hadcl\.run_report\.v3 header"),
+    "header_without_seeds": (lambda lines: lines[0].pop("seeds"),
+                             r"line 1: the header lacks \['seeds'\]"),
+    "bool_header_seed": (lambda lines: lines[0].update(seeds=[False, 1]),
+                         r"line 1: seeds must be distinct non-negative integers"),
+    "line_not_json": (lambda lines: lines.__setitem__(2, "{not json"),
+                      r"line 3: Expecting"),
+    "seed_not_in_header": (lambda lines: lines[2].update(seed=7),
+                           r"line 3: seed 7 is not the next of the header's seeds"),
+    "seed_line_missing": (lambda lines: lines.pop(2),
+                          r"lacks the lines of seeds \[1\]"),
+    "cell_of_another_seed": (lambda lines: lines[2]["cells"][0].update(seed=0),
+                             r"line 3 cell 1: seed 0 is not its line's seed 1"),
+    "bool_cell_seed": (lambda lines: lines[2]["cells"][0].update(seed=True),
+                       r"line 3 cell 1: seed must be a non-negative integer"),
+    # base64 with a character outside its alphabet, which a lax decoder skips
+    "scores_not_base64": (
+        lambda lines: first_ood(lines).update(scores="*" + b64([0.2, 0.7, 0.4])),
+        r"line 2 cell 0 split 'ood': scores are not base64"),
+    "scores_a_list": (lambda lines: first_ood(lines).update(scores=[0.2, 0.7, 0.4]),
+                      r"line 2 cell 0 split 'ood': scores must be base64 text"),
+    "scores_not_whole_float64s": (
+        lambda lines: first_ood(lines).update(scores=b64([1, 2, 3], "<i4")),
+        r"line 2 cell 0 split 'ood': scores hold 12 bytes"),
+    "scores_longer_than_labels": (
+        lambda lines: first_ood(lines).update(scores=b64([0.2, 0.7, 0.4, 0.1])),
+        r"line 2 cell 0: metrics 'ood' needs scores and labels lists of equal"),
+    "labels_nowhere": (lambda lines: lines[1]["labels"].pop("ood"),
+                       r"line 2 cell 0 split 'ood' has no labels"),
+    "curve_column_not_a_list": (lambda lines: first_curve(lines).update(thres=0.9),
+                                r"line 2 cell 0: curve must map keys to lists"),
+    "curve_columns_of_unequal_length": (lambda lines: first_curve(lines)["lr"].pop(),
+                                        r"line 2 cell 0: curve columns differ"),
+    "curve_without_a_column": (lambda lines: first_curve(lines).pop("branch"),
+                               r"line 2 cell 0: curve must be a list of records"),
+    "metrics_and_metrics_from": (
+        lambda lines: lines[2]["cells"][0].update(metrics_from=0),
+        r"line 3 cell 1 has both metrics and metrics_from"),
+    "metrics_from_another_seed": (
+        lambda lines: metrics_from_first_cell(lines[2]["cells"][0]),
+        r"line 3 cell 1: metrics_from 0 is not an ok cell of seed 1"),
+}
+
+
+class TestReportV3:
+    V2_FIXTURE = Path(__file__).resolve().parent / "data" / "smoke_report_v2.json"
+    # sha256 of the curves.tsv and roc.tsv that emit-plots wrote for the
+    # fixture with the code that wrote it
+    FIXTURE_CURVES = "9582a0e02af67b77747b4f7afca2b1ca93f56de28e0954ce978643672422f183"
+    FIXTURE_ROC = "0819bd56865d626019a9ecb102ccc4e1e8a7ba2cad0e8c1c5252827abe62081f"
+
+    def test_v2_report_of_the_smoke_config_matches_its_v3_report(self, tmp_path,
+                                                                 capsys):
+        root = Path(__file__).resolve().parents[1]
+        report = run_experiment(harness.load_config(root / "configs" / "smoke.yaml"))
+        report.to_json(tmp_path / "report.json")
+        old = RunReport.from_json(self.V2_FIXTURE)
+        new = RunReport.from_json(tmp_path / "report.json")
+        assert strip_wall_clock(old.cells) == strip_wall_clock(new.cells) \
+            == strip_wall_clock(report.cells)
+        assert old.config_hash == new.config_hash
+        digests = []
+        for name, path in (("v2", self.V2_FIXTURE), ("v3", tmp_path / "report.json")):
+            assert cli.main(["emit-plots", "--report", str(path),
+                             "--output-dir", str(tmp_path / name)]) == 0
+            digests.append([hashlib.sha256((tmp_path / name / f).read_bytes())
+                            .hexdigest() for f in ("curves.tsv", "roc.tsv")])
+        assert digests == [[self.FIXTURE_CURVES, self.FIXTURE_ROC]] * 2
+        # the v3 report is about half the size of the v2 one
+        assert (tmp_path / "report.json").stat().st_size < \
+            0.6 * self.V2_FIXTURE.stat().st_size
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats(), max_size=40))
+    @example([-0.0, 0.0, 1.0, 5e-324, 2.2250738585072009e-308, math.inf, -math.inf])
+    def test_scores_round_trip_bit_exact(self, tmp_path, scores):
+        cells = two_seed_cells()
+        cells[1]["metrics"]["ood"] = dict(
+            SCORED, scores=scores, labels=[i % 2 for i in range(len(scores))])
+        path = tmp_path / "report.json"
+        RunReport("", cells).to_json(path)
+        back = RunReport.from_json(path).cells[1]["metrics"]["ood"]["scores"]
+        assert all(type(s) is float for s in back)
+        assert np.asarray(back, "<f8").tobytes() == np.asarray(scores, "<f8").tobytes()
+
+    def test_labels_written_once_per_seed(self, tmp_path):
+        # each split's labels are in its seed line; a cell whose labels
+        # differ from them keeps its own
+        report = run_experiment(config_from_dict(tiny_dict(slides=SLIDES)))
+        cells = copy.deepcopy(report.cells)
+        assert cells[1]["strategy"] == "curriculum1" and cells[1]["seed"] == 0
+        ood = cells[1]["metrics"]["ood"]
+        ood["labels"] = [1 - y for y in ood["labels"]]
+        path = tmp_path / "report.json"
+        RunReport("", cells).to_json(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [list(line) for line in lines[1:]] == [["seed", "labels", "cells"]] * 2
+        assert [list(line["labels"]) for line in lines[1:]] == \
+            [["in_domain", "ood", "slide"]] * 2
+        inline = [(c["seed"], c["strategy"], split)
+                  for line in lines[1:] for c in line["cells"]
+                  for split, m in c.get("metrics", {}).items() if "labels" in m]
+        assert inline == [(0, "curriculum1", "ood")]
+        assert RunReport.from_json(path).cells == cells
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda cells: cells.append(cells[0]), "seed 0 are not contiguous"),
+        (lambda cells: cells[1]["curve"][1].update(extra=1),
+         "seed 1: curve records must have exactly the keys"),
+        (lambda cells: cells[1]["curve"][0].pop("lr"),
+         "seed 1: curve records must have exactly the keys"),
+    ], ids=["seed_not_contiguous", "curve_key_extra", "curve_key_missing"])
+    def test_cells_v3_cannot_hold_are_not_written(self, tmp_path, edit, message):
+        cells = two_seed_cells()
+        edit(cells)
+        path = tmp_path / "report.json"
+        path.write_text("earlier")
+        with pytest.raises(ValidationError, match=message):
+            RunReport("", cells).to_json(path)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert path.read_text() == "earlier"
+
+    @pytest.mark.parametrize("edit,message", list(MALFORMED_V3.values()),
+                             ids=list(MALFORMED_V3))
+    def test_malformed_v3_rejected(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "report.json"
+        RunReport("", two_seed_cells()).to_json(path)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert RunReport.from_json(path).cells == two_seed_cells()
+        edit(lines)
+        path.write_text("\n".join(line if isinstance(line, str) else json.dumps(line)
+                                   for line in lines) + "\n")
+        with pytest.raises(ValidationError, match=message) as exc:
+            RunReport.from_json(path)
+        assert_emit_plots_rejects(path, tmp_path, capsys, str(exc.value))
+
+    @pytest.mark.parametrize("over", [
+        {"seed": [0]}, {"seed": "0"}, {"seed": True}, {"seed": -1}, {"seed": 1.5},
+        {"strategy": "curriculum3"}, {"strategy": None}, {"strategy": ["baseline"]},
+    ], ids=["list_seed", "string_seed", "bool_seed", "negative_seed", "float_seed",
+            "unknown_strategy", "null_strategy", "list_strategy"])
+    def test_cell_seed_and_strategy_checked(self, tmp_path, capsys, over):
+        # a v2 report, which holds any seed and strategy a cell has
+        cells = two_seed_cells()
+        cells[1].update(over)
+        path = tmp_path / "report.json"
+        path.write_text(report_json(cells))
+        with pytest.raises(ValidationError,
+                           match=r" cell 1: (seed|strategy) must be") as exc:
+            RunReport.from_json(path)
+        assert_emit_plots_rejects(path, tmp_path, capsys, str(exc.value))
 
 
 class TestAblation:
@@ -987,7 +1235,7 @@ class TestCli:
         ("validate-config", "seeds: [0\n"),
         ("validate-config", None),
         ("emit-plots", "{not json"),
-        ("emit-plots", json.dumps({"schema": harness.REPORT_SCHEMA})),
+        ("emit-plots", json.dumps({"schema": reportfile.REPORT_SCHEMA})),
         ("emit-plots", None),
         ("run", "output"),
         ("ablate-alpha", "output"),
@@ -1012,9 +1260,9 @@ class TestCli:
             outdir.write_text("")
             named = outdir
             content = (yaml.safe_dump(tiny_dict(seeds=[0])) if verb != "emit-plots"
-                       else json.dumps({"schema": harness.REPORT_SCHEMA,
+                       else json.dumps({"schema": reportfile.REPORT_SCHEMA,
                                         "config_hash": "", "code_version": "",
-                                        "cells": []}))
+                                        "seeds": []}))
         elif content is not None and content.endswith(".json"):
             named = outdir / content
             named.mkdir(parents=True)
