@@ -201,7 +201,7 @@ def positive_probs(model: numcore.MlpModel, features) -> np.ndarray:
 
 
 def _build_datasets(config: ExperimentConfig, seed: int):
-    source_train = data.generate_blobs(config.source, draw_seed=seed)
+    """The target splits of a seed: train, validation, test and OOD test."""
     target_train = data.generate_blobs(config.target, draw_seed=seed)
     clean = replace(config.target, noise_fraction=0.0)
     val = data.generate_blobs(replace(clean, per_class=config.eval.val_per_class),
@@ -210,7 +210,7 @@ def _build_datasets(config: ExperimentConfig, seed: int):
                                draw_seed=seed + _TEST_OFFSET)
     test_ood = data.apply_domain_shift(
         test, replace(config.shift, seed=config.shift.seed + seed))
-    return source_train, target_train, val, test, test_ood
+    return target_train, val, test, test_ood
 
 
 def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
@@ -274,20 +274,25 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
             runs.append(("curriculum2", config.curriculum2))
     if not runs:
         return []
-    source_train, target_train, val, test, test_ood = _build_datasets(config, seed)
 
     pretrained = numcore.init_model(config.target.dim, config.hidden,
                                     config.target.n_classes, seed=1000 + seed)
     if config.pretrain.epochs > 0:
+        # the source set serves only to pretrain, so it is drawn here and
+        # freed before the target splits are drawn: each generator seeds
+        # its own stream, so the order of the draws changes no bytes
+        source = data.generate_blobs(config.source, draw_seed=seed)
         try:
-            pretrained, _ = curriculum.finetune_plain(
-                pretrained, source_train.features, source_train.labels,
-                config.pretrain, seed=2000 + seed)
+            pretrained = curriculum.finetune_plain(
+                pretrained, source.features, source.labels,
+                config.pretrain, seed=2000 + seed)[0]
         except (NumericError, ValidationError) as exc:
             # every cell of the seed starts from the pretrained model
             return [{"strategy": strategy, "seed": seed, "status": "failed",
                      "error": f"pretraining: {exc}", "wall_clock": 0.0}
                     for strategy, _ in runs]
+        del source
+    target_train, val, test, test_ood = _build_datasets(config, seed)
 
     ft_seed = 3000 + seed  # shared by baseline and curriculum1: identical shuffles
     # Stage 2 is a short refinement of theta_1: its parameters are kept only

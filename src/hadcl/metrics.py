@@ -4,11 +4,12 @@ test for two models scored on the same cases.
 
 The DeLong quantities follow the fast mid-rank formulation of Sun & Xu
 (IEEE SPL 2014). The mid-ranks come from one sort of the pooled scores. The
-normal tail and quantile are ports of Cephes `ndtr` and `ndtri` (S. L.
-Moshier) to Python floats, with Cephes's coefficient tables and evaluation
-order, so they give `scipy.special.ndtr`/`ndtri`'s bits without importing
-SciPy. The port keeps only the branches `ndtr` reaches: Cephes's `erf`
-also serves |x| > 1 and its `erfc` x < 0, which `ndtr` never passes them.
+normal tail is a port of Cephes `ndtr` (S. L. Moshier) to Python floats,
+with Cephes's coefficient tables and evaluation order, so it gives
+`scipy.special.ndtr`'s bits without importing SciPy. The port keeps only
+the branches `ndtr` reaches: Cephes's `erf` also serves |x| > 1 and its
+`erfc` x < 0, which `ndtr` never passes them. The 95% CI's normal quantile
+is a constant with `scipy.special.ndtri(0.975)`'s bits.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ class AucEstimate:
     ci95: tuple
 
 
-# --- the normal tail and quantile, ported from Cephes -----------------------
+# --- the normal tail, ported from Cephes, and the 95% quantile --------------
 
 _SQRT1_2 = 7.07106781186547524401E-1
 _MAXLOG = 7.09782712893383996843E2
-_EXP_M2 = 1.35335283236612691894E-1  # exp(-2)
-_S2PI = 2.50662827463100050242E0     # sqrt(2 pi)
+# the standard normal quantile at 0.975, which a 95% CI's half-width scales
+_Z975 = 1.959963984540054
 
 # erfc, 1 <= x < 8: P(x) / Q(x)
 _ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1,
@@ -88,35 +89,6 @@ _ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
 _ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2,
           4.59432382970980127987E3, 2.26290000613890934246E4,
           4.92673942608635921086E4)
-
-# ndtri, |y - 1/2| <= 3/8
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1,
-             -5.66762857469070293439E1, 1.39312609387279679503E1,
-             -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0,
-             8.63602421390890590575E1, -2.25462687854119370527E2,
-             2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-# ndtri, z = sqrt(-2 log y) in [2, 8)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1,
-             5.71628192246421288162E1, 4.40805073893200834700E1,
-             1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2,
-             -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1,
-             4.13172038254672030440E1, 1.50425385692907503408E1,
-             2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-# ndtri, z >= 8
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0,
-             3.93881025292474443415E0, 1.33303460815807542389E0,
-             2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6,
-             6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
-             1.37702099489081330271E0, 2.16236993594496635890E-1,
-             1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
 
 
 def _polevl(x, coef):
@@ -164,36 +136,6 @@ def _ndtr(a):
         return 0.5 + 0.5 * _erf(x)
     y = 0.5 * _erfc(z)
     return 1.0 - y if x > 0 else y
-
-
-def _ndtri(y0):
-    """The standard normal quantile of y0: scipy.special.ndtri, bit for bit;
-    -inf at 0, inf at 1 and NaN outside [0, 1]."""
-    if y0 == 0.0:
-        return -math.inf
-    if y0 == 1.0:
-        return math.inf
-    if not 0.0 < y0 < 1.0:
-        return math.nan
-    negate = True
-    y = y0
-    if y > 1.0 - _EXP_M2:
-        y = 1.0 - y
-        negate = False
-    if y > _EXP_M2:
-        y = y - 0.5
-        y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _NDTRI_P0) / _p1evl(y2, _NDTRI_Q0))
-        return x * _S2PI
-    x = math.sqrt(-2.0 * math.log(y))
-    x0 = x - math.log(x) / x
-    z = 1.0 / x
-    if x < 8.0:
-        x1 = z * _polevl(z, _NDTRI_P1) / _p1evl(z, _NDTRI_Q1)
-    else:
-        x1 = z * _polevl(z, _NDTRI_P2) / _p1evl(z, _NDTRI_Q2)
-    x = x0 - x1
-    return -x if negate else x
 
 
 def accuracy(predictions, labels) -> float:
@@ -250,14 +192,14 @@ def auc(outcomes: ScoredOutcomes) -> float:
     return auc_val
 
 
-def delong_ci(outcomes: ScoredOutcomes, level: float = 0.95) -> AucEstimate:
-    """DeLong variance of the AUC and a normal-approximation CI clipped to [0,1]."""
+def delong_ci(outcomes: ScoredOutcomes) -> AucEstimate:
+    """DeLong variance of the AUC and a normal-approximation 95% CI clipped
+    to [0,1]."""
     if outcomes.n_pos < 2 or outcomes.n_neg < 2:
         raise ValidationError("DeLong CI needs >= 2 positives and >= 2 negatives")
     auc_val, v10, v01 = _placements(outcomes)
     var = v10.var(ddof=1) / len(v10) + v01.var(ddof=1) / len(v01)
-    z = _ndtri(0.5 + level / 2.0)
-    half = z * np.sqrt(var)
+    half = _Z975 * np.sqrt(var)
     lo = float(np.clip(auc_val - half, 0.0, 1.0))
     hi = float(np.clip(auc_val + half, 0.0, 1.0))
     return AucEstimate(auc=auc_val, variance=float(var), ci95=(lo, hi))

@@ -128,6 +128,8 @@ def read(path) -> tuple[str, str, list]:
     for i, where in enumerate(places):
         cell = cells[i]
         _check_cell_keys(cell, where)
+        if schema != REPORT_SCHEMA:  # _curve_records checked a v3 curve
+            _check_curve(cell, where)
         if cell["status"] != "ok":
             continue
         if schema == _REPORT_SCHEMA_V1:
@@ -270,12 +272,17 @@ def _cell_decoded(cell, seed: int, labels: dict, where: str):
 
 
 def _curve_records(columns, where: str) -> list:
-    """A v3 curve, {key: [values]}, as the list of records run_seed gives."""
+    """A v3 curve, {key: [values]}, as the list of records run_seed gives.
+    Every record has the column keys, so they are checked once here, not
+    per record as a v2 or v1 curve's are."""
     if not (isinstance(columns, dict)
             and all(isinstance(v, list) for v in columns.values())):
         raise ValidationError(f"{where}: curve must map keys to lists of values")
     if len({len(v) for v in columns.values()}) > 1:
         raise ValidationError(f"{where}: curve columns differ in length")
+    # the columns are of one length, so any nonempty one means records
+    if any(columns.values()) and not _CURVE_KEYS <= columns.keys():
+        raise _curve_keys_error(where)
     keys = list(columns)
     return [dict(zip(keys, row)) for row in zip(*columns.values())]
 
@@ -376,7 +383,7 @@ def _move_v1_val(cell: dict) -> None:
 
 def _check_cell_keys(cell, where: str) -> None:
     """Raises ValidationError unless `cell` is a mapping with the keys every
-    cell has and its curve records the keys curves.tsv reads."""
+    cell has, a non-negative integer seed and a known strategy."""
     if not isinstance(cell, dict):
         raise ValidationError(f"{where} is not a mapping")
     missing = [key for key in ("strategy", "seed", "status") if key not in cell]
@@ -388,11 +395,20 @@ def _check_cell_keys(cell, where: str) -> None:
     if cell["strategy"] not in STRATEGIES:
         raise ValidationError(f"{where}: strategy must be one of "
                               f"{list(STRATEGIES)}, got {cell['strategy']!r}")
+
+
+def _check_curve(cell: dict, where: str) -> None:
+    """Raises ValidationError unless the curve of the v2 or v1 `cell`, if
+    it has one, is a list of records with the keys curves.tsv reads."""
     curve = cell.get("curve", [])
     if not (isinstance(curve, list) and all(
             isinstance(r, dict) and _CURVE_KEYS <= r.keys() for r in curve)):
-        raise ValidationError(f"{where}: curve must be a list of records "
-                              f"with keys {sorted(_CURVE_KEYS)}")
+        raise _curve_keys_error(where)
+
+
+def _curve_keys_error(where: str) -> ValidationError:
+    return ValidationError(f"{where}: curve must be a list of records "
+                           f"with keys {sorted(_CURVE_KEYS)}")
 
 
 def _check_metrics(cell: dict, where: str) -> None:

@@ -99,6 +99,14 @@ def extract_features(grid: SlideGrid) -> np.ndarray:
     return np.array(feats)
 
 
+def _sigmoid(logit: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-logit)). A logit below about -709 overflows exp to inf
+    and gives 0.0, as it should, so the overflow warning is silenced rather
+    than the formula changed, which would change the bits of other logits."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-logit))
+
+
 @dataclass
 class SlideClassifier:
     """L2-regularized logistic model on standardized features."""
@@ -114,7 +122,7 @@ class SlideClassifier:
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         z = (x - self.feat_mean) / self.feat_std
         logit = z @ self.weights + self.bias
-        return 1.0 / (1.0 + np.exp(-logit))
+        return _sigmoid(logit)
 
 
 def train_slide_classifier(features, labels, l2: float = 1.0,
@@ -136,7 +144,7 @@ def train_slide_classifier(features, labels, l2: float = 1.0,
     reg = l2 * np.eye(z.shape[1])
     reg[-1, -1] = 0.0  # do not penalize the bias
     for _ in range(n_iter):
-        p = 1.0 / (1.0 + np.exp(-(z @ w)))
+        p = _sigmoid(z @ w)
         g = z.T @ (p - y) + reg @ w
         s = np.clip(p * (1.0 - p), 1e-9, None)
         h = (z * s[:, None]).T @ z + reg

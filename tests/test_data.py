@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,6 +120,21 @@ class TestGenerateBlobs:
             ids = ds.provenance[key]
             assert ids and ids == sorted(set(ids))
             assert all(type(i) is int for i in ids)
+
+    @pytest.mark.parametrize("hard_fraction", [0.0, 0.3, 1.0])
+    def test_peak_memory_near_output_size(self, hard_fraction):
+        # the rows are shuffled in place, so no whole copy of the features
+        # sits beside them; the output is what the returned set still holds
+        spec = base_spec(dim=16, per_class=20_000, hard_fraction=hard_fraction,
+                         hard_tilt_angle=1.0, noise_fraction=0.05)
+        tracemalloc.start()
+        try:
+            ds = generate_blobs(spec)
+            output, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert output >= ds.features.nbytes + ds.labels.nbytes
+        assert peak < 1.7 * output
 
 
 class TestDataset:

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -315,6 +316,42 @@ class TestRunExperiment:
         assert report.all_ok
         assert all("slide" in c["metrics"] for c in report.cells)
         assert len(calls) == 2 * len(d["seeds"])
+
+    def test_source_set_freed_before_target_splits(self, monkeypatch):
+        config = config_from_dict(tiny_dict(seeds=[0]))
+        generate_blobs = data.generate_blobs
+        sources, source_alive = [], []
+
+        def watching(spec, draw_seed=0):
+            ds = generate_blobs(spec, draw_seed)
+            if spec == config.source:
+                sources.append(weakref.ref(ds.features))
+            else:
+                source_alive.append(any(ref() is not None for ref in sources))
+            return ds
+
+        monkeypatch.setattr(data, "generate_blobs", watching)
+        cells = harness.run_seed(config, 0, [config.curriculum1])
+        assert all(c["status"] == "ok" for c in cells)
+        assert len(sources) == 1
+        # target train, validation and test; the OOD split shifts the test set
+        assert source_alive == [False] * 3
+
+    def test_no_pretraining_draws_no_source_set(self, monkeypatch):
+        d = tiny_dict(pretrain=dict(epochs=0, lr=1e-3, batch_size=20))
+        config = config_from_dict(d)
+        specs = []
+        generate_blobs = data.generate_blobs
+
+        def counting(spec, draw_seed=0):
+            specs.append(spec)
+            return generate_blobs(spec, draw_seed)
+
+        monkeypatch.setattr(data, "generate_blobs", counting)
+        report = run_experiment(config)
+        assert report.all_ok
+        assert config.source not in specs
+        assert len(specs) == 3 * len(d["seeds"])
 
     def test_curve_lengths_match_epochs_and_batches(self):
         report = run_experiment(config_from_dict(tiny_dict(seeds=[0])))

@@ -1,12 +1,13 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from hadcl.exceptions import ValidationError
-from hadcl.slidelevel import (FEATURE_THRESHOLDS, N_FEATURES, SlideGrid,
-                              connected_components, extract_features,
+from hadcl.slidelevel import (FEATURE_THRESHOLDS, N_FEATURES, SlideClassifier,
+                              SlideGrid, connected_components, extract_features,
                               train_slide_classifier)
 
 
@@ -236,6 +237,28 @@ class TestSlideClassifier:
         probs = clf.predict(rng.normal(size=(50, 3)) * 100)
         assert ((probs >= 0) & (probs <= 1)).all()
         assert clf.predict(x[0]).shape == (1,)
+
+    def test_extreme_logits_warn_nothing(self):
+        # exp(1000) overflows to inf, which gives the right probability, 0.0
+        clf = SlideClassifier(weights=np.array([1.0]), bias=0.0,
+                              feat_mean=np.zeros(1), feat_std=np.ones(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = clf.predict(np.array([[-1000.0], [-30.0], [0.0], [1000.0]]))
+        assert probs.tolist() == [0.0, 1.0 / (1.0 + np.exp(30.0)), 0.5, 1.0]
+
+    def test_irls_with_extreme_logits_warns_nothing(self):
+        # a far outlier of a separable class and almost no ridge drive its
+        # logit below -709 during the Newton iterations
+        x = np.r_[[-1000.0], np.full(3, -1.0), np.full(4, 1.0)][:, None]
+        y = np.r_[np.zeros(4, int), np.ones(4, int)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clf = train_slide_classifier(x, y, l2=1e-6)
+            probs = clf.predict(x)
+        assert np.isfinite(clf.weights).all() and np.isfinite(clf.bias)
+        assert probs[0] == 0.0
+        assert ((probs > 0.5) == (y == 1)).all()
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
