@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import harness
+from . import harness, reportfile
 from .exceptions import ValidationError
 
 
@@ -92,7 +92,8 @@ def main(argv=None) -> int:
             out = _output_file(config, "alpha_sweep.json")
             sweep = harness.run_ablation_alpha(config, args.grid,
                                                workers=args.workers)
-            harness.write_json(out, sweep, stream="entries")
+            with reportfile.replacing(out) as (f,):
+                f.write(json.dumps(sweep, separators=reportfile.COMPACT))
             table = {e["alpha"]: {"val_auc": e["median_val_auc"],
                                   "val_accuracy": e["median_val_accuracy"]}
                      for e in sweep["entries"]}

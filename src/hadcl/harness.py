@@ -4,7 +4,8 @@ and emit machine-readable reports. Also hosts the alpha ablation sweep.
 
 For a given seed all strategies share the same pretrained parameters and the
 same epoch shuffles, so metric differences are attributable to the update
-rule alone.
+rule alone. A seed keeps what it computes for a model, its metrics and
+p-values, once per distinct parameter vector, for every cell of that model.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
-import json
 import math
 import multiprocessing
 import os
@@ -32,6 +32,10 @@ from .reportfile import STRATEGIES
 _VAL_OFFSET = 9000
 _TEST_OFFSET = 7000
 _SLIDE_TEST_OFFSET = 5000
+
+# the most elements one array of a run may hold (2 GiB of float64): a config
+# whose sizes imply a larger array is rejected before anything is allocated
+MAX_ARRAY_ELEMENTS = 2**28
 
 
 @dataclass(frozen=True)
@@ -74,6 +78,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValidationError("seed list must be nonempty")
+        if not self.strategies:
+            raise ValidationError("strategy list must be nonempty")
         if any(isinstance(s, bool) or not isinstance(s, int) or s < 0
                for s in self.seeds):
             raise ValidationError(
@@ -90,6 +96,20 @@ class ExperimentConfig:
                 raise ValidationError(f"duplicate {key} in {list(values)}")
         if self.source.dim != self.target.dim:
             raise ValidationError("source and target feature dims must match")
+        # the hidden-to-hidden weights and each split's rows times max(dim, hidden)
+        width = max(self.target.dim, self.hidden)
+        sizes = {"model": self.hidden ** 2,
+                 "source": 2 * self.source.per_class * width,
+                 "target": 2 * self.target.per_class * width,
+                 "eval": 2 * max(self.eval.val_per_class,
+                                 self.eval.test_per_class) * width}
+        if self.slides is not None:   # per cohort
+            sizes["slides"] = (self.slides.n_slides * self.slides.height
+                               * self.slides.width * width)
+        for name, size in sizes.items():
+            if size > MAX_ARRAY_ELEMENTS:
+                raise ValidationError(f"{name}: sizes imply an array of {size} "
+                                      f"elements, above {MAX_ARRAY_ELEMENTS}")
         if self.slides is not None:
             # the slide classifier trains on both classes and DeLong needs
             # two slides of each; a tumor slide without a region is normal
@@ -227,13 +247,16 @@ def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
         # tests does not keep the whole (n, 2) softmax output
         probs = positive_probs(model, ds.features).copy()
         outcomes[name] = scored = metrics.ScoredOutcomes(probs, ds.labels)
-        est = metrics.delong_ci(scored)
-        out[name] = {
-            "accuracy": metrics.accuracy((probs > 0.5).astype(int), ds.labels),
-            "auc": est.auc, "auc_variance": est.variance, "ci95": list(est.ci95),
-            "scores": probs.tolist(), "labels": ds.labels.tolist(),
-        }
+        out[name] = {"accuracy": metrics.accuracy((probs > 0.5).astype(int), ds.labels),
+                     **_delong_split(scored)}
     return val_result, out, outcomes
+
+
+def _delong_split(scored: metrics.ScoredOutcomes) -> dict:
+    """A split's DeLong AUC, variance and 95% CI, and its scores and labels."""
+    est = metrics.delong_ci(scored)
+    return {"auc": est.auc, "auc_variance": est.variance, "ci95": list(est.ci95),
+            "scores": scored.scores.tolist(), "labels": scored.labels.tolist()}
 
 
 def _slide_features(model, slides, spec: data.SlideSpec):
@@ -258,10 +281,7 @@ def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
     f_train, y_train = _slide_features(model, train, spec)
     f_test, y_test = _slide_features(model, test, spec)
     clf = slidelevel.train_slide_classifier(f_train, y_train)
-    scores = clf.predict(f_test)
-    est = metrics.delong_ci(metrics.ScoredOutcomes(scores, y_test))
-    return {"auc": est.auc, "auc_variance": est.variance, "ci95": list(est.ci95),
-            "scores": scores.tolist(), "labels": y_test.tolist()}
+    return _delong_split(metrics.ScoredOutcomes(clf.predict(f_test), y_test))
 
 
 def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
@@ -302,12 +322,12 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
     select_set = (val.features, val.labels)
     cells = []
     cohorts = None  # slide cohorts, generated when first needed
-    # validation results, split metrics and paired-split outcomes by
-    # parameter bytes: a model equal to one already scored, such as a stage 2
-    # that kept theta_1, is not evaluated again
-    vals, scored, outcomes = {}, {}, {}
-    keys = {}  # cell index -> parameter bytes, for each ok cell
-    for i, (strategy, stage) in enumerate(runs):
+    # what was computed for each model, by its parameter bytes: a model equal
+    # to one already scored, such as a stage 2 that kept theta_1, is neither
+    # evaluated nor paired against the baseline again
+    results = {}
+    base = None  # the ok baseline's outcomes, for the others' paired DeLong tests
+    for strategy, stage in runs:
         start = time.perf_counter()
         cell = {"strategy": strategy, "seed": seed, "status": "ok"}
         try:
@@ -331,38 +351,37 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
                     stage, curriculum.decide_update_stage2,
                     seed=4000 + seed, select_set=select_set)
             key = model.theta.tobytes()
-            if key not in scored:
-                vals[key], scored[key], outcomes[key] = _evaluate(
+            if key not in results:
+                val_result, split_metrics, outcomes = _evaluate(
                     model, val, test, test_ood)
                 if config.slides is not None:
                     cohorts = cohorts or _slide_cohorts(config, seed)
-                    scored[key]["slide"] = _evaluate_slides(
+                    split_metrics["slide"] = _evaluate_slides(
                         model, config.slides, *cohorts)
-            cell["val"] = dict(vals[key])
-            # each cell its own split dicts, which the paired tests below
-            # extend; the score and label lists are shared
-            cell["metrics"] = {split: dict(m) for split, m in scored[key].items()}
+                results[key] = {"val": val_result, "metrics": split_metrics,
+                                "outcomes": outcomes}
+            result = results[key]
+            cell["val"] = dict(result["val"])
+            # each cell its own split dicts, which its p-values extend; the
+            # score and label lists are shared
+            cell["metrics"] = {split: dict(m) for split, m in result["metrics"].items()}
+            if strategy == "baseline":
+                base = result["outcomes"]
+            elif base is not None:
+                if "p_values" not in result:
+                    result["p_values"] = {
+                        split: metrics.delong_paired_test(result["outcomes"][split],
+                                                          base[split])
+                        for split in reportfile.PAIRED_SPLITS}
+                for split, p in result["p_values"].items():
+                    cell["metrics"][split]["p_vs_baseline"] = p
             cell["curve"] = [dict(vars(r)) for r in report.records]
             cell["best_epoch"] = report.best_epoch
-            keys[i] = key
         except (NumericError, ValidationError) as exc:
             cell["status"] = "failed"
             cell["error"] = str(exc)
         cell["wall_clock"] = time.perf_counter() - start
         cells.append(cell)
-
-    # paired DeLong significance versus the baseline of the same seed, cell
-    # 0, once per distinct parameter vector
-    if "baseline" in config.strategies and 0 in keys:
-        base = outcomes[keys.pop(0)]
-        p_values = {}  # parameter bytes -> p_vs_baseline by split
-        for i, key in keys.items():
-            if key not in p_values:
-                p_values[key] = {
-                    split: metrics.delong_paired_test(outcomes[key][split], base[split])
-                    for split in reportfile.PAIRED_SPLITS}
-            for split, p in p_values[key].items():
-                cells[i]["metrics"][split]["p_vs_baseline"] = p
     return cells
 
 
@@ -409,26 +428,6 @@ class RunReport:
         run_experiment returned them; reportfile.read says what it checks."""
         config_hash, code_version, cells = reportfile.read(path)
         return cls(config_hash=config_hash, cells=cells, code_version=code_version)
-
-
-def write_json(path, doc: dict, stream: str) -> None:
-    """Writes `doc` as compact JSON with the C encoder, replacing `path`
-    only once the whole document is written. The items of doc[stream], a
-    list or any iterable, are encoded and written one at a time, so the
-    whole document is never held as one string."""
-    with reportfile.replacing(path) as (f,):
-        f.write("{")
-        for i, (key, value) in enumerate(doc.items()):
-            f.write(("," if i else "") + json.dumps(key) + ":")
-            if key != stream:
-                f.write(json.dumps(value, separators=reportfile.COMPACT))
-                continue
-            f.write("[")
-            for j, item in enumerate(value):
-                f.write(("," if j else "")
-                        + json.dumps(item, separators=reportfile.COMPACT))
-            f.write("]")
-        f.write("}")
 
 
 def make_output_dir(path) -> None:
@@ -539,14 +538,13 @@ def _holds_bool(values) -> bool:
     return not isinstance(values, np.ndarray) and bool in set(map(type, values))
 
 
-def _roc_counts(scores, labels):
-    """ROC counts as (thresholds, fp, tp, n_neg, n_pos), thresholds descending.
+def _roc_counts(scores: np.ndarray, labels: np.ndarray):
+    """ROC counts as (thresholds, fp, tp, n_neg, n_pos), thresholds descending,
+    of a split's arrays as _roc_arrays returns them.
 
     The thresholds are the distinct scores; fp[i] and tp[i] count the
     negatives and positives whose score is >= thresholds[i]. Labels other
-    than 0 and 1 give thresholds but count as neither class. Scores and
-    labels are checked by _roc_arrays."""
-    scores, labels = _roc_arrays(scores, labels)
+    than 0 and 1 give thresholds but count as neither class."""
     pos = np.sort(scores[labels == 1])
     neg = np.sort(scores[labels == 0])
     # the first occurrence of each distinct score, as set() would keep it
@@ -566,8 +564,8 @@ def _rates(counts, n: int) -> np.ndarray:
 
 def roc_points(scores, labels):
     """ROC curve as (threshold, fpr, tpr) rows, thresholds descending: the
-    rates view of _roc_counts, whose rules and checks it shares."""
-    thresholds, fp, tp, n_neg, n_pos = _roc_counts(scores, labels)
+    rates view of _roc_counts, after the checks of _roc_arrays."""
+    thresholds, fp, tp, n_neg, n_pos = _roc_counts(*_roc_arrays(scores, labels))
     return list(zip(thresholds.tolist(), _rates(fp, n_neg).tolist(),
                     _rates(tp, n_pos).tolist()))
 

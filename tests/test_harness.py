@@ -236,6 +236,7 @@ class TestConfig:
         ({"seeds": [0, 1, 0]}, "duplicate"),
         ({"strategies": "baseline"}, "must be a list"),
         ({"seeds": 3}, "must be a list"),
+        ({"strategies": []}, "strategy list must be nonempty"),
         ({"strategies": [["baseline"]]}, "unknown strategies"),
         ({"seeds": [1.5]}, "non-negative integers"),
         ({"seeds": [-1]}, "non-negative integers"),
@@ -257,8 +258,9 @@ class TestConfig:
          r"^config section 'source': unknown keys \['draw_seed', 'spec_hash'\]$"),
         ({"slides": {}}, r"section 'slides': .*missing"),
     ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
-            "scalar_seeds", "nested_strategies", "float_seed", "negative_seed",
-            "string_seed", "bool_seed", "int_output_dir", "misspelt_slides",
+            "scalar_seeds", "empty_strategies", "nested_strategies",
+            "float_seed", "negative_seed", "string_seed", "bool_seed",
+            "int_output_dir", "misspelt_slides",
             "misspelt_eval", "source_draw_seed", "target_draw_seed",
             "slides_draw_seed", "slides_patch_spec", "source_two_unknown_keys",
             "empty_slides"])
@@ -277,6 +279,11 @@ class TestConfig:
             want = data.generate_slides(cfg.slides, clean, draw_seed=draw_seed)
             assert [s.features.tobytes() for s in cohort] == \
                 [s.features.tobytes() for s in want]
+
+    def test_size_ceiling_admits_its_own_size(self):
+        side = math.isqrt(harness.MAX_ARRAY_ELEMENTS)
+        assert side * side == harness.MAX_ARRAY_ELEMENTS
+        assert config_from_dict(tiny_dict(model={"hidden": side})).hidden == side
 
     def test_config_hash_is_file_sha256(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -362,20 +369,33 @@ class TestRunExperiment:
         assert len(by["curriculum2"]["curve"]) == 1 * n_batches
         assert all(r["k_prime"] is not None for r in by["curriculum2"]["curve"])
 
-    def count_evaluations(self, monkeypatch, stage2_lr):
-        calls = []
-        evaluate = harness._evaluate
+    @staticmethod
+    def count_calls(monkeypatch, d):
+        """The cells of config `d`, run with the parameter bytes of each
+        model harness._evaluate scores and the outcome pairs of each
+        metrics.delong_paired_test recorded: (evaluated, paired, cells)."""
+        evaluated, paired = [], []
+        evaluate, paired_test = harness._evaluate, metrics.delong_paired_test
 
-        def counting(model, *args):
-            calls.append(model.theta.tobytes())
+        def counting_evaluate(model, *args):
+            evaluated.append(model.theta.tobytes())
             return evaluate(model, *args)
 
-        monkeypatch.setattr(harness, "_evaluate", counting)
-        d = tiny_dict(seeds=[0], slides=SLIDES)
-        d["curriculum2"]["lr"] = stage2_lr
+        def counting_paired_test(a, b):
+            paired.append((a, b))
+            return paired_test(a, b)
+
+        monkeypatch.setattr(harness, "_evaluate", counting_evaluate)
+        monkeypatch.setattr(metrics, "delong_paired_test", counting_paired_test)
         report = run_experiment(config_from_dict(d))
         assert report.all_ok
-        return calls, {c["strategy"]: c for c in report.cells}
+        return evaluated, paired, report.cells
+
+    def count_evaluations(self, monkeypatch, stage2_lr):
+        d = tiny_dict(seeds=[0], slides=SLIDES)
+        d["curriculum2"]["lr"] = stage2_lr
+        calls, _, cells = self.count_calls(monkeypatch, d)
+        return calls, {c["strategy"]: c for c in cells}
 
     def test_kept_theta1_is_evaluated_once(self, monkeypatch):
         # with a zero stage-2 lr no epoch can beat theta_1, so stage 2
@@ -396,19 +416,10 @@ class TestRunExperiment:
         assert len(calls) == len(set(calls)) == 3
 
     def count_paired_tests(self, monkeypatch, stage2_lr, seeds):
-        calls = []
-        paired = metrics.delong_paired_test
-
-        def counting(a, b):
-            calls.append((a, b))
-            return paired(a, b)
-
-        monkeypatch.setattr(metrics, "delong_paired_test", counting)
         d = tiny_dict(seeds=seeds)
         d["curriculum2"]["lr"] = stage2_lr
-        report = run_experiment(config_from_dict(d))
-        assert report.all_ok
-        return calls, report.cells
+        _, calls, cells = self.count_calls(monkeypatch, d)
+        return calls, cells
 
     @staticmethod
     def list_p_value(cell, base, split, paired=metrics.delong_paired_test):
@@ -440,6 +451,23 @@ class TestRunExperiment:
             for split in ("in_domain", "ood"):
                 assert (by[strategy]["metrics"][split]["p_vs_baseline"]
                         == self.list_p_value(by[strategy], by["baseline"], split))
+
+    def test_baseline_theta_is_scored_once_and_paired_once(self, monkeypatch):
+        # with alpha = 1 curriculum1's theta is the baseline's, and a zero
+        # stage-2 lr keeps it: the three cells share what was computed for
+        # the baseline, and only the two others get p-values, from one
+        # paired test per split
+        d = tiny_dict(seeds=[3])
+        d["curriculum1"].update(alpha=1.0, a=0.79, b=0.2)  # thres < 1 always
+        d["curriculum2"]["lr"] = 0.0
+        evaluated, paired, cells = self.count_calls(monkeypatch, d)
+        by = {c["strategy"]: c for c in cells}
+        assert len(evaluated) == 1
+        assert len(paired) == 2
+        for split in ("in_domain", "ood"):
+            assert "p_vs_baseline" not in by["baseline"]["metrics"][split]
+            for strategy in ("curriculum1", "curriculum2"):
+                assert by[strategy]["metrics"][split]["p_vs_baseline"] == 1.0
 
     @pytest.mark.parametrize("workers", [0, -3, 1.5])
     def test_workers_below_one_rejected(self, workers):
@@ -562,8 +590,10 @@ class TestRunExperiment:
     def test_failed_write_keeps_the_old_file(self, tmp_path):
         path = tmp_path / "report.json"
         path.write_text("earlier")
-        with pytest.raises(TypeError):   # the second cell is not JSON
-            harness.write_json(path, {"cells": [1, object()]}, stream="cells")
+        cell = {"strategy": "baseline", "seed": 0, "status": "failed",
+                "error": object(), "wall_clock": 0.0}
+        with pytest.raises(TypeError):   # its seed line is not JSON
+            RunReport(config_hash="h", cells=[cell]).to_json(path)
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert path.read_text() == "earlier"
 
@@ -1237,6 +1267,13 @@ class TestCli:
         ("target", "seed", -1),
         ("shift", "seed", -1),
         ("slides", "seed", -1),
+        # sizes whose arrays no machine could allocate
+        ("target", "per_class", 10**30),
+        ("model", "hidden", 10**30),
+        ("eval", "test_per_class", 10**30),
+        ("source", "dim", 10**12),          # target's dim is set to match
+        ("slides", "height", 10**9),
+        ("model", "hidden", math.isqrt(harness.MAX_ARRAY_ELEMENTS) + 1),
     ], ids=["a_below_b", "batch_above_dataset", "negative_lr", "typo_key",
             "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
             "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
@@ -1245,7 +1282,9 @@ class TestCli:
             "three_slides", "all_tumor_slides", "no_tumor_regions",
             "source_draw_seed", "slides_patch_spec", "three_class_source",
             "negative_source_seed", "negative_target_seed",
-            "negative_shift_seed", "negative_slides_seed"])
+            "negative_shift_seed", "negative_slides_seed", "huge_per_class",
+            "huge_hidden", "huge_test_per_class", "huge_dim", "huge_slides",
+            "hidden_just_above_ceiling"])
     def test_validate_config_rejects_bad_value(self, tmp_path, capsys,
                                                section, key, value):
         d = tiny_dict(slides=dict(SLIDES)) if section == "slides" else tiny_dict()
@@ -1253,6 +1292,8 @@ class TestCli:
             del d[section]
         else:
             d[section][key] = value
+        if key == "dim":   # source and target dims must match
+            d["target"][key] = value
         path = self.write_config(tmp_path, d)
         assert cli.main(["validate-config", "--config", path]) == 2
         assert section in capsys.readouterr().err
