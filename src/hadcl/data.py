@@ -79,7 +79,7 @@ class DomainShiftSpec:
 @dataclass
 class Dataset:
     """Samples as rows of `features` with 0/1 `labels`; the ids in
-    `provenance` are row indices."""
+    `provenance` are arrays of row indices."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -128,12 +128,13 @@ def _hard_axis(spec: BlobTaskSpec, centers: np.ndarray) -> np.ndarray:
     return axis
 
 
-def _hard_samples(spec: BlobTaskSpec, rng: np.random.Generator, n_hard: int,
-                  midpoint: np.ndarray, axis: np.ndarray) -> np.ndarray:
-    """n_hard uniform draws inside a ball of radius `spread` around the
-    midpoint, reflected onto the side `axis` points to except for a
-    hard_wrong_side fraction that stays across the boundary."""
-    u = rng.normal(size=(n_hard, spec.dim))
+def _hard_samples(spec: BlobTaskSpec, rng: np.random.Generator, u: np.ndarray,
+                  midpoint: np.ndarray, axis: np.ndarray) -> None:
+    """Fills the rows of `u` with uniform draws inside a ball of radius
+    `spread` around the midpoint, reflected onto the side `axis` points to
+    except for a hard_wrong_side fraction that stays across the boundary."""
+    n_hard = len(u)
+    u[...] = rng.normal(size=u.shape)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     u *= spec.spread * rng.uniform(size=(n_hard, 1)) ** (1.0 / spec.dim)
     proj = u @ axis
@@ -142,7 +143,6 @@ def _hard_samples(spec: BlobTaskSpec, rng: np.random.Generator, n_hard: int,
     reflect = wrong & ~keep_wrong
     u[reflect] -= 2.0 * proj[reflect, None] * axis
     u += midpoint
-    return u
 
 
 # columns per block of generate_blobs's in-place row shuffle. On 80,000 x 16
@@ -159,7 +159,8 @@ def generate_blobs(spec: BlobTaskSpec, draw_seed: int = 0) -> Dataset:
     `draw_seed` varies the sample draws while keeping the class centers
     (which depend only on `spec.seed`) fixed, so train/val/test splits share
     one geometry. The rows are shuffled in place, a block of columns at a
-    time, so the draw needs little more memory than the set it returns."""
+    time, so the draw needs little more memory than the set it returns.
+    Its provenance's "hard_ids" and "flipped_ids" are sorted int64 rows."""
     rng = np.random.default_rng((spec.seed, draw_seed, 1))
     centers = class_centers(spec)
     midpoint = (centers[0] + centers[1]) / 2.0
@@ -180,8 +181,8 @@ def generate_blobs(spec: BlobTaskSpec, draw_seed: int = 0) -> Dataset:
         easy *= spec.spread
         easy += centers[c]
         axis = hard_axis if c == 1 else -hard_axis
-        feats[row + n_easy:row + spec.per_class] = _hard_samples(
-            spec, rng, n_hard, midpoint, axis)
+        _hard_samples(spec, rng, feats[row + n_easy:row + spec.per_class],
+                      midpoint, axis)
         hard_flags[row + n_easy:row + spec.per_class] = True
         labels[row:row + spec.per_class] = c
         row += spec.per_class
@@ -198,8 +199,8 @@ def generate_blobs(spec: BlobTaskSpec, draw_seed: int = 0) -> Dataset:
     labels[flip_idx] = 1 - labels[flip_idx]
 
     return Dataset(features=feats, labels=labels, provenance={
-        "hard_ids": np.flatnonzero(hard_flags).tolist(),
-        "flipped_ids": np.sort(flip_idx).tolist(),
+        "hard_ids": np.flatnonzero(hard_flags),
+        "flipped_ids": np.sort(flip_idx),
     })
 
 

@@ -14,8 +14,10 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
+import itertools
 import math
 import multiprocessing
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -94,6 +96,16 @@ class ExperimentConfig:
             values = getattr(self, key)
             if len(set(values)) != len(values):
                 raise ValidationError(f"duplicate {key} in {list(values)}")
+        # two seeds as far apart as two draw offsets of one family, blobs or
+        # slides, would draw a split from one stream
+        families = [(0, _TEST_OFFSET, _VAL_OFFSET)] + (
+            [(0, _SLIDE_TEST_OFFSET)] if self.slides is not None else [])
+        gaps = sorted({b - a for f in families for a in f for b in f if b > a})
+        seeds = set(self.seeds)
+        for s, gap in itertools.product(self.seeds, gaps):
+            if s + gap in seeds:
+                raise ValidationError(f"seeds {s} and {s + gap} are {gap} apart, "
+                                      "so they would draw a split from one stream")
         if self.source.dim != self.target.dim:
             raise ValidationError("source and target feature dims must match")
         # the hidden-to-hidden weights and each split's rows times max(dim, hidden)
@@ -571,6 +583,9 @@ def roc_points(scores, labels):
 
 
 CURVES_HEADER = "\t".join(("strategy", "seed") + reportfile.CURVE_COLUMNS) + "\n"
+# a curves.tsv row after strategy and seed: str, so repr for a float, per column
+_CURVE_ROW = "\t".join(["%s"] * len(reportfile.CURVE_COLUMNS)) + "\n"
+_curve_values = operator.itemgetter(*reportfile.CURVE_COLUMNS)
 ROC_HEADER = "strategy\tseed\tsplit\tthreshold\tfpr\ttpr\n"
 
 
@@ -609,10 +624,8 @@ def emit_plot_data(report: RunReport, outdir) -> dict:
         curves.write(CURVES_HEADER)
         for cell in report.cells:
             prefix = f"{cell['strategy']}\t{cell['seed']}\t"
-            curves.write("".join(
-                f"{prefix}{r['epoch']}\t{r['t']}\t{r['thres']!r}\t{r['k']}"
-                f"\t{r['k_prime']}\t{r['branch']}\t{r['mean_loss']!r}\t{r['lr']!r}\n"
-                for r in cell.get("curve", [])))
+            curves.write("".join(prefix + _CURVE_ROW % _curve_values(r)
+                                 for r in cell.get("curve", [])))
         roc.write(ROC_HEADER)
         last = {}  # split -> (arrays' bytes, rows) of the last ok cell
         for i, cell in enumerate(report.cells):

@@ -159,8 +159,9 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
     forward_pass is (h1, h2, logits, losses) of this model on all of
     `inputs`: the hidden activations `forward(model, inputs, hidden)` set and
     `per_sample_cross_entropy(logits, labels)`. It is used only when the mask
-    covers every row; a row subset is recomputed, because its products are
-    not bit-equal to the same rows of the whole batch's.
+    covers every row; otherwise the same two calls recompute it on the
+    masked rows (raising NumericError on non-finite logits), because a row
+    subset's products are not bit-equal to the same rows of the whole batch's.
 
     Returns (grads, mean_loss) with grads an MlpModel of the model's shapes,
     so grads.theta lines up with model.theta. The gradients are written into
@@ -179,13 +180,11 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
             labels = labels[mask]
             forward_pass = None
 
-    if forward_pass is not None:
-        h1, h2, logits, losses = forward_pass
-    else:
-        h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
-        h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
-        logits = h2 @ model.w3 + model.b3
-        losses = per_sample_cross_entropy(logits, labels)
+    if forward_pass is None:
+        hidden = []
+        logits = forward(model, x, hidden)
+        forward_pass = (*hidden, logits, per_sample_cross_entropy(logits, labels))
+    h1, h2, logits, losses = forward_pass
     m = x.shape[0]
     mean_loss = float(losses.mean())
 

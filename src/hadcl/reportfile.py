@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import base64
 import contextlib
+import dataclasses
 import itertools
 import json
 import os
 
 import numpy as np
 
+from .curriculum import IterationRecord
 from .exceptions import ValidationError
 
 REPORT_SCHEMA = "hadcl.run_report.v3"
@@ -28,8 +30,9 @@ STRATEGIES = ("baseline", "curriculum1", "curriculum2")
 PAIRED_SPLITS = ("in_domain", "ood")
 # what RunReport.summary() reads of "val" and of each paired split
 _SUMMARY_KEYS = ("accuracy", "auc")
-# the keys of a curve record, which curves.tsv writes after strategy and seed
-CURVE_COLUMNS = ("epoch", "t", "thres", "k", "k_prime", "branch", "mean_loss", "lr")
+# the keys of a curve record, which curves.tsv writes after strategy and
+# seed: IterationRecord's fields, in order
+CURVE_COLUMNS = tuple(f.name for f in dataclasses.fields(IterationRecord))
 _CURVE_KEYS = frozenset(CURVE_COLUMNS)
 COMPACT = (",", ":")
 
@@ -65,19 +68,24 @@ def replacing(*paths):
 
 def write(path, config_hash: str, code_version: str, cells: list) -> None:
     """Writes a report of `cells` as schema v3, JSON lines: a header with
-    the seeds in cell order, then one line per seed with its labels per
-    split and its cells. A cell writes each split's scores as the base64
-    text of their little-endian float64 bytes, leaves out labels that
-    encode as its seed line's, and writes its curve by column. A cell whose
-    metrics repeat those of an earlier cell of its seed, such as a
-    curriculum2 cell that kept theta_1, holds that cell's index as
-    "metrics_from" instead. No summary is written. Raises ValidationError,
-    leaving `path` as it was, if the cells of a seed are not contiguous or
-    a curve record's keys are not CURVE_COLUMNS."""
+    the seeds in cell order, then one line per seed, as _seed_line builds it
+    from that seed's cells. No summary is written. Raises ValidationError,
+    leaving `path` as it was, if the cells of a seed are not contiguous, which
+    is checked before anything is written, or a curve record's keys are not
+    CURVE_COLUMNS."""
+    groups = {}  # seed -> its cells, in cell order
+    for seed, group in itertools.groupby(cells, key=lambda c: c["seed"]):
+        if seed in groups:
+            raise ValidationError(f"the cells of seed {seed!r} are not contiguous")
+        groups[seed] = list(group)
     header = {"schema": REPORT_SCHEMA, "config_hash": config_hash,
-              "code_version": code_version,
-              "seeds": list(dict.fromkeys(c["seed"] for c in cells))}
-    _write_json_lines(path, itertools.chain([header], _seed_lines(cells)))
+              "code_version": code_version, "seeds": list(groups)}
+    with replacing(path) as (f,):
+        f.write(json.dumps(header, separators=COMPACT) + "\n")
+        start = 0
+        for group in groups.values():
+            f.write(json.dumps(_seed_line(group, start), separators=COMPACT) + "\n")
+            start += len(group)
 
 
 def read(path) -> tuple[str, str, list]:
@@ -145,25 +153,34 @@ def _is_seed(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _seed_lines(cells):
-    """The v3 seed lines of `cells`, in order: each holds its seed, the
-    labels of each split as the first cell of the seed written with that
-    split's metrics has them, and the seed's cells as _cells_written gives
-    them, encoded by _cell_encoded."""
-    done = set()
-    for seed, group in itertools.groupby(_cells_written(cells),
-                                         key=lambda c: c["seed"]):
-        if seed in done:
-            raise ValidationError(f"the cells of seed {seed!r} are not contiguous")
-        done.add(seed)
-        group = list(group)
-        labels = {}
-        for cell in group:
-            for split, m in cell.get("metrics", {}).items():
-                if "labels" in m:
-                    labels.setdefault(split, m["labels"])
-        yield {"seed": seed, "labels": labels,
-               "cells": [_cell_encoded(cell, labels) for cell in group]}
+def _seed_line(cells: list, start: int) -> dict:
+    """The v3 line of one seed's `cells`, the first of which is report cell
+    `start`: the seed, each split's labels as the first cell written with
+    that split's metrics has them, and the cells encoded by _cell_encoded.
+    An ok cell whose metrics repeat those of an earlier ok cell holds that
+    cell's report index as "metrics_from" instead of "metrics". Split dicts
+    holding the same objects in the same key order, as run_seed and
+    _metrics_restored share them, are a repeat; other metrics are compared
+    with == and then by their JSON, so that no 0.0 stands in for a -0.0 or
+    1 for 1.0."""
+    earlier = []  # (index, metrics) of the ok cells written in full
+    written, labels = [], {}
+    for i, cell in enumerate(cells, start):
+        if cell["status"] == "ok":
+            metrics = cell["metrics"]
+            j = next((j for j, m in earlier if _shares_values(m, metrics)
+                      or (m == metrics and json.dumps(m) == json.dumps(metrics))),
+                     None)
+            if j is None:
+                earlier.append((i, metrics))
+            else:
+                cell = _renamed(cell, "metrics", "metrics_from", j)
+        written.append(cell)
+        for split, m in cell.get("metrics", {}).items():
+            if "labels" in m:
+                labels.setdefault(split, m["labels"])
+    return {"seed": cells[0]["seed"], "labels": labels,
+            "cells": [_cell_encoded(cell, labels) for cell in written]}
 
 
 def _cell_encoded(cell: dict, labels: dict) -> dict:
@@ -323,29 +340,6 @@ def _renamed(cell: dict, old: str, new: str, value) -> dict:
             for k, v in cell.items()}
 
 
-def _cells_written(cells):
-    """`cells` as write writes them, before _cell_encoded: an ok cell whose
-    metrics encode to the same JSON as those of an earlier ok cell of its
-    seed holds that cell's index as "metrics_from" in place of "metrics".
-    Split dicts whose values are the same objects, in the same key order, as
-    run_seed and _metrics_restored share them, encode alike. Other metrics
-    are tested for equality first, so only a repeat is encoded, and then by
-    their encoding, so that no 0.0 stands in for a -0.0 or 1 for 1.0."""
-    earlier = {}  # seed -> [(index, metrics)] of the ok cells written in full
-    for i, cell in enumerate(cells):
-        if cell["status"] == "ok":
-            metrics = cell["metrics"]
-            same = earlier.setdefault(cell["seed"], [])
-            j = next((j for j, m in same if _shares_values(m, metrics)
-                      or (m == metrics and json.dumps(m) == json.dumps(metrics))),
-                     None)
-            if j is not None:
-                yield _renamed(cell, "metrics", "metrics_from", j)
-                continue
-            same.append((i, metrics))
-        yield cell
-
-
 def _shares_values(a: dict, b: dict) -> bool:
     """Whether metrics `a` and `b` have the same splits and keys in the same
     order, with each value the same object in both."""
@@ -441,11 +435,3 @@ def _check_metrics(cell: dict, where: str) -> None:
             raise ValidationError(f"{where}: {name} needs a numeric "
                                   f"{' and '.join(keys)}")
 
-
-def _write_json_lines(path, docs) -> None:
-    """Writes each of `docs`, any iterable, as one line of compact JSON
-    with the C encoder, replacing `path` only once every line is written."""
-    with replacing(path) as (f,):
-        for doc in docs:
-            f.write(json.dumps(doc, separators=COMPACT))
-            f.write("\n")

@@ -257,16 +257,29 @@ class TestConfig:
         ({"source": dict(tiny_dict()["source"], spec_hash="x", draw_seed=1)},
          r"^config section 'source': unknown keys \['draw_seed', 'spec_hash'\]$"),
         ({"slides": {}}, r"section 'slides': .*missing"),
+        # seed 2000's test split would be seed 0's validation split
+        ({"seeds": [5, 0, 2000]}, r"^seeds 0 and 2000 are 2000 apart"),
+        # seed 5003's train slide cohort would be seed 3's test cohort
+        ({"seeds": [3, 5003], "slides": SLIDES}, r"^seeds 3 and 5003 are 5000 apart"),
     ], ids=["duplicate_strategies", "duplicate_seeds", "scalar_strategies",
             "scalar_seeds", "empty_strategies", "nested_strategies",
             "float_seed", "negative_seed", "string_seed", "bool_seed",
             "int_output_dir", "misspelt_slides",
             "misspelt_eval", "source_draw_seed", "target_draw_seed",
             "slides_draw_seed", "slides_patch_spec", "source_two_unknown_keys",
-            "empty_slides"])
+            "empty_slides", "blob_seed_gap", "slide_seed_gap"])
     def test_malformed_lists_rejected(self, over, match):
         with pytest.raises(ValidationError, match=match):
             config_from_dict(tiny_dict(**over))
+
+    def test_seed_gaps_follow_the_draw_offsets(self):
+        # every blob gap (offsets 0, 7000 and 9000), through replace as
+        # --seeds uses it; a slide gap only when slides are drawn
+        config = config_from_dict(tiny_dict(seeds=[3, 5003]))
+        for gap in (2000, 7000, 9000):
+            with pytest.raises(ValidationError, match=f"are {gap} apart"):
+                replace(config, seeds=(7, 7 + gap))
+        assert replace(config, seeds=(0, 1999, 2001, 6999, 7001)).seeds[1] == 1999
 
     def test_slide_patches_inherit_clean_target_geometry(self):
         d = tiny_dict(slides=dict(height=4, width=4, n_slides=4,
@@ -290,6 +303,58 @@ class TestConfig:
         path.write_text(yaml.safe_dump(tiny_dict()))
         cfg = harness.load_config(path)
         assert cfg.config_hash == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+SHIPPED_CONFIGS = {p.name: yaml.safe_load(p.read_text()) for p in sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))}
+# what a mutated leaf or list element becomes
+MUTANT_VALUES = [None, "x", "", [], [1], {}, {"a": 1}, True, False, 0, 1, -1, 2,
+                 10**30, 0.5, -0.5, 1e308, math.nan, math.inf, -math.inf]
+
+
+def config_paths(node, path=()) -> list:
+    """The path of every mapping value and list element under `node`."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out += config_paths(child, path + (key,))
+    return out
+
+
+@st.composite
+def config_mutants(draw) -> dict:
+    """A shipped config with one to three edits: a value or list element
+    set to one of MUTANT_VALUES, a key or element removed, or an unknown
+    key added to the config or to one of its mappings."""
+    d = copy.deepcopy(SHIPPED_CONFIGS[draw(st.sampled_from(sorted(SHIPPED_CONFIGS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(config_paths(d)))
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        edit = draw(st.sampled_from(["set", "remove", "add"]))
+        if edit == "set":
+            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+        elif edit == "remove":
+            del parent[path[-1]]
+        else:
+            target = parent if isinstance(parent, dict) else d
+            target["unknown_key"] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+    return d
+
+
+class TestConfigContract:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(config_mutants())
+    def test_mutant_is_valid_or_rejected(self, d):
+        # a ValidationError is the only failure a config may cause
+        try:
+            config = config_from_dict(d)
+        except ValidationError:
+            return
+        assert isinstance(config, harness.ExperimentConfig)
 
 
 class TestRunExperiment:
@@ -754,11 +819,13 @@ class TestReportV2:
         dumps = json.dumps
         monkeypatch.setattr(json, "dumps",
                             lambda obj, **kw: encoded.append(obj) or dumps(obj, **kw))
-        written = list(reportfile._cells_written([base, shared]))
+        written = reportfile._seed_line([base, shared], 0)["cells"]
         assert written[1]["metrics_from"] == 0 and "metrics" not in written[1]
+        # the index is the report's: the line's first cell is cell `start`
+        assert reportfile._seed_line([base, shared], 3)["cells"][1]["metrics_from"] == 3
         assert encoded == []
-        written = list(reportfile._cells_written([base, reordered]))
-        assert written[1] is reordered
+        written = reportfile._seed_line([base, reordered], 0)["cells"]
+        assert "metrics" in written[1] and "metrics_from" not in written[1]
         assert encoded == [base["metrics"], reordered["metrics"]]
 
     @pytest.mark.parametrize("over", [
