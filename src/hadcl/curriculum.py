@@ -19,6 +19,7 @@ CurriculumTrainConfig (plus alpha, a and b), which checks its own values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -67,8 +68,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class CurriculumTrainConfig(TrainConfig):
-    """A curriculum stage: K = alpha * batch_size hard samples per batch and
-    the gating threshold a*(1 - t/T) + b of `threshold`."""
+    """A curriculum stage: K = floor(alpha * batch_size) hard samples per
+    batch, at least one, and the gating threshold a*(1 - t/T) + b of
+    `threshold`."""
 
     alpha: float = 0.10
     a: float = 0.7
@@ -85,7 +87,9 @@ class CurriculumTrainConfig(TrainConfig):
 
     @property
     def top_k(self) -> int:
-        return max(1, int(self.alpha * self.batch_size))
+        # the floor of the decimal product: in floats, 0.29 * 100 is
+        # 28.999999999999996
+        return max(1, int(Decimal(repr(float(self.alpha))) * self.batch_size))
 
 
 def threshold(t: int, T: int, a: float, b: float) -> float:
@@ -243,9 +247,13 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
 
     model = model.copy()
     state = OptimizerState()
-    # backward reuses the ranking pass's activations on whole-batch updates
-    # and writes every step's gradients into one buffer
-    hidden, grads = [], model.copy()
+    # each step gathers its batch into x and y, and forward, backward and
+    # adam_step write into buffers made here; backward reuses the ranking
+    # pass's activations on whole-batch updates
+    x = np.empty((batch_size, *features.shape[1:]))
+    y = np.empty(batch_size, dtype=labels.dtype)
+    buffers, grads = numcore.StepBuffers(batch_size, model), model.copy()
+    k = config.top_k
     rng = np.random.default_rng(seed)
     report = StageReport()
     best_model, best_score = None, -1.0
@@ -261,16 +269,19 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
         perm = rng.permutation(n)
         for t in range(1, n_batches + 1):
             idx = perm[(t - 1) * batch_size: t * batch_size]
-            x, y = features[idx], labels[idx]
+            # mode="clip" (idx is in range) lets take write straight into out
+            np.take(features, idx, axis=0, out=x, mode="clip")
+            np.take(labels, idx, out=y, mode="clip")
             thres = threshold(t, n_batches, config.a, config.b)
             try:
-                logits = numcore.forward(model, x, hidden)
+                logits = numcore.forward(model, x, buffers)
                 losses = numcore.per_sample_cross_entropy(logits, y)
                 if not np.all(np.isfinite(losses)):
                     raise NumericError("non-finite loss")
-                decision = decide(losses, thres, config.top_k)
+                decision = decide(losses, thres, k)
                 _, mean_loss = numcore.backward(
-                    model, x, y, decision.mask, (*hidden, logits, losses), grads)
+                    model, x, y, decision.mask,
+                    (buffers.h1, buffers.h2, logits, losses), grads, buffers)
                 numcore.adam_step(model, grads, state, lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, iteration {t} "

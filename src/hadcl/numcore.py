@@ -15,6 +15,18 @@ instead, so a last row left on its own joins the block before it. The last
 layer stays one product over all rows: OpenBLAS switches kernel for the
 (rows, 2) product once rows x hidden x 2 passes about 10^6, and a blocked
 last layer would change which kernel, and so which bits, a large split gets.
+
+A training step makes none of its batch- or parameter-sized arrays. The
+loop makes one StepBuffers per stage, and `forward` and `backward` write the
+step's activations, logits, row gradients and ReLU masks into its first
+rows; a row-subset update recomputes its forward pass into the same
+buffers. Adam updates its moments in place with two scratch vectors held by
+the OptimizerState, in the operation order of its textbook expression, so
+the bits are those of fresh arrays. What a step still allocates: loss-sized
+vectors (B or B x classes floats), the decision's index arrays, and NumPy's
+own iterator scratch for the broadcast bias adds and the products with a
+boolean mask, at most 8192 elements (a whole 50 x 96 activation at the
+reference shape).
 """
 
 from __future__ import annotations
@@ -72,6 +84,25 @@ class MlpModel:
         return MlpModel(*(getattr(self, name) for name in PARAM_NAMES))
 
 
+class StepBuffers:
+    """The batch-sized arrays of a training step with up to `rows` rows:
+    the hidden activations h1 and h2 and the logits that `forward` writes,
+    and the row gradients d_h1, d_h2 and ReLU masks relu1, relu2 that
+    `backward` writes. A call on n rows uses the first n rows of each."""
+
+    def __init__(self, rows: int, model: MlpModel):
+        width1, width2 = model.w1.shape[1], model.w2.shape[1]
+        self.h1, self.d_h1 = np.empty((2, rows, width1))
+        self.h2, self.d_h2 = np.empty((2, rows, width2))
+        self.logits = np.empty((rows, model.w3.shape[1]))
+        self.relu1 = np.empty((rows, width1), dtype=bool)
+        self.relu2 = np.empty((rows, width2), dtype=bool)
+
+    def check_rows(self, n: int) -> None:
+        if n > len(self.h1):
+            raise DimensionError(f"{n} rows exceed the buffers' {len(self.h1)}")
+
+
 def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
     """He-uniform fan-in initialization for weights, zero biases."""
     if in_dim < 1 or hidden < 1 or n_classes < 2:
@@ -89,33 +120,38 @@ def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
     )
 
 
-def forward(model: MlpModel, inputs: np.ndarray, hidden=None) -> np.ndarray:
-    """Logits for a batch. inputs is (B, d). When `hidden` is a list, it is
-    set to the post-ReLU activations [h1, h2], which `backward` can reuse."""
+def forward(model: MlpModel, inputs: np.ndarray,
+            buffers: StepBuffers | None = None) -> np.ndarray:
+    """Logits for a batch. inputs is (B, d). With `buffers`, the post-ReLU
+    activations h1 and h2, which `backward` can reuse, and the logits are
+    written into their first B rows, and the logits returned are a view."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise DimensionError(
             f"expected inputs of shape (B, {model.in_dim}), got {x.shape}")
     n = x.shape[0]
-    keep = hidden is not None
-    # without `hidden`, h1 is one block's scratch, reused by every block
-    h1 = np.empty((n if keep else min(n, BLOCK_ROWS + 1), model.w1.shape[1]))
-    h2 = np.empty((n, model.w2.shape[1]))
+    if buffers is None:
+        # h1 is one block's scratch, reused by every block
+        h1 = np.empty((min(n, BLOCK_ROWS + 1), model.w1.shape[1]))
+        h2 = np.empty((n, model.w2.shape[1]))
+        logits = np.empty((n, model.w3.shape[1]))
+    else:
+        buffers.check_rows(n)
+        h1, h2, logits = buffers.h1[:n], buffers.h2[:n], buffers.logits[:n]
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
         start = 0
         while start < n:
             stop = start + BLOCK_ROWS
             if stop >= n - 1:  # no one-row last block (module docstring)
                 stop = n
-            a1 = h1[start:stop] if keep else h1[:stop - start]
+            a1 = h1[:stop - start] if buffers is None else h1[start:stop]
             _affine_relu(x[start:stop], model.w1, model.b1, out=a1)
             _affine_relu(a1, model.w2, model.b2, out=h2[start:stop])
             start = stop
-        logits = h2 @ model.w3 + model.b3
+        np.matmul(h2, model.w3, out=logits)
+        logits += model.b3
     if not np.all(np.isfinite(logits)):
         raise NumericError("non-finite logits in forward pass")
-    if keep:
-        hidden[:] = (h1, h2)
     return logits
 
 
@@ -149,7 +185,8 @@ def per_sample_cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
 
 
 def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
-             forward_pass=None, out: MlpModel | None = None):
+             forward_pass=None, out: MlpModel | None = None,
+             buffers: StepBuffers | None = None):
     """Gradients of the MEAN cross-entropy over the masked subset.
 
     sample_mask is an index subset of [0, B); None means all samples. The mask
@@ -157,15 +194,19 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
     selected samples in (summation order matters bit-wise).
 
     forward_pass is (h1, h2, logits, losses) of this model on all of
-    `inputs`: the hidden activations `forward(model, inputs, hidden)` set and
-    `per_sample_cross_entropy(logits, labels)`. It is used only when the mask
-    covers every row; otherwise the same two calls recompute it on the
-    masked rows (raising NumericError on non-finite logits), because a row
-    subset's products are not bit-equal to the same rows of the whole batch's.
+    `inputs`: the hidden activations and logits that `forward(model, inputs,
+    buffers)` wrote and `per_sample_cross_entropy(logits, labels)`. It is
+    used only when the mask covers every row; otherwise the same two calls
+    recompute it on the masked rows (raising NumericError on non-finite
+    logits), because a row subset's products are not bit-equal to the same
+    rows of the whole batch's.
 
     Returns (grads, mean_loss) with grads an MlpModel of the model's shapes,
     so grads.theta lines up with model.theta. The gradients are written into
     `out` when it is given (and `out` is returned), else into a new model.
+    The row gradients, ReLU masks and any recomputed forward pass go into
+    `buffers` when they are given (a recomputation overwrites the forward
+    pass they held), else into StepBuffers made for this call.
     """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -180,12 +221,15 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
             labels = labels[mask]
             forward_pass = None
 
-    if forward_pass is None:
-        hidden = []
-        logits = forward(model, x, hidden)
-        forward_pass = (*hidden, logits, per_sample_cross_entropy(logits, labels))
-    h1, h2, logits, losses = forward_pass
     m = x.shape[0]
+    if buffers is None:
+        buffers = StepBuffers(m, model)
+    buffers.check_rows(m)
+    if forward_pass is None:
+        logits = forward(model, x, buffers)
+        forward_pass = (buffers.h1[:m], buffers.h2[:m], logits,
+                        per_sample_cross_entropy(logits, labels))
+    h1, h2, logits, losses = forward_pass
     mean_loss = float(losses.mean())
 
     probs = softmax(logits)
@@ -195,13 +239,17 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
 
     if out is None:
         out = MlpModel(*(np.empty_like(getattr(model, name)) for name in PARAM_NAMES))
-    # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest
+    d_h1, d_h2 = buffers.d_h1[:m], buffers.d_h2[:m]
+    # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest;
+    # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0)
     np.matmul(h2.T, d_logits, out=out.w3)
     d_logits.sum(axis=0, out=out.b3)
-    d_h2 = (d_logits @ model.w3.T) * (h2 > 0.0)
+    np.matmul(d_logits, model.w3.T, out=d_h2)
+    d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[:m])
     np.matmul(h1.T, d_h2, out=out.w2)
     d_h2.sum(axis=0, out=out.b2)
-    d_h1 = (d_h2 @ model.w2.T) * (h1 > 0.0)
+    np.matmul(d_h2, model.w2.T, out=d_h1)
+    d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[:m])
     np.matmul(x.T, d_h1, out=out.w1)
     d_h1.sum(axis=0, out=out.b1)
     return out, mean_loss
@@ -209,30 +257,51 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
 
 @dataclass
 class OptimizerState:
-    """Adam moments, flat like MlpModel.theta (the scalar 0.0 until the first
-    step), plus hyperparameters; step counter is strictly increasing."""
+    """Adam moments, flat like MlpModel.theta (None until the first step
+    makes them zero), plus hyperparameters; step counter is strictly
+    increasing. `scratch` holds the two theta-sized vectors a step works in."""
 
-    m: np.ndarray | float = 0.0
-    v: np.ndarray | float = 0.0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     weight_decay: float = 1e-4
     eps: float = 1e-8
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
 
 def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
               lr: float) -> None:
-    """One bias-corrected Adam step with decoupled weight decay, in place."""
+    """One bias-corrected Adam step with decoupled weight decay, in place.
+
+    It computes m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g and
+    p -= lr*(m_hat/(sqrt(v_hat) + eps) + weight_decay*p), with m_hat and
+    v_hat the bias-corrected moments, one operation at a time in that order,
+    into the moments and state.scratch: the bits of the expressions.
+    """
     g = grads.theta
-    if not np.abs(g).max() < _GRAD_LIMIT:  # False for NaN too
+    if state.scratch is None:
+        state.scratch = np.empty((2, g.size))
+    s, u = state.scratch
+    if not np.abs(g, out=s).max() < _GRAD_LIMIT:  # False for NaN too
         raise NumericError("non-finite or overflowing gradient; step aborted")
+    if state.m is None:  # 0.0*beta + x gives the bits of a scalar 0.0 start
+        state.m, state.v = np.zeros((2, g.size))
     state.step += 1
     t = state.step
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** t)
-    v_hat = state.v / (1.0 - state.beta2 ** t)
-    p = model.theta
-    p -= lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p)
+    m, v, p = state.m, state.v, model.theta
+    m *= state.beta1
+    m += np.multiply(g, 1.0 - state.beta1, out=s)
+    v *= state.beta2
+    np.multiply(g, 1.0 - state.beta2, out=s)
+    v += np.multiply(s, g, out=s)
+    np.divide(m, 1.0 - state.beta1 ** t, out=s)
+    np.divide(v, 1.0 - state.beta2 ** t, out=u)
+    np.sqrt(u, out=u)
+    u += state.eps
+    s /= u
+    s += np.multiply(p, state.weight_decay, out=u)
+    s *= lr
+    p -= s
 

@@ -1,18 +1,23 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hadcl import curriculum, data, numcore
+from hadcl.cli import build_parser
 from hadcl.curriculum import (BatchHardness, CurriculumTrainConfig,
                               TrainConfig,
                               decide_update_stage1, decide_update_stage2,
                               finetune_plain, rank_by_loss, run_stage,
                               threshold)
 from hadcl.exceptions import NumericError, ValidationError
+from hadcl.harness import load_config
 from hadcl.numcore import init_model
 
 A, B = 0.7, 0.2
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 T = 100
 
 
@@ -102,6 +107,25 @@ class TestSelection:
         assert config.top_k == k
         h = BatchHardness.from_losses(np.zeros(batch), config.top_k)
         assert len(h.top_k) == k
+
+    @pytest.mark.parametrize("alpha,batch,k", [
+        (0.29, 100, 29), (0.58, 50, 29), (0.57, 100, 57),
+    ])
+    def test_top_k_floors_the_decimal_product(self, alpha, batch, k):
+        # the float product lands just below k, which int() would truncate
+        assert int(alpha * batch) == k - 1
+        assert stage_config(alpha=alpha, epochs=1, batch=batch).top_k == k
+
+    @pytest.mark.parametrize("name,ks", [
+        ("reference", [2, 5, 7, 10]), ("smoke", [1, 2, 3, 5]),
+        ("full_scale", [25, 51, 76, 102]),
+    ])
+    def test_shipped_k_unchanged(self, name, ks):
+        # ablate-alpha's default grid on each shipped config's batch size
+        config = load_config(CONFIGS / f"{name}.yaml")
+        grid = build_parser().parse_args(
+            ["ablate-alpha", "--config", "unused"]).grid
+        assert [replace(config.curriculum1, alpha=a).top_k for a in grid] == ks
 
     @pytest.mark.parametrize("thres,k,kp", [
         (0.9, 51, 45),
@@ -377,3 +401,110 @@ class TestValidationSelection:
                            stage_config(epochs=2), STAGE1, seed=5)
         assert rep.best_epoch is None
 
+
+def fresh_pass(model, x):
+    """h1, h2 and the logits, one new array per operation."""
+    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
+    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+    return h1, h2, h2 @ model.w3 + model.b3
+
+
+def fresh_stage(model, features, labels, config, decide, seed):
+    """run_stage's loop with a new array for every intermediate: the batch by
+    fancy indexing, the gradients and Adam as expressions, the moments from
+    the scalar 0.0. Returns the final model and the curve records."""
+    model = model.copy()
+    theta = model.theta
+    opt = numcore.OptimizerState()
+    moment1 = moment2 = 0.0
+    rng = np.random.default_rng(seed)
+    batch = config.batch_size
+    n_batches = len(features) // batch
+    records = []
+    for epoch in range(config.epochs):
+        lr = config.lr_at(epoch)
+        perm = rng.permutation(len(features))
+        for t in range(1, n_batches + 1):
+            idx = perm[(t - 1) * batch: t * batch]
+            x, y = features[idx], labels[idx]
+            thres = threshold(t, n_batches, config.a, config.b)
+            h1, h2, logits = fresh_pass(model, x)
+            losses = numcore.per_sample_cross_entropy(logits, y)
+            decision = decide(losses, thres, config.top_k)
+            if decision.mask is not None and len(decision.mask) < batch:
+                rows = np.sort(decision.mask)
+                x, y = x[rows], y[rows]
+                h1, h2, logits = fresh_pass(model, x)
+                losses = numcore.per_sample_cross_entropy(logits, y)
+            d_logits = numcore.softmax(logits)
+            d_logits[np.arange(len(y)), y] -= 1.0
+            d_logits /= len(y)
+            d_h2 = (d_logits @ model.w3.T) * (h2 > 0.0)
+            d_h1 = (d_h2 @ model.w2.T) * (h1 > 0.0)
+            g = np.concatenate([
+                (x.T @ d_h1).ravel(), d_h1.sum(axis=0),
+                (h1.T @ d_h2).ravel(), d_h2.sum(axis=0),
+                (h2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
+            step = len(records) + 1
+            moment1 = opt.beta1 * moment1 + (1.0 - opt.beta1) * g
+            moment2 = opt.beta2 * moment2 + (1.0 - opt.beta2) * g * g
+            m_hat = moment1 / (1.0 - opt.beta1 ** step)
+            v_hat = moment2 / (1.0 - opt.beta2 ** step)
+            theta -= lr * (m_hat / (np.sqrt(v_hat) + opt.eps)
+                           + opt.weight_decay * theta)
+            records.append(curriculum.IterationRecord(
+                epoch=epoch, t=t, thres=thres, k=decision.k,
+                k_prime=decision.k_prime, branch=decision.branch,
+                mean_loss=float(losses.mean()), lr=lr))
+    return model, records
+
+
+PLAIN = curriculum._decide_whole_batch
+
+
+class TestStepBuffers:
+    """run_stage writes each step into buffers made once per stage; its bits
+    must be those of a step that makes new arrays."""
+
+    # (batch, dim, hidden) as in test_numcore's blocked-forward cases, so
+    # forward's row blocks are known to give one product's bits
+    @pytest.mark.parametrize("batch,dim,hidden,alpha,decide,branches", [
+        (1, 12, 96, 0.1, STAGE1, {"top_k"}),
+        (50, 12, 96, 0.1, STAGE1, {"top_k", "total"}),
+        (4, 12, 96, 0.25, STAGE1, {"top_k", "total"}),         # K = 1
+        (50, 12, 96, 1.0, STAGE1, {"top_k"}),                  # mask = batch
+        (50, 12, 96, 0.3, STAGE2, {"top_k_prime"}),
+        (50, 12, 96, 1.0, PLAIN, {"total"}),
+        (numcore.BLOCK_ROWS + 1, 12, 96, 0.1, STAGE1, {"top_k", "total"}),
+        (numcore.BLOCK_ROWS + 1, 12, 96, 0.2, STAGE2, {"top_k_prime"}),
+        (512, 16, 64, 0.1, STAGE1, {"top_k", "total"}),
+        (512, 16, 64, 0.2, STAGE2, {"top_k_prime"}),
+    ], ids=["B1", "B50", "B4-K1", "B50-alpha1", "B50-stage2", "B50-plain",
+            "B257", "B257-stage2", "B512", "B512-stage2"])
+    def test_matches_a_step_with_fresh_arrays(self, monkeypatch, batch, dim,
+                                              hidden, alpha, decide, branches):
+        rng = np.random.default_rng(batch)
+        # two full batches and a short one, which is dropped
+        features = rng.normal(size=(2 * batch + batch // 2, dim))
+        labels = (features[:, 0] + rng.normal(size=len(features)) > 0).astype(np.int64)
+        model = init_model(dim, hidden, 2, seed=batch)
+        before = model_bytes(model)
+        config = stage_config(alpha=alpha, epochs=3, batch=batch, lr=1e-2,
+                              milestones=(2,))
+        buffers = []
+        backward = numcore.backward
+
+        def keeping(*args):
+            buffers.extend([args[1], args[2], *vars(args[6]).values()])
+            return backward(*args)
+
+        monkeypatch.setattr(numcore, "backward", keeping)
+        got, report = run_stage(model, features, labels, config, decide, seed=7)
+        want, records = fresh_stage(model, features, labels, config, decide, seed=7)
+        assert model_bytes(got) == model_bytes(want)
+        assert report.records == records
+        assert {r.branch for r in records} == branches
+        assert model_bytes(model) == before
+        # the gathered batch and StepBuffers of the stage, one set per stage
+        assert len({id(a) for a in buffers}) == 9
+        assert not any(np.shares_memory(got.theta, a) for a in buffers)

@@ -1,7 +1,10 @@
 import base64
 import collections
+import contextlib
 import copy
+import functools
 import hashlib
+import io
 import json
 import math
 import os
@@ -9,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import hadcl
@@ -323,26 +327,93 @@ def config_paths(node, path=()) -> list:
     return out
 
 
+def edited(name: str, section: str, **values) -> dict:
+    """A shipped config with some values of one section replaced."""
+    d = copy.deepcopy(SHIPPED_CONFIGS[name])
+    d[section] = dict(d[section], **values)
+    return d
+
+
+def quick_cut(config: harness.ExperimentConfig) -> harness.ExperimentConfig:
+    """The config with its first seed, at most two epochs per training
+    section, at most 50 evaluation samples per class, and each domain cut to
+    max(25, half its largest batch) samples per class, so that a batch can
+    be the whole training set."""
+    def cut(spec, *stages):
+        half = -(-max(s.batch_size for s in stages) // spec.n_classes)
+        return replace(spec, per_class=min(spec.per_class, max(25, half)))
+
+    stages = {name: replace(getattr(config, name),
+                            epochs=min(getattr(config, name).epochs, 2))
+              for name in ("pretrain", "baseline", "curriculum1", "curriculum2")}
+    return replace(
+        config, seeds=config.seeds[:1], **stages,
+        source=cut(config.source, config.pretrain),
+        target=cut(config.target, config.baseline, config.curriculum1,
+                   config.curriculum2),
+        eval=replace(config.eval,
+                     test_per_class=min(config.eval.test_per_class, 50),
+                     val_per_class=min(config.eval.val_per_class, 50)))
+
+
+def structure_paths(node, path=()) -> list:
+    """config_paths with each list cut to its first element: a report's
+    structure, not its thousands of list values."""
+    if isinstance(node, list):
+        node = node[:1]
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    out = []
+    for key, child in items:
+        out.append(path + (key,))
+        out += structure_paths(child, path + (key,))
+    return out
+
+
+def edit(draw, d: dict, paths=config_paths) -> None:
+    """One edit under d at one of paths(d): a value or list element set to
+    one of MUTANT_VALUES, a key or element removed, or an unknown key added
+    to d or to one of its mappings."""
+    path = draw(st.sampled_from(paths(d)))
+    parent = d
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = draw(st.sampled_from(["set", "remove", "add"]))
+    if kind == "set":
+        parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+    elif kind == "remove":
+        del parent[path[-1]]
+    else:
+        target = parent if isinstance(parent, dict) else d
+        target["unknown_key"] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+
+
 @st.composite
 def config_mutants(draw) -> dict:
-    """A shipped config with one to three edits: a value or list element
-    set to one of MUTANT_VALUES, a key or element removed, or an unknown
-    key added to the config or to one of its mappings."""
+    """A shipped config with one to three edits."""
     d = copy.deepcopy(SHIPPED_CONFIGS[draw(st.sampled_from(sorted(SHIPPED_CONFIGS)))])
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(config_paths(d)))
-        parent = d
-        for key in path[:-1]:
-            parent = parent[key]
-        edit = draw(st.sampled_from(["set", "remove", "add"]))
-        if edit == "set":
-            parent[path[-1]] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
-        elif edit == "remove":
-            del parent[path[-1]]
-        else:
-            target = parent if isinstance(parent, dict) else d
-            target["unknown_key"] = copy.deepcopy(draw(st.sampled_from(MUTANT_VALUES)))
+        edit(draw, d)
     return d
+
+
+@functools.cache
+def small_report_lines() -> tuple:
+    """The lines of a two-seed report.json with slides."""
+    report = run_experiment(config_from_dict(tiny_dict(slides=SLIDES)))
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "report.json"
+        report.to_json(path)
+        return tuple(path.read_text().splitlines())
+
+
+@st.composite
+def report_mutants(draw) -> list:
+    """The parsed lines of small_report_lines with one or two edits."""
+    lines = [json.loads(line) for line in small_report_lines()]
+    for _ in range(draw(st.integers(1, 2))):
+        edit(draw, draw(st.sampled_from(lines)), structure_paths)
+    return lines
 
 
 class TestConfigContract:
@@ -355,6 +426,48 @@ class TestConfigContract:
         except ValidationError:
             return
         assert isinstance(config, harness.ExperimentConfig)
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.filter_too_much,
+                                     HealthCheck.too_slow])
+    @given(config_mutants())
+    @example(edited("smoke.yaml", "model", hidden=1))
+    @example(edited("reference.yaml", "curriculum1", batch_size=1))
+    def test_valid_mutant_runs_end_to_end(self, d):
+        # run, report.json and emit-plots on a quick cut of a valid mutant:
+        # no exception (tier-1 makes RuntimeWarnings errors), nothing on
+        # stderr and every cell ok
+        try:
+            config = quick_cut(config_from_dict(d))
+        except ValidationError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            report = run_experiment(config)
+            path = os.path.join(out, "report.json")
+            report.to_json(path)
+            harness.emit_plot_data(RunReport.from_json(path), out)
+        assert stderr.getvalue() == ""
+        assert [c.get("error") for c in report.cells if c["status"] != "ok"] == []
+
+
+class TestReportContract:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(report_mutants())
+    def test_mutant_is_read_or_rejected(self, lines):
+        # a ValidationError is the only failure a report file may cause in
+        # from_json, summary() or emit-plots, and nothing goes to stderr
+        with tempfile.TemporaryDirectory() as out, \
+                contextlib.redirect_stderr(io.StringIO()) as stderr:
+            path = Path(out) / "report.json"
+            path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+            try:
+                report = RunReport.from_json(path)
+                report.summary()
+                harness.emit_plot_data(report, out)
+            except ValidationError:
+                pass
+        assert stderr.getvalue() == ""
 
 
 class TestRunExperiment:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from hadcl import numcore
 from hadcl.exceptions import DimensionError, NumericError, ValidationError
-from hadcl.numcore import (MlpModel, OptimizerState, adam_step, backward,
-                           forward, init_model, per_sample_cross_entropy)
+from hadcl.numcore import (MlpModel, OptimizerState, StepBuffers, adam_step,
+                           backward, forward, init_model,
+                           per_sample_cross_entropy)
 
 
 def random_model(rng, d=5, hidden=7, classes=3):
@@ -80,12 +83,12 @@ class TestBlockedForward:
         m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
         x = rng.normal(size=(rows, dim))
         h1, h2, logits = unblocked_forward(m, x)
-        acts = []
+        acts = StepBuffers(rows, m)
         assert forward(m, x, acts).tobytes() == logits.tobytes()
         assert forward(m, x).tobytes() == logits.tobytes()
-        assert acts[0].shape == h1.shape and acts[1].shape == h2.shape
-        assert acts[0].tobytes() == h1.tobytes()
-        assert acts[1].tobytes() == h2.tobytes()
+        assert acts.h1.shape == h1.shape and acts.h2.shape == h2.shape
+        assert acts.h1.tobytes() == h1.tobytes()
+        assert acts.h2.tobytes() == h2.tobytes()
 
     @pytest.mark.parametrize("keep_hidden", [False, True])
     def test_nonfinite_row_in_last_block_raises(self, keep_hidden):
@@ -93,7 +96,7 @@ class TestBlockedForward:
         x = np.random.default_rng(0).normal(size=(2 * numcore.BLOCK_ROWS + 10, 12))
         x[-1, 3] = np.inf
         with pytest.raises(NumericError, match="non-finite logits"):
-            forward(m, x, [] if keep_hidden else None)
+            forward(m, x, StepBuffers(len(x), m) if keep_hidden else None)
 
 
 class TestCrossEntropy:
@@ -231,10 +234,10 @@ class TestForwardReuse:
         m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
         x = rng.normal(size=(batch, dim))
         y = rng.integers(0, 2, batch)
-        hidden_acts = []
-        logits = forward(m, x, hidden_acts)
+        acts = StepBuffers(batch, m)
+        logits = forward(m, x, acts)
         losses = per_sample_cross_entropy(logits, y)
-        return rng, m, x, y, (*hidden_acts, logits, losses)
+        return rng, m, x, y, (acts.h1, acts.h2, logits, losses)
 
     def test_whole_batch_reuse_is_bit_equal(self, batch, dim, hidden):
         rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
@@ -352,6 +355,93 @@ class TestAdam:
         grads.w1[0, 0] = -1e150
         adam_step(m, grads, state, lr=0.1)
         assert state.step == 1 and np.isfinite(m.theta).all()
+
+
+def expression_adam(theta, g, moments, step, lr, opt):
+    """Adam as expressions on new arrays, from the scalar 0.0 moments."""
+    m, v = moments
+    m = opt.beta1 * m + (1.0 - opt.beta1) * g
+    v = opt.beta2 * v + (1.0 - opt.beta2) * g * g
+    m_hat = m / (1.0 - opt.beta1 ** step)
+    v_hat = v / (1.0 - opt.beta2 ** step)
+    theta -= lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * theta)
+    return m, v
+
+
+class TestInPlaceAdam:
+    def test_bits_equal_expressions(self):
+        # signed zeros in the first gradients: 0.0*beta + (-0.0) is +0.0,
+        # as the scalar 0.0 start gives
+        rng = np.random.default_rng(17)
+        m = init_model(6, 9, 2, seed=17)
+        want = m.theta.copy()
+        state, moments = OptimizerState(), (0.0, 0.0)
+        for step in range(1, 31):
+            g = rng.normal(size=m.theta.shape) * 10.0 ** rng.integers(-8, 3)
+            g[rng.random(g.shape) < 0.3] = -0.0
+            g[rng.random(g.shape) < 0.1] = 0.0
+            grads = m.copy()
+            grads.theta[:] = g
+            lr = 10.0 ** -rng.integers(1, 5)
+            adam_step(m, grads, state, lr)
+            moments = expression_adam(want, g, moments, step, lr, state)
+            assert m.theta.tobytes() == want.tobytes(), step
+            assert state.m.tobytes() == moments[0].tobytes()
+            assert state.v.tobytes() == moments[1].tobytes()
+
+
+def traced_peak(call) -> int:
+    """Bytes the call allocates at its peak, beyond what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepAllocations:
+    """A training step allocates nothing of batch or parameter size; NumPy's
+    own iterator buffers stay under 64 KiB (8192 elements)."""
+
+    def test_adam_steps_after_the_first_allocate_less_than_theta(self):
+        m = init_model(16, 64, 2, seed=0)
+        grads = m.copy()
+        grads.theta[:] = np.random.default_rng(0).normal(size=m.theta.shape)
+        state = OptimizerState()
+        adam_step(m, grads, state, 1e-3)  # makes the moments and scratch
+
+        def ten_steps():
+            for _ in range(10):
+                adam_step(m, grads, state, 1e-3)
+
+        assert traced_peak(ten_steps) < m.theta.nbytes
+
+    def test_whole_batch_backward_with_buffers(self):
+        batch, dim, hidden = 512, 16, 64
+        rng = np.random.default_rng(1)
+        m = init_model(dim, hidden, 2, seed=1)
+        x = rng.normal(size=(batch, dim))
+        y = rng.integers(0, 2, batch)
+        buffers, grads = StepBuffers(batch, m), m.copy()
+        logits = forward(m, x, buffers)
+        fp = (buffers.h1, buffers.h2, logits, per_sample_cross_entropy(logits, y))
+        one_activation = batch * hidden * 8
+        # the measurement sees NumPy's arrays: without buffers, backward
+        # makes its own
+        assert traced_peak(lambda: backward(m, x, y, None, fp, grads)) \
+            > 2 * one_activation
+        assert traced_peak(lambda: backward(m, x, y, None, fp, grads, buffers)) \
+            < one_activation
+
+    def test_buffers_too_small_rejected(self):
+        m = init_model(5, 7, 2, seed=0)
+        x = np.zeros((4, 5))
+        with pytest.raises(DimensionError, match="exceed"):
+            forward(m, x, StepBuffers(3, m))
+        with pytest.raises(DimensionError, match="exceed"):
+            backward(m, x, [0, 1, 0, 1], None, None, None, StepBuffers(3, m))
 
 
 def test_init_determinism():
