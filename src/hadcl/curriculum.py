@@ -107,9 +107,9 @@ def rank_by_loss(losses) -> np.ndarray:
     losses = np.asarray(losses, dtype=np.float64)
     if losses.size < 1:
         raise ValidationError("need at least one loss")
-    if np.any(np.isnan(losses)):
+    if np.isnan(losses).any():
         raise NumericError("NaN loss in ranking")
-    return np.argsort(-losses, kind="stable")
+    return np.negative(losses).argsort(kind="stable")
 
 
 @dataclass
@@ -134,13 +134,13 @@ class BatchHardness:
         top_k_prime = loss_k_prime = None
         if thres is not None:
             top_k_prime = top_k[:max(1, int(thres * len(top_k)))]
-            loss_k_prime = float(losses[top_k_prime].sum())
+            loss_k_prime = float(np.add.reduce(losses[top_k_prime]))
         return cls(
             order=order,
             top_k=top_k,
             top_k_prime=top_k_prime,
-            loss_total=float(losses.sum()),
-            loss_k=float(losses[top_k].sum()),
+            loss_total=float(np.add.reduce(losses)),
+            loss_k=float(np.add.reduce(losses[top_k])),
             loss_k_prime=loss_k_prime,
         )
 
@@ -211,7 +211,11 @@ class StageReport:
 
 def _val_score(model: MlpModel, features: np.ndarray,
                labels: np.ndarray) -> float:
-    """Selection score on a held-out set: the AUC the experiments report."""
+    """Selection score on a held-out set: the AUC of the logit margin
+    l1 - l0. The reports rank softmax probabilities instead, a monotone map
+    of the margin, so the two AUCs agree except where float64 rounds
+    distinct margins to one probability (near 0 or 1): those rows tie in the
+    reported AUC and do not tie here."""
     logits = numcore.forward(model, features)
     return metrics.auc(metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], labels))
 
@@ -247,13 +251,15 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
 
     model = model.copy()
     state = OptimizerState()
-    # each step gathers its batch into x and y, and forward, backward and
-    # adam_step write into buffers made here; backward reuses the ranking
-    # pass's activations on whole-batch updates
+    # each step gathers its batch into x and y, and forward, the loss pass,
+    # backward and adam_step write into buffers made here; backward reuses
+    # the ranking pass's activations and softmax on whole-batch updates
     x = np.empty((batch_size, *features.shape[1:]))
     y = np.empty(batch_size, dtype=labels.dtype)
     buffers, grads = numcore.StepBuffers(batch_size, model), model.copy()
     k = config.top_k
+    thresholds = [threshold(t, n_batches, config.a, config.b)
+                  for t in range(1, n_batches + 1)]
     rng = np.random.default_rng(seed)
     report = StageReport()
     best_model, best_score = None, -1.0
@@ -267,16 +273,15 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
         perm = rng.permutation(n)
-        for t in range(1, n_batches + 1):
+        for t, thres in enumerate(thresholds, start=1):
             idx = perm[(t - 1) * batch_size: t * batch_size]
             # mode="clip" (idx is in range) lets take write straight into out
-            np.take(features, idx, axis=0, out=x, mode="clip")
-            np.take(labels, idx, out=y, mode="clip")
-            thres = threshold(t, n_batches, config.a, config.b)
+            features.take(idx, axis=0, out=x, mode="clip")
+            labels.take(idx, out=y, mode="clip")
             try:
                 logits = numcore.forward(model, x, buffers)
-                losses = numcore.per_sample_cross_entropy(logits, y)
-                if not np.all(np.isfinite(losses)):
+                losses = numcore.per_sample_cross_entropy(logits, y, buffers)
+                if not np.isfinite(losses).all():
                     raise NumericError("non-finite loss")
                 decision = decide(losses, thres, k)
                 _, mean_loss = numcore.backward(

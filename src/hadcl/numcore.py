@@ -17,16 +17,25 @@ layer stays one product over all rows: OpenBLAS switches kernel for the
 last layer would change which kernel, and so which bits, a large split gets.
 
 A training step makes none of its batch- or parameter-sized arrays. The
-loop makes one StepBuffers per stage, and `forward` and `backward` write the
-step's activations, logits, row gradients and ReLU masks into its first
-rows; a row-subset update recomputes its forward pass into the same
-buffers. Adam updates its moments in place with two scratch vectors held by
-the OptimizerState, in the operation order of its textbook expression, so
-the bits are those of fresh arrays. What a step still allocates: loss-sized
-vectors (B or B x classes floats), the decision's index arrays, and NumPy's
-own iterator scratch for the broadcast bias adds and the products with a
-boolean mask, at most 8192 elements (a whole 50 x 96 activation at the
-reference shape).
+loop makes one StepBuffers per stage: `forward` writes the step's
+activations and logits into its first rows, `per_sample_cross_entropy` the
+row maxima, exp(logits - max), its row sums and the losses, and `backward`
+d_logits, the row gradients and the ReLU masks. `backward` builds the
+softmax from the loss pass's exp and row sums, the bits `softmax` would
+compute; StepBuffers.exp_of ties them to the logits they came from, so a
+forward pass made anywhere else has its softmax computed. A row-subset
+update recomputes its forward and loss pass into the same buffers. Adam
+updates its moments in place with two scratch vectors held by the
+OptimizerState, in the operation order of its textbook expression, so the
+bits are those of fresh arrays. The step's sums and maxima call the ufunc's
+reduce directly (np.add.reduce for a sum or a mean) and its checks the
+ndarray's all/any, so no call goes through fromnumeric's Python layers; the
+bits are those of the calls they replace. What a step still allocates:
+vectors of B or B x classes elements (the label gather and the finite and
+NaN checks), the decision's ranking and index arrays, a row subset's
+gathered rows, and NumPy's own iterator scratch for the broadcast bias adds
+and the products with a boolean mask, at most 8192 elements (a whole
+50 x 96 activation at the reference shape).
 """
 
 from __future__ import annotations
@@ -86,17 +95,29 @@ class MlpModel:
 
 class StepBuffers:
     """The batch-sized arrays of a training step with up to `rows` rows:
-    the hidden activations h1 and h2 and the logits that `forward` writes,
-    and the row gradients d_h1, d_h2 and ReLU masks relu1, relu2 that
-    `backward` writes. A call on n rows uses the first n rows of each."""
+    the hidden activations h1 and h2 and the logits that `forward` writes;
+    the row maxima `shift`, exp(logits - shift), its row sums `sums` and the
+    losses that `per_sample_cross_entropy` writes; and the d_logits, row
+    gradients d_h1, d_h2 and ReLU masks relu1, relu2 that `backward` writes.
+    `rows` is arange(rows), the row index of the label gathers. A call on n
+    rows uses the first n rows of each.
+
+    `exp_of` is the logits array whose exp and sums the buffers hold: the
+    loss pass sets it, and `forward` clears it before it writes new logits,
+    so `backward` takes the softmax of these buffers only for the logits the
+    same step's loss pass saw."""
 
     def __init__(self, rows: int, model: MlpModel):
         width1, width2 = model.w1.shape[1], model.w2.shape[1]
+        n_classes = model.w3.shape[1]
         self.h1, self.d_h1 = np.empty((2, rows, width1))
         self.h2, self.d_h2 = np.empty((2, rows, width2))
-        self.logits = np.empty((rows, model.w3.shape[1]))
+        self.logits, self.exp, self.d_logits = np.empty((3, rows, n_classes))
+        self.shift, self.sums, self.losses = np.empty((3, rows))
         self.relu1 = np.empty((rows, width1), dtype=bool)
         self.relu2 = np.empty((rows, width2), dtype=bool)
+        self.rows = np.arange(rows)
+        self.exp_of = None
 
     def check_rows(self, n: int) -> None:
         if n > len(self.h1):
@@ -137,6 +158,7 @@ def forward(model: MlpModel, inputs: np.ndarray,
         logits = np.empty((n, model.w3.shape[1]))
     else:
         buffers.check_rows(n)
+        buffers.exp_of = None  # the logits are about to change
         h1, h2, logits = buffers.h1[:n], buffers.h2[:n], buffers.logits[:n]
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
         start = 0
@@ -150,7 +172,7 @@ def forward(model: MlpModel, inputs: np.ndarray,
             start = stop
         np.matmul(h2, model.w3, out=logits)
         logits += model.b3
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
     return logits
 
@@ -169,19 +191,47 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def per_sample_cross_entropy(logits: np.ndarray, labels) -> np.ndarray:
-    """Cross-entropy of each row, via max-shifted log-sum-exp."""
+def per_sample_cross_entropy(logits: np.ndarray, labels,
+                             buffers: StepBuffers | None = None) -> np.ndarray:
+    """Cross-entropy of each row, via max-shifted log-sum-exp. Labels are
+    integers in [0, classes); a bool is not an integer. With `buffers`, the
+    row maxima, exp(logits - max), its row sums, which `backward` turns into
+    the softmax, and the losses are written into their first B rows, and the
+    losses returned are a view."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise DimensionError("logits must be (B, C) with one label per row")
-    n_classes = logits.shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    n, n_classes = logits.shape
+    if labels.dtype.kind not in "iu":
+        raise ValidationError("labels must be integers")
+    if n and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes):
         raise ValidationError(f"labels must lie in [0, {n_classes})")
-    shift = logits.max(axis=1)
-    lse = shift + np.log(np.exp(logits - shift[:, None]).sum(axis=1))
-    losses = lse - logits[np.arange(len(labels)), labels]
-    return np.maximum(losses, 0.0)
+    if buffers is None:
+        shift, sums, losses = np.empty((3, n))
+        e, rows = np.empty_like(logits), np.arange(n)
+    else:
+        buffers.check_rows(n)
+        shift, sums, losses = buffers.shift[:n], buffers.sums[:n], buffers.losses[:n]
+        e, rows = buffers.exp[:n], buffers.rows[:n]
+    _shifted_exp(logits, shift, e, sums)
+    if buffers is not None:
+        buffers.exp_of = logits
+    # lse - logits[label], with lse = shift + log(sums)
+    np.log(sums, out=losses)
+    losses += shift
+    losses -= logits[rows, labels]
+    return np.maximum(losses, 0.0, out=losses)
+
+
+def _shifted_exp(logits: np.ndarray, shift: np.ndarray, e: np.ndarray,
+                 sums: np.ndarray) -> None:
+    """shift = the row maxima, e = exp(logits - shift) and sums = the row
+    sums of e: the bits `softmax` computes on its way."""
+    np.maximum.reduce(logits, axis=1, out=shift)
+    np.subtract(logits, shift[:, None], out=e)
+    np.exp(e, out=e)
+    np.add.reduce(e, axis=1, out=sums)
 
 
 def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
@@ -195,11 +245,13 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
 
     forward_pass is (h1, h2, logits, losses) of this model on all of
     `inputs`: the hidden activations and logits that `forward(model, inputs,
-    buffers)` wrote and `per_sample_cross_entropy(logits, labels)`. It is
-    used only when the mask covers every row; otherwise the same two calls
-    recompute it on the masked rows (raising NumericError on non-finite
+    buffers)` wrote and `per_sample_cross_entropy(logits, labels, buffers)`.
+    It is used only when the mask covers every row; otherwise the same two
+    calls recompute it on the masked rows (raising NumericError on non-finite
     logits), because a row subset's products are not bit-equal to the same
-    rows of the whole batch's.
+    rows of the whole batch's. The softmax comes from the exp and row sums
+    in `buffers` when the loss pass wrote them for these very logits
+    (`StepBuffers.exp_of`), and is computed from the logits otherwise.
 
     Returns (grads, mean_loss) with grads an MlpModel of the model's shapes,
     so grads.theta lines up with model.theta. The gradients are written into
@@ -228,13 +280,19 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
     if forward_pass is None:
         logits = forward(model, x, buffers)
         forward_pass = (buffers.h1[:m], buffers.h2[:m], logits,
-                        per_sample_cross_entropy(logits, labels))
+                        per_sample_cross_entropy(logits, labels, buffers))
     h1, h2, logits, losses = forward_pass
-    mean_loss = float(losses.mean())
+    mean_loss = float(np.add.reduce(losses)) / m  # the bits of losses.mean()
 
-    probs = softmax(logits)
-    d_logits = probs
-    d_logits[np.arange(m), labels] -= 1.0
+    # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
+    # exp and row sums of the loss pass that saw these logits
+    e, sums = buffers.exp[:m], buffers.sums[:m]
+    if buffers.exp_of is not logits:
+        buffers.exp_of = None
+        _shifted_exp(logits, buffers.shift[:m], e, sums)
+    d_logits = np.divide(e, sums[:, None], out=buffers.d_logits[:m])
+    # one (row, label) pair per row, so this subtracts 1.0 once from each
+    np.subtract.at(d_logits, (buffers.rows[:m], labels), 1.0)
     d_logits /= m
 
     if out is None:
@@ -243,15 +301,15 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
     # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest;
     # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0)
     np.matmul(h2.T, d_logits, out=out.w3)
-    d_logits.sum(axis=0, out=out.b3)
+    np.add.reduce(d_logits, axis=0, out=out.b3)
     np.matmul(d_logits, model.w3.T, out=d_h2)
     d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[:m])
     np.matmul(h1.T, d_h2, out=out.w2)
-    d_h2.sum(axis=0, out=out.b2)
+    np.add.reduce(d_h2, axis=0, out=out.b2)
     np.matmul(d_h2, model.w2.T, out=d_h1)
     d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[:m])
     np.matmul(x.T, d_h1, out=out.w1)
-    d_h1.sum(axis=0, out=out.b1)
+    np.add.reduce(d_h1, axis=0, out=out.b1)
     return out, mean_loss
 
 
@@ -284,7 +342,7 @@ def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
     if state.scratch is None:
         state.scratch = np.empty((2, g.size))
     s, u = state.scratch
-    if not np.abs(g, out=s).max() < _GRAD_LIMIT:  # False for NaN too
+    if not np.maximum.reduce(np.abs(g, out=s)) < _GRAD_LIMIT:  # False for NaN too
         raise NumericError("non-finite or overflowing gradient; step aborted")
     if state.m is None:  # 0.0*beta + x gives the bits of a scalar 0.0 start
         state.m, state.v = np.zeros((2, g.size))

@@ -305,6 +305,112 @@ class TestRunStage:
             run_stage(model, np.zeros((10, 4)), np.zeros(10, dtype=int),
                       stage_config(batch=64), STAGE1, seed=0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_labels_must_be_integers(self, dtype):
+        ds = separable_task(seed=5)
+        model = init_model(4, 16, 2, seed=1)
+        config = TrainConfig(epochs=1, lr=1e-3, batch_size=30)
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            finetune_plain(model, ds.features, ds.labels.astype(dtype), config,
+                           seed=0)
+
+
+WHERE = r" at epoch 0, iteration 1 \(shuffle seed 3\); run aborted"
+
+
+class TestStepChecks:
+    """Each check of a training step fires from inside run_stage, with its
+    own exception and message."""
+
+    def run(self, model=None, features=None, labels=None, decide=STAGE1):
+        ds = separable_task(seed=6)
+        model = init_model(4, 16, 2, seed=1) if model is None else model
+        features = ds.features if features is None else features
+        labels = ds.labels if labels is None else labels
+        return run_stage(model, features, labels, stage_config(epochs=1),
+                         decide, seed=3)
+
+    def test_label_out_of_range(self):
+        labels = separable_task(seed=6).labels.copy()
+        labels[::7] = 2
+        with pytest.raises(ValidationError, match=r"labels must lie in \[0, 2\)"):
+            self.run(labels=labels)
+
+    def test_nonfinite_features(self):
+        features = separable_task(seed=6).features.copy()
+        features[:, 1] = np.inf
+        with pytest.raises(NumericError, match="non-finite logits in forward pass" + WHERE):
+            self.run(features=features)
+
+    # logits of +-1.5e308 are finite, but their difference overflows
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_loss(self):
+        model = init_model(4, 16, 2, seed=1)
+        model.w3[...] = 0.0
+        model.b3[...] = (1.5e308, -1.5e308)
+        with pytest.raises(NumericError, match="non-finite loss" + WHERE):
+            self.run(model=model)
+
+    @pytest.mark.parametrize("decide", [STAGE1, STAGE2], ids=["stage1", "stage2"])
+    def test_nan_loss_handed_to_the_decision(self, decide):
+        def poisoned(losses, thres, k):
+            losses = losses.copy()
+            losses[3] = np.nan
+            return decide(losses, thres, k)
+
+        with pytest.raises(NumericError, match="NaN loss in ranking" + WHERE):
+            self.run(decide=poisoned)
+
+    def test_overflowing_gradient(self):
+        # h2 of 1e200 with logits of 0: the w3 gradient passes the limit
+        model = init_model(4, 16, 2, seed=1)
+        model.b2[...] = 1e200
+        model.w3[...] = 0.0
+        with pytest.raises(NumericError, match="overflowing gradient; step aborted" + WHERE):
+            self.run(model=model)
+
+    @pytest.mark.parametrize("mask,message", [
+        ([], "sample_mask must be nonempty"),
+        ([0, 30], "sample_mask index out of range"),
+        ([-1], "sample_mask index out of range"),
+    ], ids=["empty", "past_the_batch", "negative"])
+    def test_bad_mask(self, mask, message):
+        def bad(losses, thres, k):
+            return curriculum.UpdateDecision(curriculum.TOP_K_BRANCH,
+                                             np.array(mask, dtype=np.intp),
+                                             k, None, None, None)
+
+        with pytest.raises(ValidationError, match=message):
+            self.run(decide=bad)
+
+    def test_the_loss_pass_softmax_is_reused(self, monkeypatch):
+        # every step computes exp(logits - max) once, in its loss pass:
+        # backward never recomputes it and never calls softmax
+        ds = separable_task(seed=7)
+        model = init_model(4, 16, 2, seed=1)
+        calls = {"exp": 0, "loss": 0}
+        shifted_exp, loss_pass = numcore._shifted_exp, numcore.per_sample_cross_entropy
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def no_softmax(logits):
+            raise AssertionError("softmax called in a training step")
+
+        monkeypatch.setattr(numcore, "_shifted_exp", counted("exp", shifted_exp))
+        monkeypatch.setattr(numcore, "per_sample_cross_entropy",
+                            counted("loss", loss_pass))
+        monkeypatch.setattr(numcore, "softmax", no_softmax)
+        _, report = run_stage(model, ds.features, ds.labels,
+                              stage_config(alpha=0.3, epochs=2), STAGE1, seed=3)
+        subsets = sum(r.branch != curriculum.TOTAL_BRANCH for r in report.records)
+        assert 0 < subsets < len(report.records)
+        assert calls["loss"] == len(report.records) + subsets
+        assert calls["exp"] == calls["loss"]
+
 
 class TestRunHadcl:
     def test_zero_epoch_stage2_is_identity(self):
@@ -495,7 +601,10 @@ class TestStepBuffers:
         backward = numcore.backward
 
         def keeping(*args):
-            buffers.extend([args[1], args[2], *vars(args[6]).values()])
+            # the batch, then each array of the StepBuffers; exp_of names the
+            # step's logits
+            arrays = (v for k, v in vars(args[6]).items() if k != "exp_of")
+            buffers.append((args[1], args[2], *arrays))
             return backward(*args)
 
         monkeypatch.setattr(numcore, "backward", keeping)
@@ -506,5 +615,5 @@ class TestStepBuffers:
         assert {r.branch for r in records} == branches
         assert model_bytes(model) == before
         # the gathered batch and StepBuffers of the stage, one set per stage
-        assert len({id(a) for a in buffers}) == 9
-        assert not any(np.shares_memory(got.theta, a) for a in buffers)
+        assert len({tuple(map(id, arrays)) for arrays in buffers}) == 1
+        assert not any(np.shares_memory(got.theta, a) for a in buffers[0])

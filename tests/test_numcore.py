@@ -122,6 +122,31 @@ class TestCrossEntropy:
         with pytest.raises(ValidationError):
             per_sample_cross_entropy(np.zeros((2, 3)), [0, 3])
 
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], np.array([0.0, 1.0]),
+                                        [False, True], np.array([True, False])],
+                             ids=["float_list", "float_array", "bool_list",
+                                  "bool_array"])
+    def test_labels_must_be_integers(self, labels):
+        # a float would fail the gather as a raw IndexError, and a bool would
+        # index as 0 or 1
+        with pytest.raises(ValidationError, match="labels must be integers"):
+            per_sample_cross_entropy(np.zeros((2, 2)), labels)
+
+    def test_buffers_hold_the_loss_pass(self):
+        rng = np.random.default_rng(4)
+        m = init_model(5, 7, 3, seed=4)
+        buffers = StepBuffers(9, m)
+        logits = forward(m, rng.normal(size=(6, 5)), buffers)
+        labels = rng.integers(0, 3, 6)
+        want = per_sample_cross_entropy(logits.copy(), labels)
+        got = per_sample_cross_entropy(logits, labels, buffers)
+        assert got.tobytes() == want.tobytes()
+        assert np.shares_memory(got, buffers.losses) and buffers.exp_of is logits
+        e, sums = buffers.exp[:6], buffers.sums[:6]
+        assert (e / sums[:, None]).tobytes() == numcore.softmax(logits).tobytes()
+        forward(m, rng.normal(size=(6, 5)), buffers)
+        assert buffers.exp_of is None
+
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         losses = per_sample_cross_entropy(rng.normal(size=(200, 5)),
@@ -267,6 +292,132 @@ class TestForwardReuse:
             got, _ = backward(m, x, y, mask, fp, out=buf)
             assert got is buf
             assert buf.theta.tobytes() == want.theta.tobytes()
+
+
+def expression_backward(model, x, y, mask):
+    """backward as expressions on new arrays, with the softmax from
+    `numcore.softmax`: the gradient bytes and mean loss backward must give."""
+    if mask is not None and len(np.unique(mask)) < len(x):
+        rows = np.unique(mask)
+        x, y = x[rows], y[rows]
+    buffers = StepBuffers(len(x), model)
+    logits = forward(model, x, buffers).copy()
+    h1, h2 = buffers.h1.copy(), buffers.h2.copy()
+    m = len(y)
+    d_logits = numcore.softmax(logits)
+    d_logits[np.arange(m), y] -= 1.0
+    d_logits /= m
+    d_h2 = (d_logits @ model.w3.T) * (h2 > 0.0)
+    d_h1 = (d_h2 @ model.w2.T) * (h1 > 0.0)
+    grads = np.concatenate([
+        (x.T @ d_h1).ravel(), d_h1.sum(axis=0),
+        (h1.T @ d_h2).ravel(), d_h2.sum(axis=0),
+        (h2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
+    return grads.tobytes(), float(per_sample_cross_entropy(logits, y).mean())
+
+
+def garbage_buffers(rows, model):
+    """StepBuffers whose every float holds NaN and every mask True."""
+    buffers = StepBuffers(rows, model)
+    for value in vars(buffers).values():
+        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+            value[...] = np.nan
+        elif isinstance(value, np.ndarray) and value.dtype == bool:
+            value[...] = True
+    return buffers
+
+
+@pytest.mark.parametrize("batch", [1, 2, 50, 257, 512])
+class TestSoftmaxReuse:
+    """backward builds d_logits from the exp and row sums of the loss pass
+    that saw the same logits. Its gradient bytes must equal an expression
+    form that calls numcore.softmax, whatever the buffers held before."""
+
+    def case(self, batch):
+        rng = np.random.default_rng(batch)
+        m = init_model(12, 96, 2, seed=batch)
+        m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
+        x = rng.normal(size=(batch, 12))
+        y = rng.integers(0, 2, batch)
+        subset = rng.choice(batch, size=max(1, batch // 3), replace=False)
+        masks = {"none": None, "full": rng.permutation(batch), "subset": subset}
+        return rng, m, x, y, masks
+
+    @pytest.mark.parametrize("mask_name", ["none", "full", "subset"])
+    def test_loop_pass_with_buffers(self, batch, mask_name):
+        # the training loop's order: forward and the loss pass into the
+        # buffers, then backward with the 4-tuple they made
+        _, m, x, y, masks = self.case(batch)
+        mask = masks[mask_name]
+        want = expression_backward(m, x, y, mask)
+        buffers = garbage_buffers(batch, m)
+        logits = forward(m, x, buffers)
+        fp = (buffers.h1[:batch], buffers.h2[:batch], logits,
+              per_sample_cross_entropy(logits, y, buffers))
+        grads, loss = backward(m, x, y, mask, fp, m.copy(), buffers)
+        assert (grads.theta.tobytes(), loss) == want
+
+    @pytest.mark.parametrize("mask_name", ["none", "full", "subset"])
+    @pytest.mark.parametrize("with_buffers", [False, True])
+    def test_no_forward_pass(self, batch, mask_name, with_buffers):
+        _, m, x, y, masks = self.case(batch)
+        mask = masks[mask_name]
+        buffers = garbage_buffers(batch, m) if with_buffers else None
+        grads, loss = backward(m, x, y, mask, None, None, buffers)
+        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, mask)
+
+    @pytest.mark.parametrize("mask_name", ["none", "full", "subset"])
+    @pytest.mark.parametrize("buffers_held", ["none", "garbage", "other_pass",
+                                              "cleared_pass"])
+    def test_forward_pass_made_without_buffers(self, batch, mask_name,
+                                               buffers_held):
+        # the caller's 4-tuple owes nothing to the buffers: backward must not
+        # read the softmax they hold, however it got there
+        rng, m, x, y, masks = self.case(batch)
+        mask = masks[mask_name]
+        own = StepBuffers(batch, m)
+        forward(m, x, own)
+        logits = forward(m, x)
+        fp = (own.h1.copy(), own.h2.copy(), logits,
+              per_sample_cross_entropy(logits, y))
+        buffers = None if buffers_held == "none" else garbage_buffers(batch, m)
+        if buffers_held in ("other_pass", "cleared_pass"):
+            other = forward(m, rng.normal(size=x.shape) * 3.0, buffers)
+            per_sample_cross_entropy(other, y, buffers)
+            if buffers_held == "cleared_pass":
+                forward(m, x, buffers)  # new logits, no loss pass
+        grads, loss = backward(m, x, y, mask, fp, None, buffers)
+        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, mask)
+
+    def test_a_new_forward_voids_the_softmax(self, batch):
+        # forward writes into the memory the old logits view shows, so the
+        # loss pass's exp no longer belongs to it
+        rng, m, x, y, _ = self.case(batch)
+        buffers = StepBuffers(batch, m)
+        logits = forward(m, rng.normal(size=x.shape), buffers)
+        per_sample_cross_entropy(logits, y, buffers)
+        forward(m, x, buffers)
+        fp = (buffers.h1[:batch], buffers.h2[:batch], logits,
+              per_sample_cross_entropy(logits.copy(), y))
+        grads, loss = backward(m, x, y, None, fp, None, buffers)
+        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, None)
+
+    def test_fallback_leaves_no_stale_softmax(self, batch):
+        # a caller's own 4-tuple passed with the loop's buffers, between the
+        # loop's loss pass and its backward
+        rng, m, x, y, _ = self.case(batch)
+        buffers = StepBuffers(batch, m)
+        x_loop = rng.normal(size=x.shape)
+        logits = forward(m, x_loop, buffers)
+        fp_loop = (buffers.h1[:batch], buffers.h2[:batch], logits,
+                   per_sample_cross_entropy(logits, y, buffers))
+        own = StepBuffers(batch, m)
+        own_logits = forward(m, x, own)
+        fp_own = (own.h1, own.h2, own_logits, per_sample_cross_entropy(own_logits, y))
+        backward(m, x, y, None, fp_own, None, buffers)
+        grads, loss = backward(m, x_loop, y, None, fp_loop, None, buffers)
+        want = expression_backward(m, x_loop, y, None)
+        assert (grads.theta.tobytes(), loss) == want
 
 
 def zero_grads(m):
