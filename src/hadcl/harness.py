@@ -436,8 +436,8 @@ class RunReport:
 
     @classmethod
     def from_json(cls, path) -> "RunReport":
-        """The report at `path`, schema v3, v2 or v1, with its cells as
-        run_experiment returned them; reportfile.read says what it checks."""
+        """The v3 report at `path`, with its cells as run_experiment
+        returned them; reportfile.read says what it checks."""
         config_hash, code_version, cells = reportfile.read(path)
         return cls(config_hash=config_hash, cells=cells, code_version=code_version)
 

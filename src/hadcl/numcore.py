@@ -214,13 +214,16 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
         buffers.check_rows(n)
         shift, sums, losses = buffers.shift[:n], buffers.sums[:n], buffers.losses[:n]
         e, rows = buffers.exp[:n], buffers.rows[:n]
-    _shifted_exp(logits, shift, e, sums)
+    # finite logits about 3e308 apart overflow logits - max and the loss to
+    # inf, which the caller's finite-loss check rejects, so no warning
+    with np.errstate(over="ignore"):
+        _shifted_exp(logits, shift, e, sums)
+        # lse - logits[label], with lse = shift + log(sums)
+        np.log(sums, out=losses)
+        losses += shift
+        losses -= logits[rows, labels]
     if buffers is not None:
         buffers.exp_of = logits
-    # lse - logits[label], with lse = shift + log(sums)
-    np.log(sums, out=losses)
-    losses += shift
-    losses -= logits[rows, labels]
     return np.maximum(losses, 0.0, out=losses)
 
 

@@ -1,6 +1,6 @@
-"""report.json on disk. `write` writes schema hadcl.run_report.v3, JSON
-lines; `read` reads v3, and v2 and v1 in any JSON layout, and checks every
-cell it returns. Also the names a report's cells are built from, which the
+"""report.json on disk, schema hadcl.run_report.v3, JSON lines: `write`
+writes it, and `read` reads it and checks every cell it returns; no other
+schema is read. Also the names a report's cells are built from, which the
 harness shares: the strategies, the paired and ROC splits and the curve
 columns, and `replacing`, which every output file is written through."""
 
@@ -19,12 +19,6 @@ from .curriculum import IterationRecord
 from .exceptions import ValidationError
 
 REPORT_SCHEMA = "hadcl.run_report.v3"
-# the earlier layouts, which read still reads. v2 is one JSON document with
-# a summary, whose cells hold their scores and labels as JSON lists and
-# their curves as lists of records. v1 is v2 with each ok cell's validation
-# split in metrics["val"], with its scores, labels and DeLong CI
-_REPORT_SCHEMA_V2 = "hadcl.run_report.v2"
-_REPORT_SCHEMA_V1 = "hadcl.run_report.v1"
 STRATEGIES = ("baseline", "curriculum1", "curriculum2")
 # the test splits that get a paired DeLong test against the baseline
 PAIRED_SPLITS = ("in_domain", "ood")
@@ -89,60 +83,43 @@ def write(path, config_hash: str, code_version: str, cells: list) -> None:
 
 
 def read(path) -> tuple[str, str, list]:
-    """The config hash, code version and cells of the report at `path`,
-    schema v3 as JSON lines or v2 or v1 in any JSON layout; the cells as
-    run_experiment returned them. A v3 cell's scores become lists of
-    floats, its curve a list of records, and a split without labels gets its
-    seed line's. A "metrics_from" index becomes a copy of the named cell's
-    split dicts; a v1 cell's metrics["val"] moves to its "val", keeping only
-    AUC and accuracy. Raises ValidationError, naming the line and cell where
-    it can, for a file that cannot be read, is not JSON, lacks the schema or
-    a required key, or holds a cell without a known strategy, a non-negative
-    integer seed, the keys, curve records and equal-length score and label
-    lists that emit_plot_data reads, or the numbers summary() reads. The
-    score and label values themselves are checked where emit_plot_data
-    converts them."""
+    """The config hash, code version and cells of the v3 report at `path`;
+    the cells as run_experiment returned them. A cell's scores become lists
+    of floats, its curve a list of records, and a split without labels gets
+    its seed line's. A "metrics_from" index becomes a copy of the named
+    cell's split dicts. Raises ValidationError, naming the line and cell
+    where it can, for a file that cannot be read, is not JSON, is JSON of
+    another schema (an "unknown report schema" error names it), lacks a
+    required key, or holds a cell without a known strategy, a
+    non-negative integer seed, the keys, curve columns and equal-length score
+    and label lists that emit_plot_data reads, or the numbers summary()
+    reads. The score and label values themselves are checked where
+    emit_plot_data converts them."""
     try:
         with open(path) as f:
             text = f.read()
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read report {path}: {exc}") from None
     first, _, rest = text.partition("\n")
-    try:  # a v3 header, or a whole compact v2 or v1 report
+    try:  # a v3 header, or a whole one-line document of another schema
         doc = json.loads(first)
     except ValueError:
         doc = None
-    if isinstance(doc, dict) and (doc.get("schema") == REPORT_SCHEMA
-                                  or rest.strip()):
-        schema = REPORT_SCHEMA
-        cells, places = _v3_cells(path, doc, rest)
-    else:
-        if doc is None:
-            try:
-                doc = json.loads(text)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"cannot read report {path}: {exc}") from None
+    if not (isinstance(doc, dict) and (doc.get("schema") == REPORT_SCHEMA
+                                       or rest.strip())):
+        try:  # a JSON document in any layout, of another schema
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ValidationError(f"cannot read report {path}: {exc}") from None
         schema = doc.get("schema") if isinstance(doc, dict) else None
-        if schema not in (_REPORT_SCHEMA_V2, _REPORT_SCHEMA_V1):
-            raise ValidationError(f"unknown report schema {schema!r}")
-        missing = {"config_hash", "cells", "code_version"} - set(doc)
-        if missing:
-            raise ValidationError(f"report {path} lacks {sorted(missing)}")
-        cells = doc["cells"]
-        if not isinstance(cells, list):
-            raise ValidationError(f"report {path}: cells must be a list")
-        places = [f"report {path} cell {i}" for i in range(len(cells))]
+        raise ValidationError(f"report {path}: unknown report schema {schema!r}")
+    cells, places = _v3_cells(path, doc, rest)
     for i, where in enumerate(places):
         cell = cells[i]
         _check_cell_keys(cell, where)
-        if schema != REPORT_SCHEMA:  # _curve_records checked a v3 curve
-            _check_curve(cell, where)
         if cell["status"] != "ok":
             continue
-        if schema == _REPORT_SCHEMA_V1:
-            _move_v1_val(cell)
-        elif "metrics_from" in cell:
+        if "metrics_from" in cell:
             cells[i] = cell = _metrics_restored(cells, i, where)
         _check_metrics(cell, where)
     return doc["config_hash"], doc["code_version"], cells
@@ -290,8 +267,7 @@ def _cell_decoded(cell, seed: int, labels: dict, where: str):
 
 def _curve_records(columns, where: str) -> list:
     """A v3 curve, {key: [values]}, as the list of records run_seed gives.
-    Every record has the column keys, so they are checked once here, not
-    per record as a v2 or v1 curve's are."""
+    Every record has the column keys, so they are checked once, here."""
     if not (isinstance(columns, dict)
             and all(isinstance(v, list) for v in columns.values())):
         raise ValidationError(f"{where}: curve must map keys to lists of values")
@@ -299,7 +275,8 @@ def _curve_records(columns, where: str) -> list:
         raise ValidationError(f"{where}: curve columns differ in length")
     # the columns are of one length, so any nonempty one means records
     if any(columns.values()) and not _CURVE_KEYS <= columns.keys():
-        raise _curve_keys_error(where)
+        raise ValidationError(f"{where}: curve must be a list of records "
+                              f"with keys {sorted(_CURVE_KEYS)}")
     keys = list(columns)
     return [dict(zip(keys, row)) for row in zip(*columns.values())]
 
@@ -366,15 +343,6 @@ def _metrics_restored(cells: list, i: int, where: str) -> dict:
                     {split: dict(m) for split, m in source["metrics"].items()})
 
 
-def _move_v1_val(cell: dict) -> None:
-    """Moves a v1 cell's metrics["val"] mapping to cell["val"], keeping its
-    AUC and accuracy; any other "val" is left for _check_metrics to reject."""
-    metrics = cell.get("metrics")
-    if isinstance(metrics, dict) and isinstance(metrics.get("val"), dict):
-        val = metrics.pop("val")
-        cell["val"] = {k: val[k] for k in ("accuracy", "auc") if k in val}
-
-
 def _check_cell_keys(cell, where: str) -> None:
     """Raises ValidationError unless `cell` is a mapping with the keys every
     cell has, a non-negative integer seed and a known strategy."""
@@ -389,20 +357,6 @@ def _check_cell_keys(cell, where: str) -> None:
     if cell["strategy"] not in STRATEGIES:
         raise ValidationError(f"{where}: strategy must be one of "
                               f"{list(STRATEGIES)}, got {cell['strategy']!r}")
-
-
-def _check_curve(cell: dict, where: str) -> None:
-    """Raises ValidationError unless the curve of the v2 or v1 `cell`, if
-    it has one, is a list of records with the keys curves.tsv reads."""
-    curve = cell.get("curve", [])
-    if not (isinstance(curve, list) and all(
-            isinstance(r, dict) and _CURVE_KEYS <= r.keys() for r in curve)):
-        raise _curve_keys_error(where)
-
-
-def _curve_keys_error(where: str) -> ValidationError:
-    return ValidationError(f"{where}: curve must be a list of records "
-                           f"with keys {sorted(_CURVE_KEYS)}")
 
 
 def _check_metrics(cell: dict, where: str) -> None:

@@ -342,8 +342,8 @@ class TestStepChecks:
         with pytest.raises(NumericError, match="non-finite logits in forward pass" + WHERE):
             self.run(features=features)
 
-    # logits of +-1.5e308 are finite, but their difference overflows
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    # logits of +-1.5e308 are finite, but their difference overflows; the
+    # step fails with no RuntimeWarning
     def test_overflowing_loss(self):
         model = init_model(4, 16, 2, seed=1)
         model.w3[...] = 0.0

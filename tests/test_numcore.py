@@ -109,6 +109,14 @@ class TestCrossEntropy:
         assert losses[0] == pytest.approx(0.0, abs=1e-12)
         assert np.isfinite(losses).all()
 
+    def test_overflowing_loss_is_inf_without_a_warning(self):
+        # finite logits 3e308 apart: logits - max and the second row's loss
+        # overflow, which the caller's finite-loss check rejects, and NumPy
+        # warns of nothing
+        logits = np.array([[1.5e308, -1.5e308]] * 2)
+        losses = per_sample_cross_entropy(logits, [0, 1])
+        assert losses.tolist() == [0.0, np.inf]
+
     def test_matches_naive_softmax_log(self):
         rng = np.random.default_rng(3)
         logits = rng.normal(size=(50, 4)) * 3
