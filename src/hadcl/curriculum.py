@@ -252,8 +252,9 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
     model = model.copy()
     state = OptimizerState()
     # each step gathers its batch into x and y, and forward, the loss pass,
-    # backward and adam_step write into buffers made here; backward reuses
-    # the ranking pass's activations and softmax on whole-batch updates
+    # backward and adam_step write into buffers made here; backward reads
+    # the ranking pass's activations and softmax from them on whole-batch
+    # updates
     x = np.empty((batch_size, *features.shape[1:]))
     y = np.empty(batch_size, dtype=labels.dtype)
     buffers, grads = numcore.StepBuffers(batch_size, model), model.copy()
@@ -284,9 +285,8 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
                 if not np.isfinite(losses).all():
                     raise NumericError("non-finite loss")
                 decision = decide(losses, thres, k)
-                _, mean_loss = numcore.backward(
-                    model, x, y, decision.mask,
-                    (buffers.h1, buffers.h2, logits, losses), grads, buffers)
+                mean_loss = numcore.backward(model, x, y, decision.mask,
+                                             buffers, grads)
                 numcore.adam_step(model, grads, state, lr)
             except NumericError as exc:
                 raise NumericError(f"{exc} at epoch {epoch}, iteration {t} "

@@ -507,6 +507,8 @@ def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
                        workers: int = 1) -> dict:
     """One curriculum-1 run per alpha, each from the seed's one pretrained model."""
     # every alpha's config is built first, so a bad grid fails before training
+    if len(set(alpha_grid)) < len(alpha_grid):
+        raise ValidationError(f"duplicate alpha in {list(alpha_grid)}")
     stage1 = [replace(config.curriculum1, alpha=alpha) for alpha in alpha_grid]
     config = replace(config, strategies=("curriculum1",))
     per_seed = _per_seed(partial(run_seed, config, stage1=stage1), config.seeds,

@@ -20,11 +20,12 @@ A training step makes none of its batch- or parameter-sized arrays. The
 loop makes one StepBuffers per stage: `forward` writes the step's
 activations and logits into its first rows, `per_sample_cross_entropy` the
 row maxima, exp(logits - max), its row sums and the losses, and `backward`
-d_logits, the row gradients and the ReLU masks. `backward` builds the
-softmax from the loss pass's exp and row sums, the bits `softmax` would
-compute; StepBuffers.exp_of ties them to the logits they came from, so a
-forward pass made anywhere else has its softmax computed. A row-subset
-update recomputes its forward and loss pass into the same buffers. Adam
+d_logits, the row gradients and the ReLU masks. `backward` reads the step's
+pass from the buffers and builds the softmax from the loss pass's exp and
+row sums, the bits `softmax` would compute; it raises DimensionError unless
+the buffers' last loss pass, made after their last forward, covered the
+rows it differentiates. A row-subset update recomputes its forward and loss
+pass into the same buffers. Adam
 updates its moments in place with two scratch vectors held by the
 OptimizerState, in the operation order of its textbook expression, so the
 bits are those of fresh arrays. The step's sums and maxima call the ufunc's
@@ -102,10 +103,10 @@ class StepBuffers:
     `rows` is arange(rows), the row index of the label gathers. A call on n
     rows uses the first n rows of each.
 
-    `exp_of` is the logits array whose exp and sums the buffers hold: the
-    loss pass sets it, and `forward` clears it before it writes new logits,
-    so `backward` takes the softmax of these buffers only for the logits the
-    same step's loss pass saw."""
+    `loss_rows` is the row count of the loss pass the buffers hold: the loss
+    pass sets it, and `forward` clears it to None before it writes new
+    logits, so `backward` raises rather than read a softmax and losses that
+    the current logits did not give."""
 
     def __init__(self, rows: int, model: MlpModel):
         width1, width2 = model.w1.shape[1], model.w2.shape[1]
@@ -117,7 +118,7 @@ class StepBuffers:
         self.relu1 = np.empty((rows, width1), dtype=bool)
         self.relu2 = np.empty((rows, width2), dtype=bool)
         self.rows = np.arange(rows)
-        self.exp_of = None
+        self.loss_rows = None
 
     def check_rows(self, n: int) -> None:
         if n > len(self.h1):
@@ -144,7 +145,7 @@ def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
 def forward(model: MlpModel, inputs: np.ndarray,
             buffers: StepBuffers | None = None) -> np.ndarray:
     """Logits for a batch. inputs is (B, d). With `buffers`, the post-ReLU
-    activations h1 and h2, which `backward` can reuse, and the logits are
+    activations h1 and h2, which `backward` reads, and the logits are
     written into their first B rows, and the logits returned are a view."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
@@ -158,7 +159,7 @@ def forward(model: MlpModel, inputs: np.ndarray,
         logits = np.empty((n, model.w3.shape[1]))
     else:
         buffers.check_rows(n)
-        buffers.exp_of = None  # the logits are about to change
+        buffers.loss_rows = None  # the logits are about to change
         h1, h2, logits = buffers.h1[:n], buffers.h2[:n], buffers.logits[:n]
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
         start = 0
@@ -217,51 +218,41 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
     # finite logits about 3e308 apart overflow logits - max and the loss to
     # inf, which the caller's finite-loss check rejects, so no warning
     with np.errstate(over="ignore"):
-        _shifted_exp(logits, shift, e, sums)
+        # the row maxima, exp(logits - max) and its row sums: the bits
+        # `softmax` computes on its way
+        np.maximum.reduce(logits, axis=1, out=shift)
+        np.subtract(logits, shift[:, None], out=e)
+        np.exp(e, out=e)
+        np.add.reduce(e, axis=1, out=sums)
         # lse - logits[label], with lse = shift + log(sums)
         np.log(sums, out=losses)
         losses += shift
         losses -= logits[rows, labels]
     if buffers is not None:
-        buffers.exp_of = logits
+        buffers.loss_rows = n
     return np.maximum(losses, 0.0, out=losses)
 
 
-def _shifted_exp(logits: np.ndarray, shift: np.ndarray, e: np.ndarray,
-                 sums: np.ndarray) -> None:
-    """shift = the row maxima, e = exp(logits - shift) and sums = the row
-    sums of e: the bits `softmax` computes on its way."""
-    np.maximum.reduce(logits, axis=1, out=shift)
-    np.subtract(logits, shift[:, None], out=e)
-    np.exp(e, out=e)
-    np.add.reduce(e, axis=1, out=sums)
-
-
-def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
-             forward_pass=None, out: MlpModel | None = None,
-             buffers: StepBuffers | None = None):
-    """Gradients of the MEAN cross-entropy over the masked subset.
+def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
+             buffers: StepBuffers, out: MlpModel) -> float:
+    """Writes into `out` the gradients of the MEAN cross-entropy over the
+    masked subset and returns that mean. `out` has the model's shapes, so
+    out.theta lines up with model.theta.
 
     sample_mask is an index subset of [0, B); None means all samples. The mask
     is sorted internally so the result is independent of the order the caller
     selected samples in (summation order matters bit-wise).
 
-    forward_pass is (h1, h2, logits, losses) of this model on all of
-    `inputs`: the hidden activations and logits that `forward(model, inputs,
-    buffers)` wrote and `per_sample_cross_entropy(logits, labels, buffers)`.
-    It is used only when the mask covers every row; otherwise the same two
-    calls recompute it on the masked rows (raising NumericError on non-finite
+    `buffers` must hold this step's pass: `forward(model, inputs, buffers)`,
+    then `per_sample_cross_entropy(logits, labels, buffers)`. When the mask
+    covers every row, backward reads the activations, the loss pass's exp
+    and row sums (the softmax) and the losses from them, and raises
+    DimensionError unless their loss pass, made after their last forward,
+    covered all B rows. On a row subset it recomputes the forward and loss
+    pass on those rows into the buffers (raising NumericError on non-finite
     logits), because a row subset's products are not bit-equal to the same
-    rows of the whole batch's. The softmax comes from the exp and row sums
-    in `buffers` when the loss pass wrote them for these very logits
-    (`StepBuffers.exp_of`), and is computed from the logits otherwise.
-
-    Returns (grads, mean_loss) with grads an MlpModel of the model's shapes,
-    so grads.theta lines up with model.theta. The gradients are written into
-    `out` when it is given (and `out` is returned), else into a new model.
-    The row gradients, ReLU masks and any recomputed forward pass go into
-    `buffers` when they are given (a recomputation overwrites the forward
-    pass they held), else into StepBuffers made for this call.
+    rows of the whole batch's. The row gradients and ReLU masks go into the
+    buffers too.
     """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
@@ -274,32 +265,24 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
         if mask.size < x.shape[0]:  # distinct and in range: not every row
             x = x[mask]
             labels = labels[mask]
-            forward_pass = None
+            per_sample_cross_entropy(forward(model, x, buffers), labels, buffers)
 
     m = x.shape[0]
-    if buffers is None:
-        buffers = StepBuffers(m, model)
     buffers.check_rows(m)
-    if forward_pass is None:
-        logits = forward(model, x, buffers)
-        forward_pass = (buffers.h1[:m], buffers.h2[:m], logits,
-                        per_sample_cross_entropy(logits, labels, buffers))
-    h1, h2, logits, losses = forward_pass
+    if buffers.loss_rows != m:
+        raise DimensionError(f"the buffers hold no loss pass of the {m} rows "
+                             "backward differentiates")
+    h1, h2, losses = buffers.h1[:m], buffers.h2[:m], buffers.losses[:m]
     mean_loss = float(np.add.reduce(losses)) / m  # the bits of losses.mean()
 
     # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
-    # exp and row sums of the loss pass that saw these logits
-    e, sums = buffers.exp[:m], buffers.sums[:m]
-    if buffers.exp_of is not logits:
-        buffers.exp_of = None
-        _shifted_exp(logits, buffers.shift[:m], e, sums)
-    d_logits = np.divide(e, sums[:, None], out=buffers.d_logits[:m])
+    # loss pass's exp and row sums
+    d_logits = np.divide(buffers.exp[:m], buffers.sums[:m, None],
+                         out=buffers.d_logits[:m])
     # one (row, label) pair per row, so this subtracts 1.0 once from each
     np.subtract.at(d_logits, (buffers.rows[:m], labels), 1.0)
     d_logits /= m
 
-    if out is None:
-        out = MlpModel(*(np.empty_like(getattr(model, name)) for name in PARAM_NAMES))
     d_h1, d_h2 = buffers.d_h1[:m], buffers.d_h2[:m]
     # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest;
     # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0)
@@ -313,7 +296,7 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask=None,
     d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[:m])
     np.matmul(x.T, d_h1, out=out.w1)
     np.add.reduce(d_h1, axis=0, out=out.b1)
-    return out, mean_loss
+    return mean_loss
 
 
 @dataclass

@@ -275,7 +275,7 @@ class TestRunStage:
         assert {r.branch for r in rep2.records} <= {
             curriculum.TOP_K_PRIME_BRANCH, curriculum.TOP_K_BRANCH}
 
-    def test_excluded_samples_do_not_touch_gradient(self):
+    def test_excluded_samples_do_not_touch_gradient(self, step_backward):
         # zeroing features of non-selected samples leaves the masked
         # gradient unchanged
         rng = np.random.default_rng(12)
@@ -283,11 +283,11 @@ class TestRunStage:
         x = rng.normal(size=(10, 4))
         y = rng.integers(0, 2, 10)
         mask = [1, 4, 7]
-        g1, _ = numcore.backward(model, x, y, mask)
+        g1, _ = step_backward(model, x, y, mask)
         x2 = x.copy()
         excluded = [i for i in range(10) if i not in mask]
         x2[excluded] = 0.0
-        g2, _ = numcore.backward(model, x2, y, mask)
+        g2, _ = step_backward(model, x2, y, mask)
         np.testing.assert_array_equal(g1.theta, g2.theta)
 
     @pytest.mark.filterwarnings("error")  # overflow is reported once, here
@@ -384,32 +384,28 @@ class TestStepChecks:
             self.run(decide=bad)
 
     def test_the_loss_pass_softmax_is_reused(self, monkeypatch):
-        # every step computes exp(logits - max) once, in its loss pass:
-        # backward never recomputes it and never calls softmax
+        # every step makes one loss pass, and a row-subset update one more
+        # for its rows; backward never calls softmax
         ds = separable_task(seed=7)
         model = init_model(4, 16, 2, seed=1)
-        calls = {"exp": 0, "loss": 0}
-        shifted_exp, loss_pass = numcore._shifted_exp, numcore.per_sample_cross_entropy
+        calls = 0
+        loss_pass = numcore.per_sample_cross_entropy
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return loss_pass(*args)
 
         def no_softmax(logits):
             raise AssertionError("softmax called in a training step")
 
-        monkeypatch.setattr(numcore, "_shifted_exp", counted("exp", shifted_exp))
-        monkeypatch.setattr(numcore, "per_sample_cross_entropy",
-                            counted("loss", loss_pass))
+        monkeypatch.setattr(numcore, "per_sample_cross_entropy", counted)
         monkeypatch.setattr(numcore, "softmax", no_softmax)
         _, report = run_stage(model, ds.features, ds.labels,
                               stage_config(alpha=0.3, epochs=2), STAGE1, seed=3)
         subsets = sum(r.branch != curriculum.TOTAL_BRANCH for r in report.records)
         assert 0 < subsets < len(report.records)
-        assert calls["loss"] == len(report.records) + subsets
-        assert calls["exp"] == calls["loss"]
+        assert calls == len(report.records) + subsets
 
 
 class TestRunHadcl:
@@ -601,9 +597,8 @@ class TestStepBuffers:
         backward = numcore.backward
 
         def keeping(*args):
-            # the batch, then each array of the StepBuffers; exp_of names the
-            # step's logits
-            arrays = (v for k, v in vars(args[6]).items() if k != "exp_of")
+            # the batch, then each array of the StepBuffers
+            arrays = (v for v in vars(args[4]).values() if isinstance(v, np.ndarray))
             buffers.append((args[1], args[2], *arrays))
             return backward(*args)
 

@@ -1180,10 +1180,15 @@ class TestAblation:
             assert 0.0 <= entry["median_val_auc"] <= 1.0
             assert {c["strategy"] for c in entry["cells"]} == {"curriculum1"}
 
-    def test_bad_grid_rejected(self):
+    def test_bad_grid_rejected(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_seed",
+                            lambda *a, **k: pytest.fail("training started"))
         cfg = config_from_dict(tiny_dict(seeds=[0]))
-        with pytest.raises(ValidationError):
-            harness.run_ablation_alpha(cfg, [0.0, 0.1])
+        for grid, message in (
+                ([0.0, 0.1], "alpha must be in"),
+                ([0.1, 0.3, 0.1], r"duplicate alpha in \[0.1, 0.3, 0.1\]")):
+            with pytest.raises(ValidationError, match=message):
+                harness.run_ablation_alpha(cfg, grid)
 
     # at batch_size 20, alpha 0.10 and 0.11 both give K = 2; 0.3 gives K = 6
     GRID = (0.10, 0.11, 0.3)
@@ -1643,6 +1648,13 @@ class TestCli:
                          "--output-dir", outdir, "--grid", "0.1", "0.3"]) == 0
         sweep = json.load(open(tmp_path / "out3" / "alpha_sweep.json"))
         assert [e["alpha"] for e in sweep["entries"]] == [0.1, 0.3]
+
+    def test_ablate_alpha_repeated_grid_value_exits_2(self, tmp_path, capsys):
+        path = self.write_config(tmp_path)
+        assert cli.main(["ablate-alpha", "--config", path, "--output-dir",
+                         str(tmp_path / "out"), "--grid", "0.1", "0.1"]) == 2
+        assert "duplicate alpha in [0.1, 0.1]" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "alpha_sweep.json").exists()
 
 
 def documented_command_lines() -> list[str]:

@@ -149,17 +149,22 @@ class TestCrossEntropy:
         want = per_sample_cross_entropy(logits.copy(), labels)
         got = per_sample_cross_entropy(logits, labels, buffers)
         assert got.tobytes() == want.tobytes()
-        assert np.shares_memory(got, buffers.losses) and buffers.exp_of is logits
+        assert np.shares_memory(got, buffers.losses) and buffers.loss_rows == 6
         e, sums = buffers.exp[:6], buffers.sums[:6]
         assert (e / sums[:, None]).tobytes() == numcore.softmax(logits).tobytes()
         forward(m, rng.normal(size=(6, 5)), buffers)
-        assert buffers.exp_of is None
+        assert buffers.loss_rows is None
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
         losses = per_sample_cross_entropy(rng.normal(size=(200, 5)),
                                           rng.integers(0, 5, 200))
         assert (losses >= 0.0).all()
+
+
+def masked_mean_loss(model, x, y, mask):
+    rows = slice(None) if mask is None else np.unique(mask)
+    return float(per_sample_cross_entropy(forward(model, x[rows]), y[rows]).mean())
 
 
 def fd_gradient(model, x, y, mask, name, h=1e-6):
@@ -170,80 +175,84 @@ def fd_gradient(model, x, y, mask, name, h=1e-6):
         idx = it.multi_index
         orig = p[idx]
         p[idx] = orig + h
-        _, lp = backward(model, x, y, mask)
+        lp = masked_mean_loss(model, x, y, mask)
         p[idx] = orig - h
-        _, lm = backward(model, x, y, mask)
+        lm = masked_mean_loss(model, x, y, mask)
         p[idx] = orig
         grad[idx] = (lp - lm) / (2 * h)
     return grad
 
 
 class TestBackward:
-    def test_full_mask_equals_none(self):
+    """Each test runs backward as the training step does (`step_backward`
+    in conftest.py), which also checks its bytes against the expression
+    form."""
+
+    def test_full_mask_equals_none(self, step_backward):
         rng = np.random.default_rng(5)
         m = random_model(rng)
         x = rng.normal(size=(8, 5))
         y = rng.integers(0, 3, 8)
-        g_none, l_none = backward(m, x, y, None)
-        g_all, l_all = backward(m, x, y, np.arange(8))
+        g_none, l_none = step_backward(m, x, y, None)
+        g_all, l_all = step_backward(m, x, y, np.arange(8))
         assert l_none == l_all
         np.testing.assert_array_equal(g_none.theta, g_all.theta)
 
-    def test_single_sample_matches_finite_differences(self):
+    def test_single_sample_matches_finite_differences(self, step_backward):
         rng = np.random.default_rng(6)
         m = random_model(rng)
         x = rng.normal(size=(4, 5))
         y = rng.integers(0, 3, 4)
         mask = [2]
-        grads, _ = backward(m, x, y, mask)
+        grads, _ = step_backward(m, x, y, mask)
         for name in ("w1", "b2", "w3"):
             fd = fd_gradient(m, x, y, mask, name)
             denom = np.maximum(np.abs(fd), 1e-8)
             assert np.max(np.abs(getattr(grads, name) - fd) / denom) < 1e-5
 
-    def test_duplicate_rows_mean_invariance(self):
+    def test_duplicate_rows_mean_invariance(self, step_backward):
         rng = np.random.default_rng(7)
         m = random_model(rng)
         row = rng.normal(size=5)
         x = np.stack([row, row, rng.normal(size=5)])
         y = np.array([1, 1, 0])
-        g_both, _ = backward(m, x, y, [0, 1])
-        g_one, _ = backward(m, x, y, [0])
+        g_both, _ = step_backward(m, x, y, [0, 1])
+        g_one, _ = step_backward(m, x, y, [0])
         np.testing.assert_allclose(g_both.theta, g_one.theta, atol=1e-14)
 
-    def test_empty_mask_raises(self):
+    def test_empty_mask_raises(self, step_backward):
         m = init_model(5, 7, 3, seed=0)
         with pytest.raises(ValidationError):
-            backward(m, np.zeros((2, 5)), [0, 1], [])
+            step_backward(m, np.zeros((2, 5)), [0, 1], [])
 
-    def test_masked_gradient_additivity(self):
+    def test_masked_gradient_additivity(self, step_backward):
         rng = np.random.default_rng(8)
         m = random_model(rng)
         x = rng.normal(size=(6, 5))
         y = rng.integers(0, 3, 6)
         mask = [1, 3, 4]
-        g_mask, _ = backward(m, x, y, mask)
-        singles = [backward(m, x, y, [i])[0] for i in mask]
+        g_mask, _ = step_backward(m, x, y, mask)
+        singles = [step_backward(m, x, y, [i])[0] for i in mask]
         summed = sum(g.theta for g in singles) / len(mask)
         np.testing.assert_allclose(g_mask.theta, summed, atol=1e-10)
 
-    def test_gradient_check_random_draws(self):
+    def test_gradient_check_random_draws(self, step_backward):
         rng = np.random.default_rng(11)
         for _ in range(10):
             m = random_model(rng, d=4, hidden=5, classes=3)
             x = rng.normal(size=(5, 4))
             y = rng.integers(0, 3, 5)
             mask = sorted(rng.choice(5, size=rng.integers(1, 6), replace=False))
-            grads, _ = backward(m, x, y, mask)
+            grads, _ = step_backward(m, x, y, mask)
             for name in numcore.PARAM_NAMES:
                 fd = fd_gradient(m, x, y, mask, name)
                 scale = np.maximum(np.abs(fd), 1e-6)
                 assert np.max(np.abs(getattr(grads, name) - fd) / scale) < 1e-4
 
-    def test_gradients_share_the_model_layout(self):
+    def test_gradients_share_the_model_layout(self, step_backward):
         rng = np.random.default_rng(13)
         m = random_model(rng)
-        grads, _ = backward(m, rng.normal(size=(4, 5)), [0, 1, 2, 0])
+        grads, _ = step_backward(m, rng.normal(size=(4, 5)), [0, 1, 2, 0])
         assert grads.theta.shape == m.theta.shape
         offset = 0
         for name in numcore.PARAM_NAMES:
@@ -258,88 +267,58 @@ class TestBackward:
 @pytest.mark.parametrize("batch,dim,hidden", [(50, 12, 96), (512, 16, 64)],
                          ids=["reference_shape", "large_batch_shape"])
 class TestForwardReuse:
-    """backward reuses the training loop's forward pass only where that is
-    bit-equal to recomputing it: masks that cover every row."""
+    """backward reads the training step's forward pass from the buffers only
+    where that is bit-equal to recomputing it: masks that cover every row.
+    A row subset recomputes its pass, and every gradient byte is written."""
 
-    def loop_pass(self, batch, dim, hidden):
+    def case(self, batch, dim, hidden):
         rng = np.random.default_rng(batch)
         m = init_model(dim, hidden, 2, seed=batch)
         m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
-        x = rng.normal(size=(batch, dim))
-        y = rng.integers(0, 2, batch)
-        acts = StepBuffers(batch, m)
-        logits = forward(m, x, acts)
-        losses = per_sample_cross_entropy(logits, y)
-        return rng, m, x, y, (acts.h1, acts.h2, logits, losses)
+        return rng, m, rng.normal(size=(batch, dim)), rng.integers(0, 2, batch)
 
-    def test_whole_batch_reuse_is_bit_equal(self, batch, dim, hidden):
-        rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
-        want, want_loss = backward(m, x, y, None)
-        for mask in (None, rng.permutation(batch)):
-            got, got_loss = backward(m, x, y, mask, fp)
-            assert got.theta.tobytes() == want.theta.tobytes()
-            assert got_loss == want_loss
+    def test_whole_batch_reuse_is_bit_equal(self, batch, dim, hidden,
+                                            step_backward):
+        rng, m, x, y = self.case(batch, dim, hidden)
+        want, want_loss = step_backward(m, x, y, None)
+        got, got_loss = step_backward(m, x, y, rng.permutation(batch))
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got_loss == want_loss
 
-    def test_row_subset_is_recomputed(self, batch, dim, hidden):
-        rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
+    def test_row_subset_is_recomputed(self, batch, dim, hidden, step_backward):
+        rng, m, x, y = self.case(batch, dim, hidden)
         for k in (2, 3, 5, 16, 25, 51):
-            if k >= batch:
-                continue
-            mask = rng.choice(batch, size=k, replace=False)
-            want, want_loss = backward(m, x, y, mask)
-            got, got_loss = backward(m, x, y, mask, fp)
-            assert got.theta.tobytes() == want.theta.tobytes(), k
-            assert got_loss == want_loss
+            if k < batch:
+                step_backward(m, x, y, rng.choice(batch, size=k, replace=False))
 
-    def test_buffer_is_overwritten(self, batch, dim, hidden):
-        rng, m, x, y, fp = self.loop_pass(batch, dim, hidden)
-        buf = m.copy()
-        buf.theta[:] = np.nan
+    def test_buffer_is_overwritten(self, batch, dim, hidden, step_backward):
+        # step_backward's gradient buffer starts as NaN
+        rng, m, x, y = self.case(batch, dim, hidden)
         for mask in (None, rng.choice(batch, size=5, replace=False)):
-            want, _ = backward(m, x, y, mask)
-            got, _ = backward(m, x, y, mask, fp, out=buf)
-            assert got is buf
-            assert buf.theta.tobytes() == want.theta.tobytes()
+            grads, _ = step_backward(m, x, y, mask)
+            assert np.isfinite(grads.theta).all()
 
 
-def expression_backward(model, x, y, mask):
-    """backward as expressions on new arrays, with the softmax from
-    `numcore.softmax`: the gradient bytes and mean loss backward must give."""
-    if mask is not None and len(np.unique(mask)) < len(x):
-        rows = np.unique(mask)
-        x, y = x[rows], y[rows]
-    buffers = StepBuffers(len(x), model)
-    logits = forward(model, x, buffers).copy()
-    h1, h2 = buffers.h1.copy(), buffers.h2.copy()
-    m = len(y)
-    d_logits = numcore.softmax(logits)
-    d_logits[np.arange(m), y] -= 1.0
-    d_logits /= m
-    d_h2 = (d_logits @ model.w3.T) * (h2 > 0.0)
-    d_h1 = (d_h2 @ model.w2.T) * (h1 > 0.0)
-    grads = np.concatenate([
-        (x.T @ d_h1).ravel(), d_h1.sum(axis=0),
-        (h1.T @ d_h2).ravel(), d_h2.sum(axis=0),
-        (h2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
-    return grads.tobytes(), float(per_sample_cross_entropy(logits, y).mean())
-
-
-def garbage_buffers(rows, model):
-    """StepBuffers whose every float holds NaN and every mask True."""
-    buffers = StepBuffers(rows, model)
-    for value in vars(buffers).values():
-        if isinstance(value, np.ndarray) and value.dtype == np.float64:
-            value[...] = np.nan
-        elif isinstance(value, np.ndarray) and value.dtype == bool:
-            value[...] = True
-    return buffers
+def refused_or_recomputed(m, x, y, mask, buffers, expression_backward):
+    """backward on buffers that hold no loss pass of these rows: a mask that
+    covers every row raises DimensionError, and a row subset recomputes its
+    pass into the buffers and gives the expression bytes."""
+    grads = m.copy()
+    if mask is None or len(np.unique(mask)) == len(x):
+        with pytest.raises(DimensionError, match="no loss pass of the"):
+            backward(m, x, y, mask, buffers, grads)
+    else:
+        loss = backward(m, x, y, mask, buffers, grads)
+        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, mask)
 
 
 @pytest.mark.parametrize("batch", [1, 2, 50, 257, 512])
 class TestSoftmaxReuse:
-    """backward builds d_logits from the exp and row sums of the loss pass
-    that saw the same logits. Its gradient bytes must equal an expression
-    form that calls numcore.softmax, whatever the buffers held before."""
+    """backward builds d_logits from the exp and row sums that the loss pass
+    left in the buffers. Its gradient bytes must equal an expression form
+    that calls numcore.softmax, whatever the buffers held before, and it
+    must refuse buffers whose loss pass is not of the rows it
+    differentiates rather than read their softmax."""
 
     def case(self, batch):
         rng = np.random.default_rng(batch)
@@ -352,80 +331,70 @@ class TestSoftmaxReuse:
         return rng, m, x, y, masks
 
     @pytest.mark.parametrize("mask_name", ["none", "full", "subset"])
-    def test_loop_pass_with_buffers(self, batch, mask_name):
-        # the training loop's order: forward and the loss pass into the
-        # buffers, then backward with the 4-tuple they made
+    def test_loop_pass_with_buffers(self, batch, mask_name, step_backward):
+        # the training loop's order, in buffers filled with NaN
         _, m, x, y, masks = self.case(batch)
-        mask = masks[mask_name]
-        want = expression_backward(m, x, y, mask)
-        buffers = garbage_buffers(batch, m)
-        logits = forward(m, x, buffers)
-        fp = (buffers.h1[:batch], buffers.h2[:batch], logits,
-              per_sample_cross_entropy(logits, y, buffers))
-        grads, loss = backward(m, x, y, mask, fp, m.copy(), buffers)
-        assert (grads.theta.tobytes(), loss) == want
+        step_backward(m, x, y, masks[mask_name])
 
     @pytest.mark.parametrize("mask_name", ["none", "full", "subset"])
-    @pytest.mark.parametrize("with_buffers", [False, True])
-    def test_no_forward_pass(self, batch, mask_name, with_buffers):
+    @pytest.mark.parametrize("garbage", [False, True])
+    def test_no_forward_pass(self, batch, mask_name, garbage, garbage_buffers,
+                             expression_backward):
+        # backward straight after the buffers are made, with no forward or
+        # loss pass in them
         _, m, x, y, masks = self.case(batch)
-        mask = masks[mask_name]
-        buffers = garbage_buffers(batch, m) if with_buffers else None
-        grads, loss = backward(m, x, y, mask, None, None, buffers)
-        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, mask)
+        buffers = (garbage_buffers if garbage else StepBuffers)(batch, m)
+        refused_or_recomputed(m, x, y, masks[mask_name], buffers,
+                              expression_backward)
 
     @pytest.mark.parametrize("mask_name", ["none", "full", "subset"])
     @pytest.mark.parametrize("buffers_held", ["none", "garbage", "other_pass",
                                               "cleared_pass"])
     def test_forward_pass_made_without_buffers(self, batch, mask_name,
-                                               buffers_held):
-        # the caller's 4-tuple owes nothing to the buffers: backward must not
-        # read the softmax they hold, however it got there
+                                               buffers_held, garbage_buffers,
+                                               expression_backward):
+        # the caller's pass, made without buffers, is not one backward
+        # reads, whatever the buffers hold: new, NaN, a loss pass of one
+        # more row, or a loss pass followed by a forward
         rng, m, x, y, masks = self.case(batch)
-        mask = masks[mask_name]
-        own = StepBuffers(batch, m)
-        forward(m, x, own)
-        logits = forward(m, x)
-        fp = (own.h1.copy(), own.h2.copy(), logits,
-              per_sample_cross_entropy(logits, y))
-        buffers = None if buffers_held == "none" else garbage_buffers(batch, m)
+        per_sample_cross_entropy(forward(m, x), y)
+        if buffers_held == "none":
+            buffers = StepBuffers(batch + 1, m)
+        else:
+            buffers = garbage_buffers(batch + 1, m)
         if buffers_held in ("other_pass", "cleared_pass"):
-            other = forward(m, rng.normal(size=x.shape) * 3.0, buffers)
-            per_sample_cross_entropy(other, y, buffers)
+            other = forward(m, rng.normal(size=(batch + 1, 12)) * 3.0, buffers)
+            per_sample_cross_entropy(other, rng.integers(0, 2, batch + 1), buffers)
             if buffers_held == "cleared_pass":
                 forward(m, x, buffers)  # new logits, no loss pass
-        grads, loss = backward(m, x, y, mask, fp, None, buffers)
-        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, mask)
+        refused_or_recomputed(m, x, y, masks[mask_name], buffers,
+                              expression_backward)
 
     def test_a_new_forward_voids_the_softmax(self, batch):
-        # forward writes into the memory the old logits view shows, so the
-        # loss pass's exp no longer belongs to it
-        rng, m, x, y, _ = self.case(batch)
+        # a forward into the buffers after the loss pass, with no loss pass
+        # after it: the loss pass's exp no longer belongs to the logits, so
+        # backward raises rather than read it
+        rng, m, x, y, masks = self.case(batch)
         buffers = StepBuffers(batch, m)
         logits = forward(m, rng.normal(size=x.shape), buffers)
         per_sample_cross_entropy(logits, y, buffers)
         forward(m, x, buffers)
-        fp = (buffers.h1[:batch], buffers.h2[:batch], logits,
-              per_sample_cross_entropy(logits.copy(), y))
-        grads, loss = backward(m, x, y, None, fp, None, buffers)
-        assert (grads.theta.tobytes(), loss) == expression_backward(m, x, y, None)
+        for mask in (None, masks["full"]):
+            with pytest.raises(DimensionError, match=f"loss pass of the {batch} rows"):
+                backward(m, x, y, mask, buffers, m.copy())
 
     def test_fallback_leaves_no_stale_softmax(self, batch):
-        # a caller's own 4-tuple passed with the loop's buffers, between the
-        # loop's loss pass and its backward
-        rng, m, x, y, _ = self.case(batch)
-        buffers = StepBuffers(batch, m)
-        x_loop = rng.normal(size=x.shape)
-        logits = forward(m, x_loop, buffers)
-        fp_loop = (buffers.h1[:batch], buffers.h2[:batch], logits,
-                   per_sample_cross_entropy(logits, y, buffers))
-        own = StepBuffers(batch, m)
-        own_logits = forward(m, x, own)
-        fp_own = (own.h1, own.h2, own_logits, per_sample_cross_entropy(own_logits, y))
-        backward(m, x, y, None, fp_own, None, buffers)
-        grads, loss = backward(m, x_loop, y, None, fp_loop, None, buffers)
-        want = expression_backward(m, x_loop, y, None)
-        assert (grads.theta.tobytes(), loss) == want
+        # the step's pass, then a loss pass of a different row count into
+        # the same buffers before backward: backward raises rather than
+        # read that pass's softmax
+        rng, m, x, y, masks = self.case(batch)
+        buffers = StepBuffers(batch + 1, m)
+        per_sample_cross_entropy(forward(m, x, buffers), y, buffers)
+        other = forward(m, rng.normal(size=(batch + 1, 12)), buffers)
+        per_sample_cross_entropy(other, rng.integers(0, 2, batch + 1), buffers)
+        for mask in (None, masks["full"]):
+            with pytest.raises(DimensionError, match=f"loss pass of the {batch} rows"):
+                backward(m, x, y, mask, buffers, m.copy())
 
 
 def zero_grads(m):
@@ -584,14 +553,12 @@ class TestStepAllocations:
         x = rng.normal(size=(batch, dim))
         y = rng.integers(0, 2, batch)
         buffers, grads = StepBuffers(batch, m), m.copy()
-        logits = forward(m, x, buffers)
-        fp = (buffers.h1, buffers.h2, logits, per_sample_cross_entropy(logits, y))
+        per_sample_cross_entropy(forward(m, x, buffers), y, buffers)
         one_activation = batch * hidden * 8
-        # the measurement sees NumPy's arrays: without buffers, backward
-        # makes its own
-        assert traced_peak(lambda: backward(m, x, y, None, fp, grads)) \
-            > 2 * one_activation
-        assert traced_peak(lambda: backward(m, x, y, None, fp, grads, buffers)) \
+        # the measurement sees NumPy's arrays: forward without buffers makes
+        # its own
+        assert traced_peak(lambda: forward(m, x)) > one_activation
+        assert traced_peak(lambda: backward(m, x, y, None, buffers, grads)) \
             < one_activation
 
     def test_buffers_too_small_rejected(self):
@@ -600,7 +567,7 @@ class TestStepAllocations:
         with pytest.raises(DimensionError, match="exceed"):
             forward(m, x, StepBuffers(3, m))
         with pytest.raises(DimensionError, match="exceed"):
-            backward(m, x, [0, 1, 0, 1], None, None, None, StepBuffers(3, m))
+            backward(m, x, [0, 1, 0, 1], None, StepBuffers(3, m), m.copy())
 
 
 def test_init_determinism():
