@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Verbs: run, ablate-alpha, emit-plots, validate-config. Exit code 0 only if
-every (strategy, seed) cell succeeded.
+Verbs: run, ablate-alpha, emit-plots, validate-config. `run` writes one
+run report and `ablate-alpha` one per alpha. Exit code 0 only if every
+(strategy, seed) cell succeeded.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import os
 import sys
 
-from . import harness, reportfile
+from . import harness
 from .exceptions import ValidationError
 
 
@@ -56,8 +57,10 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def _output_file(config: harness.ExperimentConfig, name: str) -> str:
-    """The path of output file `name` in the output directory, checked before
-    any training so that a bad path does not lose a finished run."""
+    """The path of output file `name` in the output directory, which is made
+    if missing; checked before any training so that a bad path does not
+    lose a finished run."""
+    harness.make_output_dir(config.output_dir)
     path = os.path.join(config.output_dir, name)
     if os.path.isdir(path):
         raise ValidationError(f"cannot write {path}: it is a directory")
@@ -79,8 +82,6 @@ def main(argv=None) -> int:
             return 0
 
         config = _load(args)
-        harness.make_output_dir(config.output_dir)
-
         if args.verb == "run":
             out = _output_file(config, "report.json")
             report = harness.run_experiment(config, workers=args.workers)
@@ -88,21 +89,21 @@ def main(argv=None) -> int:
             print(json.dumps({"report": out, "summary": report.summary()}, indent=1))
             return 0 if report.all_ok else 1
 
-        if args.verb == "ablate-alpha":
-            out = _output_file(config, "alpha_sweep.json")
-            sweep = harness.run_ablation_alpha(config, args.grid,
-                                               workers=args.workers)
-            with reportfile.replacing(out) as (f,):
-                f.write(json.dumps(sweep, separators=reportfile.COMPACT))
-            table = {e["alpha"]: {"val_auc": e["median_val_auc"],
-                                  "val_accuracy": e["median_val_accuracy"]}
-                     for e in sweep["entries"]}
-            print(json.dumps({"sweep": out, "table": table}, indent=1))
-            return 0 if all(e["all_ok"] for e in sweep["entries"]) else 1
+        # ablate-alpha: a bad grid fails before the output directory is made
+        harness.alpha_stages(config, args.grid)
+        outs = [_output_file(config, f"alpha_{a!r}.json") for a in args.grid]
+        reports = harness.run_ablation_alpha(config, args.grid, workers=args.workers)
+        table = {}
+        for alpha, out, report in zip(args.grid, outs, reports):
+            report.to_json(out)
+            medians = report.summary().get("curriculum1", {})
+            table[alpha] = {"val_auc": medians.get("median_auc_val"),
+                            "val_accuracy": medians.get("median_accuracy_val")}
+        print(json.dumps({"reports": outs, "table": table}, indent=1))
+        return 0 if all(r.all_ok for r in reports) else 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 if __name__ == "__main__":

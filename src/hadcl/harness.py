@@ -503,26 +503,24 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
                      cells=[cell for cells in per_seed for cell in cells])
 
 
-def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
-                       workers: int = 1) -> dict:
-    """One curriculum-1 run per alpha, each from the seed's one pretrained model."""
-    # every alpha's config is built first, so a bad grid fails before training
+def alpha_stages(config: ExperimentConfig, alpha_grid) -> list:
+    """config.curriculum1 with each alpha of the grid; a repeated alpha, or
+    one that CurriculumTrainConfig rejects, is a ValidationError."""
     if len(set(alpha_grid)) < len(alpha_grid):
         raise ValidationError(f"duplicate alpha in {list(alpha_grid)}")
-    stage1 = [replace(config.curriculum1, alpha=alpha) for alpha in alpha_grid]
+    return [replace(config.curriculum1, alpha=alpha) for alpha in alpha_grid]
+
+
+def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
+                       workers: int = 1) -> list[RunReport]:
+    """One RunReport per alpha, in grid order: that of a curriculum1-only run
+    of the alpha under the sweep config's hash. A bad grid fails before any
+    training, and each seed pretrains once for every alpha."""
+    stage1 = alpha_stages(config, alpha_grid)
     config = replace(config, strategies=("curriculum1",))
     per_seed = _per_seed(partial(run_seed, config, stage1=stage1), config.seeds,
                          workers)
-    entries = []
-    for i, stage in enumerate(stage1):
-        report = RunReport(config.config_hash, [cells[i] for cells in per_seed])
-        medians = report.summary().get("curriculum1", {})
-        entries.append({"alpha": stage.alpha, "all_ok": report.all_ok,
-                        "median_val_accuracy": medians.get("median_accuracy_val"),
-                        "median_val_auc": medians.get("median_auc_val"),
-                        "cells": report.cells})
-    return {"schema": "hadcl.alpha_sweep.v2", "config_hash": config.config_hash,
-            "entries": entries}
+    return [RunReport(config.config_hash, list(cells)) for cells in zip(*per_seed)]
 
 
 def _roc_arrays(scores, labels):

@@ -318,11 +318,12 @@ def test_directional_gain_on_reference_task(reference_report):
 def test_ablation_interior_alpha_beats_extremes(reference_report):
     config, _, _ = reference_report
     start = time.perf_counter()
-    sweep = harness.run_ablation_alpha(config, list(ALPHA_GRID),
-                                       workers=WORKERS)
+    reports = harness.run_ablation_alpha(config, list(ALPHA_GRID),
+                                         workers=WORKERS)
     assert time.perf_counter() - start < 900.0
-    med = {e["alpha"]: e["median_val_auc"] for e in sweep["entries"]}
-    assert all(e["all_ok"] for e in sweep["entries"])
+    assert all(r.all_ok for r in reports)
+    med = {alpha: r.summary()["curriculum1"]["median_auc_val"]
+           for alpha, r in zip(ALPHA_GRID, reports)}
     assert med[INTERIOR_ALPHA] > med[ALPHA_GRID[0]]
     assert med[INTERIOR_ALPHA] > med[ALPHA_GRID[-1]]
 

@@ -1173,12 +1173,13 @@ class TestReportV3:
 class TestAblation:
     def test_sweep_runs_only_curriculum1(self):
         cfg = config_from_dict(tiny_dict(seeds=[0]))
-        sweep = harness.run_ablation_alpha(cfg, [0.1, 0.5])
-        assert [e["alpha"] for e in sweep["entries"]] == [0.1, 0.5]
-        for entry in sweep["entries"]:
-            assert entry["all_ok"]
-            assert 0.0 <= entry["median_val_auc"] <= 1.0
-            assert {c["strategy"] for c in entry["cells"]} == {"curriculum1"}
+        reports = harness.run_ablation_alpha(cfg, [0.1, 0.5])
+        assert len(reports) == 2
+        for report in reports:
+            assert report.all_ok
+            assert report.config_hash == cfg.config_hash
+            assert 0.0 <= report.summary()["curriculum1"]["median_auc_val"] <= 1.0
+            assert {c["strategy"] for c in report.cells} == {"curriculum1"}
 
     def test_bad_grid_rejected(self, monkeypatch):
         monkeypatch.setattr(harness, "run_seed",
@@ -1196,26 +1197,28 @@ class TestAblation:
     def test_entries_equal_one_run_per_alpha(self):
         cfg = config_from_dict(tiny_dict(slides=SLIDES))
         assert [replace(cfg.curriculum1, alpha=a).top_k for a in self.GRID] == [2, 2, 6]
-        sweep = harness.run_ablation_alpha(cfg, self.GRID)
-        assert [e["alpha"] for e in sweep["entries"]] == list(self.GRID)
-        for entry in sweep["entries"]:
+        # each alpha's report, in grid order, is its curriculum1-only run's
+        reports = harness.run_ablation_alpha(cfg, self.GRID)
+        assert len(reports) == len(self.GRID)
+        for alpha, report in zip(self.GRID, reports):
             # the whole experiment, pretraining included, for this alpha only
             alone = run_experiment(replace(
-                cfg, curriculum1=replace(cfg.curriculum1, alpha=entry["alpha"]),
+                cfg, curriculum1=replace(cfg.curriculum1, alpha=alpha),
                 strategies=("curriculum1",)))
-            assert strip_wall_clock(entry["cells"]) == strip_wall_clock(alone.cells)
-            assert entry["all_ok"] and alone.all_ok
+            assert strip_wall_clock(report.cells) == strip_wall_clock(alone.cells)
+            assert report.config_hash == alone.config_hash
+            assert report.all_ok and alone.all_ok
+            medians = report.summary()["curriculum1"]
             for key in ("auc", "accuracy"):
-                assert entry[f"median_val_{key}"] == float(np.median(
+                assert medians[f"median_{key}_val"] == float(np.median(
                     [c["val"][key] for c in alone.cells]))
 
     def test_workers_give_equal_sweeps(self):
         cfg = config_from_dict(tiny_dict(slides=SLIDES))
-        one, two = (harness.run_ablation_alpha(cfg, self.GRID, workers=w)
+        one, two = ([(r.config_hash, strip_wall_clock(r.cells))
+                     for r in harness.run_ablation_alpha(cfg, self.GRID, workers=w)]
                     for w in (1, 2))
-        for sweep in (one, two):
-            for entry in sweep["entries"]:
-                entry["cells"] = strip_wall_clock(entry["cells"])
+        assert len(one) == len(self.GRID)
         assert one == two
 
     def test_data_and_pretraining_once_per_seed(self, monkeypatch):
@@ -1228,13 +1231,13 @@ class TestAblation:
                 return _wrapped(*args, **kwargs)
             monkeypatch.setattr(module, name, counting)
         d = tiny_dict(slides=SLIDES)
-        sweep = harness.run_ablation_alpha(config_from_dict(d), self.GRID)
-        assert all(e["all_ok"] for e in sweep["entries"])
+        reports = harness.run_ablation_alpha(config_from_dict(d), self.GRID)
+        assert all(r.all_ok for r in reports)
         n = len(d["seeds"])
         assert calls == {"finetune_plain": n, "generate_blobs": 4 * n,
                          "generate_slides": 2 * n}
         calls.clear()
-        assert harness.run_ablation_alpha(config_from_dict(d), [])["entries"] == []
+        assert harness.run_ablation_alpha(config_from_dict(d), []) == []
         assert not calls   # an empty grid trains nothing
 
     def test_stage2_follows_each_stage1(self):
@@ -1501,7 +1504,7 @@ class TestCli:
         ("ablate-alpha", "output"),
         ("emit-plots", "output"),
         ("run", "report.json"),
-        ("ablate-alpha", "alpha_sweep.json"),
+        ("ablate-alpha", "alpha_0.1.json"),
     ], ids=["config_not_yaml", "config_is_directory", "report_not_json",
             "report_without_cells", "report_is_directory",
             "run_output_dir_is_file", "ablate_output_dir_is_file",
@@ -1646,15 +1649,45 @@ class TestCli:
         outdir = str(tmp_path / "out3")
         assert cli.main(["ablate-alpha", "--config", path,
                          "--output-dir", outdir, "--grid", "0.1", "0.3"]) == 0
-        sweep = json.load(open(tmp_path / "out3" / "alpha_sweep.json"))
-        assert [e["alpha"] for e in sweep["entries"]] == [0.1, 0.3]
+        printed = json.loads(capsys.readouterr().out)
+        names = ["alpha_0.1.json", "alpha_0.3.json"]
+        assert sorted(os.listdir(outdir)) == names
+        assert printed["reports"] == [os.path.join(outdir, n) for n in names]
+        for name, alpha in zip(names, ("0.1", "0.3")):
+            medians = RunReport.from_json(os.path.join(outdir, name)).summary()
+            assert printed["table"][alpha] == {
+                "val_auc": medians["curriculum1"]["median_auc_val"],
+                "val_accuracy": medians["curriculum1"]["median_accuracy_val"]}
+
+    def test_alpha_report_plots_as_a_run(self, tmp_path, capsys):
+        # an alpha's report is the report of a curriculum1-only run of that
+        # alpha, so emit-plots writes the same bytes from either
+        d = tiny_dict(seeds=[0])
+        sweep = tmp_path / "sweep"
+        assert cli.main(["ablate-alpha", "--config", self.write_config(tmp_path, d),
+                         "--output-dir", str(sweep), "--grid", "0.1", "0.3"]) == 0
+        d["curriculum1"]["alpha"] = 0.3
+        d["strategies"] = ["curriculum1"]
+        run_dir = tmp_path / "run"
+        assert cli.main(["run", "--config", self.write_config(tmp_path, d),
+                         "--output-dir", str(run_dir)]) == 0
+        for report in (sweep / "alpha_0.3.json", run_dir / "report.json"):
+            assert cli.main(["emit-plots", "--report", str(report),
+                             "--output-dir", str(report.parent / "plots")]) == 0
+        for name in ("curves.tsv", "roc.tsv"):
+            assert (sweep / "plots" / name).read_bytes() == \
+                (run_dir / "plots" / name).read_bytes()
 
     def test_ablate_alpha_repeated_grid_value_exits_2(self, tmp_path, capsys):
+        # a grid that fails its check fails before the output directory is made
         path = self.write_config(tmp_path)
-        assert cli.main(["ablate-alpha", "--config", path, "--output-dir",
-                         str(tmp_path / "out"), "--grid", "0.1", "0.1"]) == 2
-        assert "duplicate alpha in [0.1, 0.1]" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "alpha_sweep.json").exists()
+        for grid, message in ((["0.1", "0.1"], "duplicate alpha in [0.1, 0.1]"),
+                              (["0.0"], "alpha must be in (0, 1]")):
+            outdir = tmp_path / "out"
+            assert cli.main(["ablate-alpha", "--config", path, "--output-dir",
+                             str(outdir), "--grid", *grid]) == 2
+            assert message in capsys.readouterr().err
+            assert not outdir.exists()
 
 
 def documented_command_lines() -> list[str]:
