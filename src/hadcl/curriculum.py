@@ -220,19 +220,24 @@ def _val_score(model: MlpModel, features: np.ndarray,
     return metrics.auc(metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], labels))
 
 
-def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
+def run_stage(model: MlpModel, features, labels, config: TrainConfig,
               decide, seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
     """Run one training stage from the given parameters: the loop behind
     plain, stage-1 and stage-2 fine-tuning.
 
     `decide` is `decide_update_stage1` (returns theta_1),
     `decide_update_stage2` (run from theta_1, returns theta_2) or the
-    whole-batch decision of `finetune_plain`. Each iteration hands the batch's
+    whole-batch decision of plain fine-tuning. Each iteration hands the batch's
     per-sample losses, the threshold and K to `decide(losses, thres, k)` and
     updates on the samples the returned decision selects. Every caller draws
     identical epoch shuffles from the same seed, so runs differ only in which
     samples each update touches. A NumericError raised anywhere in an
     iteration is re-raised with its epoch, iteration and shuffle seed.
+
+    Plain fine-tuning has no gate, but its curve rows carry a threshold
+    column like every other strategy's: a TrainConfig `config` runs as alpha
+    1.0 with the fixed (a, b) = (0.7, 0.2) schedule, so plain rows in
+    report.json and curves.tsv stay byte-comparable across versions.
 
     Returns the trained parameters and the per-iteration report; the input
     model is not mutated. When `select_set` is a validation (features,
@@ -240,6 +245,8 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
     highest selection score on it (earliest epoch on ties); otherwise the
     final-epoch parameters are returned.
     """
+    if not isinstance(config, CurriculumTrainConfig):
+        config = CurriculumTrainConfig(**vars(config), alpha=1.0, a=0.7, b=0.2)
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
     n, batch_size = features.shape[0], config.batch_size
@@ -307,14 +314,32 @@ def run_stage(model: MlpModel, features, labels, config: CurriculumTrainConfig,
 
 def finetune_plain(model: MlpModel, features, labels, config: TrainConfig,
                    seed: int) -> tuple[MlpModel, StageReport]:
-    """Baseline fine-tuning: every update uses the whole mini-batch.
+    """Plain fine-tuning, every update on the whole mini-batch, as the
+    pretraining of run_seed and the baseline row of STRATEGY_TABLE run it."""
+    return run_stage(model, features, labels, config, _decide_whole_batch, seed)
 
-    Plain fine-tuning has no gate, but its curve rows carry a threshold
-    column like every other strategy's. They log the fixed (a, b) = (0.7,
-    0.2) schedule, so baseline rows in report.json and curves.tsv stay
-    byte-comparable across versions.
-    """
-    stage = CurriculumTrainConfig(config.epochs, config.lr, config.milestones,
-                                  config.gamma, config.batch_size,
-                                  alpha=1.0, a=0.7, b=0.2)
-    return run_stage(model, features, labels, stage, _decide_whole_batch, seed)
+
+@dataclass(frozen=True)
+class Strategy:
+    """A row of STRATEGY_TABLE: how run_seed trains a strategy's cells with
+    run_stage. `decide` is looked up per cell, so that a wrapper set on
+    this module sees every call."""
+
+    name: str
+    section: str  # the ExperimentConfig section of its stage
+    decide: str  # the name of its decision function in this module
+    start: str | None = None  # whose last model it starts from; None: theta_0
+    shuffle_offset: int = 3000  # its shuffle seed less the run's seed
+    select: bool = False  # whether it keeps its best validation epoch
+
+
+# A run's strategies, in cell order, each below the one it starts from.
+# Baseline and stage 1 share their shuffles, so only the update rule differs.
+STRATEGY_TABLE = (
+    Strategy("baseline", "baseline", "_decide_whole_batch"),
+    Strategy("curriculum1", "curriculum1", "decide_update_stage1"),
+    Strategy("curriculum2", "curriculum2", "decide_update_stage2",
+             start="curriculum1", shuffle_offset=4000, select=True),
+)
+# the strategy every other one gets a paired DeLong test against
+BASELINE = "baseline"

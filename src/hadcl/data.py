@@ -146,8 +146,8 @@ def _hard_samples(spec: BlobTaskSpec, rng: np.random.Generator, u: np.ndarray,
 
 
 # columns per block of generate_blobs's in-place row shuffle. On 80,000 x 16
-# float64 rows, blocks of 8 take about 8 ms against 5 ms for one gather of
-# whole rows, which needs a second copy of the array; single columns, 20 ms
+# float64 rows (2 vCPUs), blocks of 8 take 18-26 ms against 5-12 ms for one
+# gather of whole rows, which needs a second copy; single columns, 26-45 ms
 _PERMUTE_COLUMNS = 8
 
 

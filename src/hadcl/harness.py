@@ -89,7 +89,8 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, str):
             raise ValidationError(
                 f"output_dir must be a string, got {self.output_dir!r}")
-        unknown = [s for s in self.strategies if s not in STRATEGIES]
+        names = [row.name for row in curriculum.STRATEGY_TABLE]
+        unknown = [s for s in self.strategies if s not in names]
         if unknown:
             raise ValidationError(f"unknown strategies {unknown}")
         for key in ("seeds", "strategies"):
@@ -131,9 +132,10 @@ class ExperimentConfig:
                 raise ValidationError(
                     f"slides: a cohort needs >= 2 tumor and >= 2 normal slides "
                     f"to be scored, got {n_tumor} and {n_normal}")
-        if "curriculum2" in self.strategies and "curriculum1" not in self.strategies:
-            raise ValidationError("curriculum2 requires curriculum1 (it starts "
-                                  "from the stage-1 parameters)")
+        for row in curriculum.STRATEGY_TABLE:
+            if row.name in self.strategies and row.start not in (None, *self.strategies):
+                raise ValidationError(f"{row.name} requires {row.start} (it starts "
+                                      f"from the {row.start} parameters)")
         # each section checks its own values; its batch must also fit the
         # training set it runs on, or the loop would have no full batch
         for name in ("pretrain", "baseline", "curriculum1", "curriculum2"):
@@ -297,14 +299,20 @@ def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
 
 
 def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
-    """One seed's cells, all from its one pretrained model: baseline if
-    requested, then curriculum1 (and curriculum2) per config in `stage1`."""
-    runs = [("baseline", config.baseline)] if "baseline" in config.strategies else []
+    """One seed's cells, all from its one pretrained model: one per row of
+    curriculum.STRATEGY_TABLE that config.strategies names, in table order,
+    with the curriculum1 section set to each config in `stage1` in turn. A
+    cell the same for two of those configs (the same row, stage config and
+    start), such as the baseline's, is trained and listed once."""
+    plan, keys = {}, {}  # (strategy, stage, start's key) -> row; strategy -> key
     for stage in stage1:
-        runs.append(("curriculum1", stage))
-        if "curriculum2" in config.strategies:
-            runs.append(("curriculum2", config.curriculum2))
-    if not runs:
+        run = replace(config, curriculum1=stage)
+        for row in curriculum.STRATEGY_TABLE:
+            if row.name in config.strategies:
+                keys[row.name] = (row.name, getattr(run, row.section),
+                                  keys.get(row.start))
+                plan.setdefault(keys[row.name], row)
+    if not plan:
         return []
 
     pretrained = numcore.init_model(config.target.dim, config.hidden,
@@ -320,48 +328,32 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
                 config.pretrain, seed=2000 + seed)[0]
         except (NumericError, ValidationError) as exc:
             # every cell of the seed starts from the pretrained model
-            return [{"strategy": strategy, "seed": seed, "status": "failed",
+            return [{"strategy": row.name, "seed": seed, "status": "failed",
                      "error": f"pretraining: {exc}", "wall_clock": 0.0}
-                    for strategy, _ in runs]
+                    for row in plan.values()]
         del source
     target_train, val, test, test_ood = _build_datasets(config, seed)
 
-    ft_seed = 3000 + seed  # shared by baseline and curriculum1: identical shuffles
-    # Stage 2 is a short refinement of theta_1: its parameters are kept only
-    # at the epoch with the best validation score, with theta_1 itself as
-    # the fallback candidate. Baseline and stage 1 train for their fixed
-    # budget so their trajectories stay directly comparable.
-    select_set = (val.features, val.labels)
     cells = []
     cohorts = None  # slide cohorts, generated when first needed
     # what was computed for each model, by its parameter bytes: a model equal
     # to one already scored, such as a stage 2 that kept theta_1, is neither
     # evaluated nor paired against the baseline again
     results = {}
-    base = None  # the ok baseline's outcomes, for the others' paired DeLong tests
-    for strategy, stage in runs:
+    # strategy -> the model, result and error of its last cell; None -> theta_0
+    last = {None: (pretrained, None, None)}
+    for (_, stage, _), row in plan.items():
         start = time.perf_counter()
-        cell = {"strategy": strategy, "seed": seed, "status": "ok"}
+        cell = {"strategy": row.name, "seed": seed, "status": "ok"}
         try:
-            if strategy == "baseline":
-                model, report = curriculum.finetune_plain(
-                    pretrained, target_train.features, target_train.labels,
-                    stage, seed=ft_seed)
-            elif strategy == "curriculum1":
-                model, report = curriculum.run_stage(
-                    pretrained, target_train.features, target_train.labels,
-                    stage, curriculum.decide_update_stage1, seed=ft_seed)
-                theta1 = model
-            else:
-                # the cell before a curriculum2 cell is its curriculum1 cell
-                if cells[-1]["status"] != "ok":
-                    raise ValidationError(
-                        "curriculum2 starts from the curriculum1 parameters, "
-                        f"but curriculum1 failed: {cells[-1]['error']}")
-                model, report = curriculum.run_stage(
-                    theta1, target_train.features, target_train.labels,
-                    stage, curriculum.decide_update_stage2,
-                    seed=4000 + seed, select_set=select_set)
+            model, _, error = last[row.start]
+            if error is not None:
+                raise ValidationError(f"{row.name} starts from the {row.start} "
+                                      f"parameters, but {row.start} failed: {error}")
+            model, report = curriculum.run_stage(
+                model, target_train.features, target_train.labels, stage,
+                getattr(curriculum, row.decide), seed=row.shuffle_offset + seed,
+                select_set=(val.features, val.labels) if row.select else None)
             key = model.theta.tobytes()
             if key not in results:
                 val_result, split_metrics, outcomes = _evaluate(
@@ -377,23 +369,24 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
             # each cell its own split dicts, which its p-values extend; the
             # score and label lists are shared
             cell["metrics"] = {split: dict(m) for split, m in result["metrics"].items()}
-            if strategy == "baseline":
-                base = result["outcomes"]
-            elif base is not None:
+            base = last.get(curriculum.BASELINE, (None, None, None))[1]
+            if base is not None:
                 if "p_values" not in result:
                     result["p_values"] = {
                         split: metrics.delong_paired_test(result["outcomes"][split],
-                                                          base[split])
+                                                          base["outcomes"][split])
                         for split in reportfile.PAIRED_SPLITS}
                 for split, p in result["p_values"].items():
                     cell["metrics"][split]["p_vs_baseline"] = p
             cell["curve"] = [dict(vars(r)) for r in report.records]
             cell["best_epoch"] = report.best_epoch
         except (NumericError, ValidationError) as exc:
+            model = result = None
             cell["status"] = "failed"
             cell["error"] = str(exc)
         cell["wall_clock"] = time.perf_counter() - start
         cells.append(cell)
+        last[row.name] = (model, result, cell.get("error"))
     return cells
 
 
@@ -410,7 +403,7 @@ class RunReport:
     def summary(self) -> dict:
         """Median metrics per strategy over the ok cells."""
         out = {}
-        for strategy in STRATEGIES:
+        for strategy in (row.name for row in curriculum.STRATEGY_TABLE):
             cells = [c for c in self.cells
                      if c["strategy"] == strategy and c["status"] == "ok"]
             if not cells:
@@ -496,9 +489,8 @@ def _per_seed(run, seeds, workers: int) -> list:
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
-    stage1 = [config.curriculum1] if "curriculum1" in config.strategies else []
-    per_seed = _per_seed(partial(run_seed, config, stage1=stage1), config.seeds,
-                         workers)
+    per_seed = _per_seed(partial(run_seed, config, stage1=[config.curriculum1]),
+                         config.seeds, workers)
     return RunReport(config_hash=config.config_hash,
                      cells=[cell for cells in per_seed for cell in cells])
 

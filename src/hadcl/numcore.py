@@ -193,12 +193,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def per_sample_cross_entropy(logits: np.ndarray, labels,
-                             buffers: StepBuffers | None = None) -> np.ndarray:
+                             buffers: StepBuffers) -> np.ndarray:
     """Cross-entropy of each row, via max-shifted log-sum-exp. Labels are
-    integers in [0, classes); a bool is not an integer. With `buffers`, the
-    row maxima, exp(logits - max), its row sums, which `backward` turns into
-    the softmax, and the losses are written into their first B rows, and the
-    losses returned are a view."""
+    integers in [0, classes); a bool is not an integer. The row maxima,
+    exp(logits - max), its row sums, which `backward` turns into the
+    softmax, and the losses are written into the first B rows of `buffers`,
+    and the losses returned are a view."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
@@ -208,13 +208,9 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
         raise ValidationError("labels must be integers")
     if n and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes):
         raise ValidationError(f"labels must lie in [0, {n_classes})")
-    if buffers is None:
-        shift, sums, losses = np.empty((3, n))
-        e, rows = np.empty_like(logits), np.arange(n)
-    else:
-        buffers.check_rows(n)
-        shift, sums, losses = buffers.shift[:n], buffers.sums[:n], buffers.losses[:n]
-        e, rows = buffers.exp[:n], buffers.rows[:n]
+    buffers.check_rows(n)
+    shift, sums, losses = buffers.shift[:n], buffers.sums[:n], buffers.losses[:n]
+    e, rows = buffers.exp[:n], buffers.rows[:n]
     # finite logits about 3e308 apart overflow logits - max and the loss to
     # inf, which the caller's finite-loss check rejects, so no warning
     with np.errstate(over="ignore"):
@@ -228,8 +224,7 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
         np.log(sums, out=losses)
         losses += shift
         losses -= logits[rows, labels]
-    if buffers is not None:
-        buffers.loss_rows = n
+    buffers.loss_rows = n
     return np.maximum(losses, 0.0, out=losses)
 
 

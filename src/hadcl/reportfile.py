@@ -15,11 +15,11 @@ import os
 
 import numpy as np
 
-from .curriculum import IterationRecord
+from .curriculum import STRATEGY_TABLE, IterationRecord
 from .exceptions import ValidationError
 
 REPORT_SCHEMA = "hadcl.run_report.v3"
-STRATEGIES = ("baseline", "curriculum1", "curriculum2")
+STRATEGIES = tuple(row.name for row in STRATEGY_TABLE)
 # the test splits that get a paired DeLong test against the baseline
 PAIRED_SPLITS = ("in_domain", "ood")
 # what RunReport.summary() reads of "val" and of each paired split

@@ -37,7 +37,8 @@ def _expression_backward(model, x, y, mask):
         (x.T @ d_h1).ravel(), d_h1.sum(axis=0),
         (h1.T @ d_h2).ravel(), d_h2.sum(axis=0),
         (h2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
-    return grads.tobytes(), float(numcore.per_sample_cross_entropy(logits, y).mean())
+    losses = numcore.per_sample_cross_entropy(logits, y, buffers)
+    return grads.tobytes(), float(losses.mean())
 
 
 def _step_backward(model, x, y, mask=None):

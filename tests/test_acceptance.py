@@ -94,7 +94,8 @@ def test_selection_and_decisions_match_bruteforce_10000_batches():
 def _masked_mean_loss(model, x, y, mask):
     logits = numcore.forward(model, x if mask is None else x[mask])
     labels = y if mask is None else y[mask]
-    return float(numcore.per_sample_cross_entropy(logits, labels).mean())
+    buffers = numcore.StepBuffers(len(labels), model)
+    return float(numcore.per_sample_cross_entropy(logits, labels, buffers).mean())
 
 
 def _near_relu_kink(model, x, margin=1e-5):

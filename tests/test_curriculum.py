@@ -511,6 +511,12 @@ def fresh_pass(model, x):
     return h1, h2, h2 @ model.w3 + model.b3
 
 
+def fresh_losses(model, logits, labels):
+    """The loss pass into new StepBuffers."""
+    return numcore.per_sample_cross_entropy(
+        logits, labels, numcore.StepBuffers(len(labels), model))
+
+
 def fresh_stage(model, features, labels, config, decide, seed):
     """run_stage's loop with a new array for every intermediate: the batch by
     fancy indexing, the gradients and Adam as expressions, the moments from
@@ -531,13 +537,13 @@ def fresh_stage(model, features, labels, config, decide, seed):
             x, y = features[idx], labels[idx]
             thres = threshold(t, n_batches, config.a, config.b)
             h1, h2, logits = fresh_pass(model, x)
-            losses = numcore.per_sample_cross_entropy(logits, y)
+            losses = fresh_losses(model, logits, y)
             decision = decide(losses, thres, config.top_k)
             if decision.mask is not None and len(decision.mask) < batch:
                 rows = np.sort(decision.mask)
                 x, y = x[rows], y[rows]
                 h1, h2, logits = fresh_pass(model, x)
-                losses = numcore.per_sample_cross_entropy(logits, y)
+                losses = fresh_losses(model, logits, y)
             d_logits = numcore.softmax(logits)
             d_logits[np.arange(len(y)), y] -= 1.0
             d_logits /= len(y)

@@ -241,7 +241,7 @@ class TestConfig:
             config_from_dict(tiny_dict(strategies=["baseline", "sgd"]))
 
     def test_stage2_requires_stage1(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="curriculum2 requires curriculum1"):
             config_from_dict(tiny_dict(strategies=["baseline", "curriculum2"]))
 
     @pytest.mark.parametrize("over,match", [
@@ -480,6 +480,11 @@ class TestReportContract:
 
 
 class TestRunExperiment:
+    @pytest.fixture(scope="class")
+    def full_tiny_cells(self):
+        """The cells of a run of every strategy; tests copy them to edit."""
+        return run_experiment(config_from_dict(tiny_dict(slides=SLIDES))).cells
+
     def test_smoke_all_cells_ok(self):
         d = tiny_dict(slides=SLIDES)
         report = run_experiment(config_from_dict(d))
@@ -720,6 +725,74 @@ class TestRunExperiment:
         assert by["curriculum2"]["status"] == "failed"
         assert "curriculum1 failed" in by["curriculum2"]["error"]
         assert by["curriculum1"]["error"] in by["curriculum2"]["error"]
+
+    def test_traced_functions_are_called_through_the_module(self, monkeypatch):
+        # a tracer wraps these module attributes, so a run must call them
+        # there and not through functions taken when a module was imported
+        calls = collections.Counter()
+        for name in ("finetune_plain", "run_stage", "decide_update_stage1",
+                     "decide_update_stage2"):
+            def counting(*args, _name=name, _wrapped=getattr(curriculum, name),
+                         **kwargs):
+                calls[_name] += 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(curriculum, name, counting)
+        d = tiny_dict()
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok
+        steps = collections.Counter()
+        for c in report.cells:
+            steps[c["strategy"]] += len(c["curve"])
+        n = len(d["seeds"])
+        # one pretraining per seed, which runs one stage, plus one per cell
+        assert calls == {"finetune_plain": n, "run_stage": n + len(report.cells),
+                         "decide_update_stage1": steps["curriculum1"],
+                         "decide_update_stage2": steps["curriculum2"]}
+
+    @pytest.mark.parametrize("strategies", [
+        ["baseline"], ["curriculum1"], ["baseline", "curriculum1"],
+        ["curriculum1", "curriculum2"]])
+    def test_a_subset_of_strategies_gives_the_full_runs_cells(
+            self, strategies, full_tiny_cells):
+        full = [c for c in strip_wall_clock(full_tiny_cells)
+                if c["strategy"] in strategies]
+        if "baseline" not in strategies:
+            for c in full:
+                for m in c["metrics"].values():
+                    m.pop("p_vs_baseline", None)
+        d = tiny_dict(slides=SLIDES, strategies=strategies)
+        assert strip_wall_clock(run_experiment(config_from_dict(d)).cells) == full
+
+    def test_a_row_added_to_the_table_runs(self, monkeypatch):
+        # stage 2 without selection: from theta_1, with curriculum2's rule,
+        # section and shuffles, keeping its final epoch
+        row = curriculum.Strategy("stage2_unselected", "curriculum2",
+                                  "decide_update_stage2", start="curriculum1",
+                                  shuffle_offset=4000)
+        monkeypatch.setattr(curriculum, "STRATEGY_TABLE",
+                            curriculum.STRATEGY_TABLE + (row,))
+        names = [*harness.STRATEGIES, row.name]
+        d = tiny_dict(seeds=[0, 1, 2, 3], strategies=names)
+        d["curriculum2"].update(epochs=3, lr=5e-3)
+        with pytest.raises(ValidationError, match="stage2_unselected requires "
+                                                  "curriculum1"):
+            config_from_dict(dict(d, strategies=["baseline", row.name]))
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok
+        kept_last = set()
+        for seed in d["seeds"]:
+            cells = [c for c in report.cells if c["seed"] == seed]
+            assert [c["strategy"] for c in cells] == names
+            stage2, unselected = cells[2:]
+            assert unselected["curve"] == stage2["curve"]
+            assert unselected["best_epoch"] is None
+            assert "p_vs_baseline" in unselected["metrics"]["ood"]
+            # its metrics are those of its final epoch's parameters, which
+            # are curriculum2's where curriculum2 kept its final epoch
+            if stage2["best_epoch"] == 2:
+                kept_last.add(seed)
+            assert (unselected["metrics"] == stage2["metrics"]) == (seed in kept_last)
+        assert 0 < len(kept_last) < len(d["seeds"])
 
     def test_code_version_is_package_version(self):
         assert RunReport(config_hash="").code_version == hadcl.__version__
@@ -1265,13 +1338,12 @@ class TestEmitPlots:
         assert len(roc_lines) > 1
         again = harness.emit_plot_data(report, tmp_path / "b")
         for key in ("curves", "roc"):
-            assert (open(paths[key], "rb").read()
-                    == open(again[key], "rb").read())
+            assert Path(paths[key]).read_bytes() == Path(again[key]).read_bytes()
 
     def test_empty_report_writes_headers_only(self, tmp_path):
         paths = harness.emit_plot_data(RunReport(config_hash=""), tmp_path)
-        assert open(paths["curves"]).read() == harness.CURVES_HEADER
-        assert open(paths["roc"]).read() == harness.ROC_HEADER
+        assert Path(paths["curves"]).read_text() == harness.CURVES_HEADER
+        assert Path(paths["roc"]).read_text() == harness.ROC_HEADER
 
     def test_roc_endpoints(self):
         rows = harness.roc_points([0.9, 0.8, 0.3, 0.1], [1, 1, 0, 0])

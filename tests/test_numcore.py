@@ -14,6 +14,14 @@ def random_model(rng, d=5, hidden=7, classes=3):
     return init_model(d, hidden, classes, seed=int(rng.integers(1 << 30)))
 
 
+def loss_pass(logits, labels, model=None):
+    """per_sample_cross_entropy into new StepBuffers, of `model` or else of
+    a model with one class per column of the logits."""
+    if model is None:
+        model = init_model(1, 1, np.shape(logits)[1], seed=0)
+    return per_sample_cross_entropy(logits, labels, StepBuffers(len(logits), model))
+
+
 def naive_forward(model, x):
     # straight-line triple-loop oracle, no vectorization
     def matmul(a, b):
@@ -101,11 +109,11 @@ class TestBlockedForward:
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
-        losses = per_sample_cross_entropy(np.zeros((3, 2)), [0, 1, 0])
+        losses = loss_pass(np.zeros((3, 2)), [0, 1, 0])
         np.testing.assert_allclose(losses, np.log(2.0))
 
     def test_extreme_logits_stable(self):
-        losses = per_sample_cross_entropy(np.array([[1000.0, -1000.0]]), [0])
+        losses = loss_pass(np.array([[1000.0, -1000.0]]), [0])
         assert losses[0] == pytest.approx(0.0, abs=1e-12)
         assert np.isfinite(losses).all()
 
@@ -114,7 +122,7 @@ class TestCrossEntropy:
         # overflow, which the caller's finite-loss check rejects, and NumPy
         # warns of nothing
         logits = np.array([[1.5e308, -1.5e308]] * 2)
-        losses = per_sample_cross_entropy(logits, [0, 1])
+        losses = loss_pass(logits, [0, 1])
         assert losses.tolist() == [0.0, np.inf]
 
     def test_matches_naive_softmax_log(self):
@@ -123,12 +131,12 @@ class TestCrossEntropy:
         labels = rng.integers(0, 4, 50)
         p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
         naive = -np.log(p[np.arange(50), labels])
-        got = per_sample_cross_entropy(logits, labels)
+        got = loss_pass(logits, labels)
         np.testing.assert_allclose(got, naive, atol=1e-10)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValidationError):
-            per_sample_cross_entropy(np.zeros((2, 3)), [0, 3])
+            loss_pass(np.zeros((2, 3)), [0, 3])
 
     @pytest.mark.parametrize("labels", [[0.0, 1.0], np.array([0.0, 1.0]),
                                         [False, True], np.array([True, False])],
@@ -138,7 +146,7 @@ class TestCrossEntropy:
         # a float would fail the gather as a raw IndexError, and a bool would
         # index as 0 or 1
         with pytest.raises(ValidationError, match="labels must be integers"):
-            per_sample_cross_entropy(np.zeros((2, 2)), labels)
+            loss_pass(np.zeros((2, 2)), labels)
 
     def test_buffers_hold_the_loss_pass(self):
         rng = np.random.default_rng(4)
@@ -146,7 +154,7 @@ class TestCrossEntropy:
         buffers = StepBuffers(9, m)
         logits = forward(m, rng.normal(size=(6, 5)), buffers)
         labels = rng.integers(0, 3, 6)
-        want = per_sample_cross_entropy(logits.copy(), labels)
+        want = loss_pass(logits.copy(), labels)
         got = per_sample_cross_entropy(logits, labels, buffers)
         assert got.tobytes() == want.tobytes()
         assert np.shares_memory(got, buffers.losses) and buffers.loss_rows == 6
@@ -157,14 +165,13 @@ class TestCrossEntropy:
 
     def test_nonnegative(self):
         rng = np.random.default_rng(9)
-        losses = per_sample_cross_entropy(rng.normal(size=(200, 5)),
-                                          rng.integers(0, 5, 200))
+        losses = loss_pass(rng.normal(size=(200, 5)), rng.integers(0, 5, 200))
         assert (losses >= 0.0).all()
 
 
 def masked_mean_loss(model, x, y, mask):
     rows = slice(None) if mask is None else np.unique(mask)
-    return float(per_sample_cross_entropy(forward(model, x[rows]), y[rows]).mean())
+    return float(loss_pass(forward(model, x[rows]), y[rows], model).mean())
 
 
 def fd_gradient(model, x, y, mask, name, h=1e-6):
@@ -353,11 +360,11 @@ class TestSoftmaxReuse:
     def test_forward_pass_made_without_buffers(self, batch, mask_name,
                                                buffers_held, garbage_buffers,
                                                expression_backward):
-        # the caller's pass, made without buffers, is not one backward
-        # reads, whatever the buffers hold: new, NaN, a loss pass of one
-        # more row, or a loss pass followed by a forward
+        # the caller's pass, made without the buffers backward gets, is not
+        # one backward reads, whatever those buffers hold: new, NaN, a loss
+        # pass of one more row, or a loss pass followed by a forward
         rng, m, x, y, masks = self.case(batch)
-        per_sample_cross_entropy(forward(m, x), y)
+        loss_pass(forward(m, x), y, m)
         if buffers_held == "none":
             buffers = StepBuffers(batch + 1, m)
         else:
