@@ -39,6 +39,7 @@ for epoch in range(config.epochs):
     counts = Counter(r.branch for r in report.records if r.epoch == epoch)
     print(f"  epoch {epoch}: {dict(counts)}")
 
-probs = numcore.softmax(numcore.forward(theta1, ds.features))[:, 1]
-acc = np.mean((probs > 0.5).astype(int) == ds.labels)
+# as the report counts it: class 1 where the logit margin l1 - l0 is > 0
+logits = numcore.forward(theta1, ds.features)
+acc = np.mean((logits[:, 1] - logits[:, 0] > 0) == ds.labels)
 print(f"\ntrain accuracy after stage 1: {acc:.3f}")

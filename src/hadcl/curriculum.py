@@ -23,7 +23,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from . import metrics, numcore
+from . import numcore
 from .exceptions import NumericError, ValidationError
 from .numcore import MlpModel, OptimizerState
 
@@ -204,24 +204,13 @@ class StageReport:
     """Per-iteration log of one curriculum (or plain) fine-tuning stage."""
 
     records: list = field(default_factory=list)
-    # epoch whose parameters were kept under validation-based selection;
-    # None when no selection set was supplied (the final epoch is returned)
+    # epoch whose parameters were kept under selection; None when the stage
+    # ran without a `select` score (the final epoch is returned)
     best_epoch: int | None = None
 
 
-def _val_score(model: MlpModel, features: np.ndarray,
-               labels: np.ndarray) -> float:
-    """Selection score on a held-out set: the AUC of the logit margin
-    l1 - l0. The reports rank softmax probabilities instead, a monotone map
-    of the margin, so the two AUCs agree except where float64 rounds
-    distinct margins to one probability (near 0 or 1): those rows tie in the
-    reported AUC and do not tie here."""
-    logits = numcore.forward(model, features)
-    return metrics.auc(metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], labels))
-
-
 def run_stage(model: MlpModel, features, labels, config: TrainConfig,
-              decide, seed: int, select_set=None) -> tuple[MlpModel, StageReport]:
+              decide, seed: int, select=None) -> tuple[MlpModel, StageReport]:
     """Run one training stage from the given parameters: the loop behind
     plain, stage-1 and stage-2 fine-tuning.
 
@@ -240,10 +229,10 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     report.json and curves.tsv stay byte-comparable across versions.
 
     Returns the trained parameters and the per-iteration report; the input
-    model is not mutated. When `select_set` is a validation (features,
-    labels) pair, the parameters kept are those of the epoch with the
-    highest selection score on it (earliest epoch on ties); otherwise the
-    final-epoch parameters are returned.
+    model is not mutated. When `select` is given, a function from a model to
+    its score, the parameters kept are those of the epoch that scores
+    highest (earliest epoch on ties); otherwise the final-epoch parameters
+    are returned.
     """
     if not isinstance(config, CurriculumTrainConfig):
         config = CurriculumTrainConfig(**vars(config), alpha=1.0, a=0.7, b=0.2)
@@ -271,11 +260,11 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     rng = np.random.default_rng(seed)
     report = StageReport()
     best_model, best_score = None, -1.0
-    if select_set is not None:
+    if select is not None:
         # The incoming parameters compete too: epoch -1 means the stage kept
-        # its initial model because no epoch improved its validation AUC.
+        # its initial model because no epoch improved its score.
         best_model = model.copy()
-        best_score = _val_score(model, select_set[0], select_set[1])
+        best_score = select(model)
         report.best_epoch = -1
 
     for epoch in range(config.epochs):
@@ -302,8 +291,8 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
                 epoch=epoch, t=t, thres=thres, k=decision.k,
                 k_prime=decision.k_prime, branch=decision.branch,
                 mean_loss=mean_loss, lr=lr))
-        if select_set is not None:
-            score = _val_score(model, select_set[0], select_set[1])
+        if select is not None:
+            score = select(model)
             if score > best_score:
                 best_model, best_score = model.copy(), score
                 report.best_epoch = epoch

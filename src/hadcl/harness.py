@@ -247,21 +247,25 @@ def _build_datasets(config: ExperimentConfig, seed: int):
     return target_train, val, test, test_ood
 
 
+def _scored(model, ds: data.Dataset) -> metrics.ScoredOutcomes:
+    """A split's labels and the model's score of each row, its logit margin
+    l1 - l0, which every AUC, CI, paired test and accuracy (margin > 0)
+    ranks: softmax would round distinct margins to tied 0.0s and 1.0s."""
+    logits = numcore.forward(model, ds.features)
+    return metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], ds.labels)
+
+
 def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
     """The model's validation AUC and accuracy, its metrics per test split,
     and its ScoredOutcomes on the splits that get a paired test. Validation
     only ranks models, so it keeps no scores, labels or CI."""
-    probs = positive_probs(model, val.features)
-    val_result = {
-        "accuracy": metrics.accuracy((probs > 0.5).astype(int), val.labels),
-        "auc": metrics.auc(metrics.ScoredOutcomes(probs, val.labels))}
+    scored = _scored(model, val)
+    val_result = {"accuracy": metrics.accuracy(scored.scores > 0, scored.labels),
+                  "auc": metrics.auc(scored)}
     out, outcomes = {}, {}
     for name, ds in (("in_domain", test), ("ood", test_ood)):
-        # a copy of the positive column, so that keeping it for the paired
-        # tests does not keep the whole (n, 2) softmax output
-        probs = positive_probs(model, ds.features).copy()
-        outcomes[name] = scored = metrics.ScoredOutcomes(probs, ds.labels)
-        out[name] = {"accuracy": metrics.accuracy((probs > 0.5).astype(int), ds.labels),
+        outcomes[name] = scored = _scored(model, ds)
+        out[name] = {"accuracy": metrics.accuracy(scored.scores > 0, scored.labels),
                      **_delong_split(scored)}
     return val_result, out, outcomes
 
@@ -340,6 +344,12 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
     # to one already scored, such as a stage 2 that kept theta_1, is neither
     # evaluated nor paired against the baseline again
     results = {}
+
+    def val_auc(model) -> float:
+        """The validation AUC that _evaluate reports, from results if it ran."""
+        result = results.get(model.theta.tobytes())
+        return result["val"]["auc"] if result else metrics.auc(_scored(model, val))
+
     # strategy -> the model, result and error of its last cell; None -> theta_0
     last = {None: (pretrained, None, None)}
     for (_, stage, _), row in plan.items():
@@ -353,7 +363,7 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
             model, report = curriculum.run_stage(
                 model, target_train.features, target_train.labels, stage,
                 getattr(curriculum, row.decide), seed=row.shuffle_offset + seed,
-                select_set=(val.features, val.labels) if row.select else None)
+                select=val_auc if row.select else None)
             key = model.theta.tobytes()
             if key not in results:
                 val_result, split_metrics, outcomes = _evaluate(

@@ -1,3 +1,4 @@
+import ast
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hadcl import curriculum, data, numcore
+from hadcl import curriculum, data, harness, metrics, numcore
 from hadcl.cli import build_parser
 from hadcl.curriculum import (BatchHardness, CurriculumTrainConfig,
                               TrainConfig,
@@ -468,40 +469,58 @@ class TestGoldenRun:
         assert digest == self.GOLDEN_THETA2
 
 
+def val_auc(ds):
+    """A `select` score as run_seed builds one: the AUC of a model's logit
+    margin on ds, scored by the harness."""
+    return lambda model: metrics.auc(harness._scored(model, ds))
+
+
 class TestValidationSelection:
-    def test_select_set_keeps_best_scoring_epoch(self):
+    def test_select_keeps_best_scoring_epoch(self):
         ds = separable_task(seed=8)
         model = init_model(4, 16, 2, seed=4)
-        val = separable_task(seed=9)
+        select = val_auc(separable_task(seed=9))
         best, rep_sel = run_stage(model, ds.features, ds.labels,
                                   stage_config(epochs=6), STAGE2, seed=5,
-                                  select_set=(val.features, val.labels))
+                                  select=select)
         final, _ = run_stage(model, ds.features, ds.labels,
                              stage_config(epochs=6), STAGE2, seed=5)
         assert rep_sel.best_epoch is not None
         assert -1 <= rep_sel.best_epoch < 6
         # the selected parameters never score below the final-epoch ones
-        assert curriculum._val_score(best, val.features, val.labels) >= \
-            curriculum._val_score(final, val.features, val.labels)
+        assert select(best) >= select(final)
 
     def test_initial_model_is_a_candidate(self):
         # with zero learning rate no epoch can improve on the initial
         # parameters, so the stage must return them (best_epoch == -1)
         ds = separable_task(seed=10)
         model = init_model(4, 16, 2, seed=4)
-        val = separable_task(seed=11)
         kept, rep = run_stage(model, ds.features, ds.labels,
                               stage_config(epochs=3, lr=0.0), STAGE1, seed=5,
-                              select_set=(val.features, val.labels))
+                              select=val_auc(separable_task(seed=11)))
         assert rep.best_epoch == -1
         assert model_bytes(kept) == model_bytes(model)
 
-    def test_no_select_set_returns_final_epoch(self):
+    def test_no_select_returns_final_epoch(self):
         ds = separable_task(seed=12)
         model = init_model(4, 16, 2, seed=4)
         _, rep = run_stage(model, ds.features, ds.labels,
                            stage_config(epochs=2), STAGE1, seed=5)
         assert rep.best_epoch is None
+
+
+def test_curriculum_imports_neither_metrics_nor_harness():
+    # the training loop gets its selection score as a function: scoring a
+    # model, and what it is scored on, stay with the harness
+    tree = ast.parse(Path(curriculum.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)
+    assert imported and not imported & {"metrics", "harness"}
 
 
 def fresh_pass(model, x):

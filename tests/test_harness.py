@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import hadcl
-from hadcl import cli, curriculum, data, harness, metrics, reportfile
+from hadcl import cli, curriculum, data, harness, metrics, numcore, reportfile
 from hadcl.exceptions import ValidationError
 from hadcl.harness import RunReport, config_from_dict, run_experiment
 
@@ -64,6 +64,15 @@ def strip_wall_clock(cells):
     for c in out:
         c.pop("wall_clock")
     return out
+
+
+def expression_margin(model, x) -> np.ndarray:
+    """l1 - l0 of the forward pass as one expression per layer over all
+    rows, on new arrays."""
+    h1 = np.maximum(x @ model.w1 + model.b1, 0.0)
+    h2 = np.maximum(h1 @ model.w2 + model.b2, 0.0)
+    logits = h2 @ model.w3 + model.b3
+    return logits[:, 1] - logits[:, 0]
 
 
 def roc_cases() -> list:
@@ -607,6 +616,82 @@ class TestRunExperiment:
         assert by["curriculum2"]["best_epoch"] == 0
         assert len(calls) == len(set(calls)) == 3
 
+    def test_stage2_forwards_validation_once_per_epoch(self, monkeypatch):
+        # theta_1's epoch -1 score is read from its curriculum1 cell, so
+        # stage 2 forwards the validation split once after each epoch, and
+        # the model it keeps scored what its cell reports as val AUC
+        d = tiny_dict(seeds=[0, 1])
+        d["curriculum2"].update(epochs=3, lr=5e-3)
+        runs = []   # per stage-2 run: its validation forwards, select's scores
+        active = []   # the stage-2 run in progress
+        run_stage, forward = curriculum.run_stage, numcore.forward
+
+        def counting_forward(model, inputs, buffers=None):
+            # a training step forwards into its buffers, a score without
+            if active and buffers is None:
+                active[0]["forwards"] += 1
+            return forward(model, inputs, buffers)
+
+        def recording_stage(*args, select=None, **kwargs):
+            if select is None:
+                return run_stage(*args, **kwargs)
+            run = {"forwards": 0, "scores": []}
+            runs.append(run)
+
+            def recording_select(model):
+                run["scores"].append(select(model))
+                return run["scores"][-1]
+
+            active.append(run)
+            try:
+                return run_stage(*args, select=recording_select, **kwargs)
+            finally:
+                active.clear()
+
+        monkeypatch.setattr(numcore, "forward", counting_forward)
+        monkeypatch.setattr(curriculum, "run_stage", recording_stage)
+        report = run_experiment(config_from_dict(d))
+        assert report.all_ok and len(runs) == 2
+        # one seed keeps theta_1 and the other a later epoch
+        assert sorted(c["best_epoch"] for c in report.cells
+                      if c["strategy"] == "curriculum2") == [-1, 2]
+        for seed, run in zip((0, 1), runs):
+            by = {c["strategy"]: c for c in report.cells if c["seed"] == seed}
+            assert run["forwards"] == 3   # its epochs, not epochs + 1
+            scores = run["scores"]
+            assert len(scores) == 1 + 3
+            assert scores[0].hex() == by["curriculum1"]["val"]["auc"].hex()
+            kept = scores[by["curriculum2"]["best_epoch"] + 1]
+            assert kept.hex() == by["curriculum2"]["val"]["auc"].hex()
+
+    def test_scores_are_logit_margins(self, monkeypatch):
+        # each ok cell's test scores are l1 - l0 of its model, in the bits
+        # of an expression-form forward pass, and its accuracy is the share
+        # of rows whose margin sign (margin > 0 means class 1) is the label
+        config = config_from_dict(tiny_dict(seeds=[0, 1]))
+        models, run_stage = [], curriculum.run_stage
+
+        def recording_stage(*args, **kwargs):
+            models.append(run_stage(*args, **kwargs))
+            return models[-1]
+
+        monkeypatch.setattr(curriculum, "run_stage", recording_stage)
+        report = run_experiment(config)
+        assert report.all_ok
+        # per seed, run_stage pretrains theta_0 and then trains each cell
+        per_seed = 1 + len(report.cells) // len(config.seeds)
+        assert len(models) == per_seed * len(config.seeds)
+        for i, seed in enumerate(config.seeds):
+            _, _, test, test_ood = harness._build_datasets(config, seed)
+            cells = [c for c in report.cells if c["seed"] == seed]
+            trained = models[i * per_seed + 1:(i + 1) * per_seed]
+            for (model, _), cell in zip(trained, cells, strict=True):
+                for split, ds in (("in_domain", test), ("ood", test_ood)):
+                    m = cell["metrics"][split]
+                    margin = expression_margin(model, ds.features)
+                    assert np.array(m["scores"]).tobytes() == margin.tobytes()
+                    assert m["accuracy"] == np.mean((margin > 0) == (ds.labels == 1))
+
     def count_paired_tests(self, monkeypatch, stage2_lr, seeds):
         d = tiny_dict(seeds=seeds)
         d["curriculum2"]["lr"] = stage2_lr
@@ -929,9 +1014,9 @@ class TestGoldenReport:
     # sorted keys) and of the curves.tsv and roc.tsv emit_plot_data writes
     # for it. Any change to data, training numerics, evaluation, the report
     # cells or the plot format moves them.
-    CELLS = "0f430b30c688e29ea07aeb4a2dac683cd0518bd006fc14cfb141526433f7061b"
+    CELLS = "5209a2474a674082e6ea8c4283dc2c483998c14bf57681e4a09fdc886dd4b5c5"
     CURVES = "33ffe55b482684f99fa0d4b36c09c09125779ef3c397ed4c9e6d70abe90780a9"
-    ROC = "1408fa049cd97c3da7ffbcc621fb2dd9c7a5aff4b32f126cfc81d17195db12cb"
+    ROC = "0401cb9cdec6c432786110f818c79607a50c0ebc37cc22e65ccac6b85410b20e"
 
     @staticmethod
     def config():
@@ -1105,12 +1190,16 @@ MALFORMED_V3 = {
 
 
 class TestReportV3:
-    # the smoke config's report, written by an earlier build
+    # the smoke config's report, written by an earlier build. It is made,
+    # from the repository root, by this one command:
+    #   PYTHONPATH=src python -c "from hadcl.harness import load_config, run_experiment; \
+    #     run_experiment(load_config('configs/smoke.yaml')) \
+    #     .to_json('tests/data/smoke_report_v3.json')"
     FIXTURE = Path(__file__).resolve().parent / "data" / "smoke_report_v3.json"
     # sha256 of the curves.tsv and roc.tsv that emit-plots wrote for the
     # fixture with the code that wrote it
     FIXTURE_CURVES = "9582a0e02af67b77747b4f7afca2b1ca93f56de28e0954ce978643672422f183"
-    FIXTURE_ROC = "0819bd56865d626019a9ecb102ccc4e1e8a7ba2cad0e8c1c5252827abe62081f"
+    FIXTURE_ROC = "6a20e9de2ea409ffb9037ecaee63dce1a030daccbc2e0f960bccfaf3ad730dc3"
 
     def test_committed_report_of_the_smoke_config_matches_a_fresh_run(
             self, tmp_path, capsys):
