@@ -46,8 +46,9 @@ class TrainConfig:
     def __post_init__(self):
         ms = tuple(self.milestones)
         object.__setattr__(self, "milestones", ms)
-        if any(isinstance(m, bool) or not isinstance(m, int) for m in ms):
-            raise ValidationError(f"milestones must be integer epochs, got {list(ms)}")
+        if any(isinstance(m, bool) or not isinstance(m, int) or m < 0 for m in ms):
+            raise ValidationError(
+                f"milestones must be non-negative integer epochs, got {list(ms)}")
         if any(ms[i] >= ms[i + 1] for i in range(len(ms) - 1)):
             raise ValidationError("milestones must be strictly increasing")
         if not (0.0 < self.gamma <= 1.0):
@@ -249,8 +250,8 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     state = OptimizerState()
     # each step gathers its batch into x and y, and forward, the loss pass,
     # backward and adam_step write into buffers made here; backward reads
-    # the ranking pass's activations and softmax from them on whole-batch
-    # updates
+    # the ranking pass's activations, softmax and losses of the rows it
+    # updates on from them
     x = np.empty((batch_size, *features.shape[1:]))
     y = np.empty(batch_size, dtype=labels.dtype)
     buffers, grads = numcore.StepBuffers(batch_size, model), model.copy()

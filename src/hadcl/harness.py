@@ -256,12 +256,12 @@ def _scored(model, ds: data.Dataset) -> metrics.ScoredOutcomes:
 
 
 def _evaluate(model, val, test, test_ood) -> tuple[dict, dict, dict]:
-    """The model's validation AUC and accuracy, its metrics per test split,
-    and its ScoredOutcomes on the splits that get a paired test. Validation
-    only ranks models, so it keeps no scores, labels or CI."""
-    scored = _scored(model, val)
-    val_result = {"accuracy": metrics.accuracy(scored.scores > 0, scored.labels),
-                  "auc": metrics.auc(scored)}
+    """The validation AUC and accuracy of `val`, the model's validation
+    ScoredOutcomes, its metrics per test split, and its ScoredOutcomes on
+    the splits that get a paired test. Validation only ranks models, so it
+    keeps no scores, labels or CI."""
+    val_result = {"accuracy": metrics.accuracy(val.scores > 0, val.labels),
+                  "auc": metrics.auc(val)}
     out, outcomes = {}, {}
     for name, ds in (("in_domain", test), ("ood", test_ood)):
         outcomes[name] = scored = _scored(model, ds)
@@ -344,11 +344,17 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
     # to one already scored, such as a stage 2 that kept theta_1, is neither
     # evaluated nor paired against the baseline again
     results = {}
+    # the validation scores select made in the cell in progress, by parameter
+    # bytes, so that _evaluate does not forward the kept model again
+    val_scored = {}
 
     def val_auc(model) -> float:
         """The validation AUC that _evaluate reports, from results if it ran."""
-        result = results.get(model.theta.tobytes())
-        return result["val"]["auc"] if result else metrics.auc(_scored(model, val))
+        key = model.theta.tobytes()
+        if key in results:
+            return results[key]["val"]["auc"]
+        val_scored[key] = _scored(model, val)
+        return metrics.auc(val_scored[key])
 
     # strategy -> the model, result and error of its last cell; None -> theta_0
     last = {None: (pretrained, None, None)}
@@ -366,8 +372,10 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
                 select=val_auc if row.select else None)
             key = model.theta.tobytes()
             if key not in results:
+                if key not in val_scored:  # a stage without select
+                    val_scored[key] = _scored(model, val)
                 val_result, split_metrics, outcomes = _evaluate(
-                    model, val, test, test_ood)
+                    model, val_scored[key], test, test_ood)
                 if config.slides is not None:
                     cohorts = cohorts or _slide_cohorts(config, seed)
                     split_metrics["slide"] = _evaluate_slides(
@@ -394,6 +402,7 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
             model = result = None
             cell["status"] = "failed"
             cell["error"] = str(exc)
+        val_scored.clear()
         cell["wall_clock"] = time.perf_counter() - start
         cells.append(cell)
         last[row.name] = (model, result, cell.get("error"))

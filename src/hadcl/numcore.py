@@ -20,12 +20,13 @@ A training step makes none of its batch- or parameter-sized arrays. The
 loop makes one StepBuffers per stage: `forward` writes the step's
 activations and logits into its first rows, `per_sample_cross_entropy` the
 row maxima, exp(logits - max), its row sums and the losses, and `backward`
-d_logits, the row gradients and the ReLU masks. `backward` reads the step's
-pass from the buffers and builds the softmax from the loss pass's exp and
-row sums, the bits `softmax` would compute; it raises DimensionError unless
-the buffers' last loss pass, made after their last forward, covered the
-rows it differentiates. A row-subset update recomputes its forward and loss
-pass into the same buffers. Adam
+d_logits, the row gradients and the ReLU masks. `backward` never runs a
+forward or loss pass: it reads the rows it differentiates from the step's
+pass in the buffers, the activations, the losses and the softmax built from
+the loss pass's exp and row sums (the bits `softmax` would compute), so a
+top-K update differentiates the mean of exactly the losses its gate ranked.
+It raises DimensionError unless the buffers' last loss pass, made after
+their last forward, covered every row of the batch. Adam
 updates its moments in place with two scratch vectors held by the
 OptimizerState, in the operation order of its textbook expression, so the
 bits are those of fresh arrays. The step's sums and maxima call the ufunc's
@@ -239,40 +240,38 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     selected samples in (summation order matters bit-wise).
 
     `buffers` must hold this step's pass: `forward(model, inputs, buffers)`,
-    then `per_sample_cross_entropy(logits, labels, buffers)`. When the mask
-    covers every row, backward reads the activations, the loss pass's exp
-    and row sums (the softmax) and the losses from them, and raises
+    then `per_sample_cross_entropy(logits, labels, buffers)`; backward raises
     DimensionError unless their loss pass, made after their last forward,
-    covered all B rows. On a row subset it recomputes the forward and loss
-    pass on those rows into the buffers (raising NumericError on non-finite
-    logits), because a row subset's products are not bit-equal to the same
-    rows of the whole batch's. The row gradients and ReLU masks go into the
+    covered all B rows. It reads the masked rows of the activations, the loss
+    pass's exp and row sums (the softmax) and the losses from them: views of
+    the first B rows when the mask covers every row, copies of the sorted
+    mask's rows otherwise. The row gradients and ReLU masks go into the
     buffers too.
     """
     x = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels)
+    n = x.shape[0]
+    rows = slice(0, n)
     if sample_mask is not None:
         mask = np.unique(np.asarray(sample_mask, dtype=np.intp))
         if mask.size == 0:
             raise ValidationError("sample_mask must be nonempty")
-        if mask.size and (mask[0] < 0 or mask[-1] >= x.shape[0]):
+        if mask[0] < 0 or mask[-1] >= n:
             raise ValidationError("sample_mask index out of range")
-        if mask.size < x.shape[0]:  # distinct and in range: not every row
-            x = x[mask]
-            labels = labels[mask]
-            per_sample_cross_entropy(forward(model, x, buffers), labels, buffers)
-
-    m = x.shape[0]
-    buffers.check_rows(m)
-    if buffers.loss_rows != m:
-        raise DimensionError(f"the buffers hold no loss pass of the {m} rows "
-                             "backward differentiates")
-    h1, h2, losses = buffers.h1[:m], buffers.h2[:m], buffers.losses[:m]
+        if mask.size < n:  # distinct and in range: not every row
+            rows = mask
+    buffers.check_rows(n)
+    if buffers.loss_rows != n:
+        raise DimensionError(f"the buffers hold no loss pass of the {n} rows "
+                             "of the batch")
+    x, labels = x[rows], labels[rows]
+    h1, h2, losses = buffers.h1[rows], buffers.h2[rows], buffers.losses[rows]
+    m = len(losses)
     mean_loss = float(np.add.reduce(losses)) / m  # the bits of losses.mean()
 
     # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
     # loss pass's exp and row sums
-    d_logits = np.divide(buffers.exp[:m], buffers.sums[:m, None],
+    d_logits = np.divide(buffers.exp[rows], buffers.sums[rows, None],
                          out=buffers.d_logits[:m])
     # one (row, label) pair per row, so this subtracts 1.0 once from each
     np.subtract.at(d_logits, (buffers.rows[:m], labels), 1.0)

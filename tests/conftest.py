@@ -20,15 +20,19 @@ def _garbage_buffers(rows, model):
 
 def _expression_backward(model, x, y, mask):
     """backward as expressions on new arrays, with the softmax from
-    `numcore.softmax`: the gradient bytes and mean loss backward must give."""
-    if mask is not None and len(np.unique(mask)) < len(x):
-        rows = np.unique(mask)
-        x, y = x[rows], y[rows]
+    `numcore.softmax`: the gradient bytes and mean loss backward must give.
+    The forward and loss pass are the whole batch's; a row subset takes the
+    sorted mask's rows of them."""
     buffers = numcore.StepBuffers(len(x), model)
     logits = numcore.forward(model, x, buffers).copy()
     h1, h2 = buffers.h1.copy(), buffers.h2.copy()
-    m = len(y)
     d_logits = numcore.softmax(logits)
+    losses = numcore.per_sample_cross_entropy(logits, y, buffers).copy()
+    if mask is not None and len(np.unique(mask)) < len(x):
+        rows = np.unique(mask)
+        x, y, h1, h2 = x[rows], y[rows], h1[rows], h2[rows]
+        d_logits, losses = d_logits[rows], losses[rows]
+    m = len(y)
     d_logits[np.arange(m), y] -= 1.0
     d_logits /= m
     d_h2 = (d_logits @ model.w3.T) * (h2 > 0.0)
@@ -37,7 +41,6 @@ def _expression_backward(model, x, y, mask):
         (x.T @ d_h1).ravel(), d_h1.sum(axis=0),
         (h1.T @ d_h2).ravel(), d_h2.sum(axis=0),
         (h2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
-    losses = numcore.per_sample_cross_entropy(logits, y, buffers)
     return grads.tobytes(), float(losses.mean())
 
 
@@ -58,11 +61,6 @@ def _step_backward(model, x, y, mask=None):
 @pytest.fixture
 def garbage_buffers():
     return _garbage_buffers
-
-
-@pytest.fixture
-def expression_backward():
-    return _expression_backward
 
 
 @pytest.fixture

@@ -65,6 +65,10 @@ class TestTrainConfig:
     def test_bad_milestones(self):
         with pytest.raises(ValidationError):
             TrainConfig(epochs=20, lr=1e-3, milestones=(10, 10))
+        with pytest.raises(ValidationError, match="milestones must be non-negative"):
+            TrainConfig(epochs=20, lr=1e-3, milestones=(-1,))
+        # a milestone at or past the last epoch is valid: it never decays
+        assert TrainConfig(epochs=20, lr=1e-3, milestones=(20, 60)).lr_at(19) == 1e-3
 
     def test_negative_epoch(self):
         with pytest.raises(ValidationError):
@@ -385,8 +389,8 @@ class TestStepChecks:
             self.run(decide=bad)
 
     def test_the_loss_pass_softmax_is_reused(self, monkeypatch):
-        # every step makes one loss pass, and a row-subset update one more
-        # for its rows; backward never calls softmax
+        # every step makes one loss pass, a row-subset update too;
+        # backward never calls softmax
         ds = separable_task(seed=7)
         model = init_model(4, 16, 2, seed=1)
         calls = 0
@@ -406,7 +410,52 @@ class TestStepChecks:
                               stage_config(alpha=0.3, epochs=2), STAGE1, seed=3)
         subsets = sum(r.branch != curriculum.TOTAL_BRANCH for r in report.records)
         assert 0 < subsets < len(report.records)
-        assert calls == len(report.records) + subsets
+        assert calls == len(report.records)
+
+
+class TestRankedLosses:
+    """A row-subset update differentiates the mean of exactly the losses its
+    gate ranked: backward reads them from the step's one loss pass and makes
+    no forward or loss pass of its own."""
+
+    def test_update_differentiates_the_ranked_losses(self, monkeypatch):
+        # a task shaped like configs/reference.yaml's target
+        spec = data.BlobTaskSpec(dim=12, n_classes=2, per_class=100,
+                                 separation=4.0, spread=1.1, hard_fraction=0.3,
+                                 hard_wrong_side=0.0, hard_tilt_angle=1.0,
+                                 noise_fraction=0.05, seed=202)
+        ds = data.generate_blobs(spec, draw_seed=0)
+        config = CurriculumTrainConfig(epochs=10, lr=2e-3, batch_size=50, alpha=0.1)
+        calls = {"forward": 0, "per_sample_cross_entropy": 0}
+        for name in calls:
+            def counted(*args, _call=getattr(numcore, name), _name=name):
+                calls[_name] += 1
+                return _call(*args)
+            monkeypatch.setattr(numcore, name, counted)
+
+        def recording(decide, seen):
+            def wrapped(losses, thres, k):
+                decision = decide(losses, thres, k)
+                seen.append((losses.copy(), decision.mask))
+                return decision
+            return wrapped
+
+        model, subsets = init_model(12, 96, 2, seed=1), 0
+        for decide in (decide_update_stage1, decide_update_stage2):
+            seen = []
+            before = dict(calls)
+            model, report = run_stage(model, ds.features, ds.labels, config,
+                                      recording(decide, seen), seed=3)
+            steps = len(report.records)
+            assert steps == len(seen) == 10 * 4
+            assert calls == {name: before[name] + steps for name in calls}
+            for record, (losses, mask) in zip(report.records, seen):
+                if mask is None:
+                    continue
+                subsets += 1
+                ranked = losses[np.unique(mask)]
+                assert record.mean_loss == float(np.add.reduce(ranked)) / len(mask)
+        assert subsets > 40   # every stage-2 update and some of stage 1's
 
 
 class TestRunHadcl:
@@ -446,8 +495,8 @@ class TestGoldenRun:
     # frozen fixture: sha256 of theta2's parameter bytes from a seeded
     # full-pipeline run; any change to data generation, initialization,
     # update rules, or optimizer numerics will move this hash
-    GOLDEN_THETA2 = ("e4fe93ae09bbbf20504a24c89d24b5fb"
-                     "12d9aefe2986e69c401a083c020354d5")
+    GOLDEN_THETA2 = ("1fa63965456eda4770b683093f8e7e2c"
+                     "fc12ecfcd099393a993311ba83699743")
 
     def test_theta2_hash_matches_reference_run(self):
         import hashlib
@@ -559,10 +608,10 @@ def fresh_stage(model, features, labels, config, decide, seed):
             losses = fresh_losses(model, logits, y)
             decision = decide(losses, thres, config.top_k)
             if decision.mask is not None and len(decision.mask) < batch:
+                # the sorted mask's rows of the whole batch's pass
                 rows = np.sort(decision.mask)
-                x, y = x[rows], y[rows]
-                h1, h2, logits = fresh_pass(model, x)
-                losses = fresh_losses(model, logits, y)
+                x, y, h1, h2 = x[rows], y[rows], h1[rows], h2[rows]
+                logits, losses = logits[rows], losses[rows]
             d_logits = numcore.softmax(logits)
             d_logits[np.arange(len(y)), y] -= 1.0
             d_logits /= len(y)

@@ -619,17 +619,29 @@ class TestRunExperiment:
     def test_stage2_forwards_validation_once_per_epoch(self, monkeypatch):
         # theta_1's epoch -1 score is read from its curriculum1 cell, so
         # stage 2 forwards the validation split once after each epoch, and
-        # the model it keeps scored what its cell reports as val AUC
+        # the model it keeps scored what its cell reports as val AUC; over
+        # the seed, select and _evaluate together, each parameter vector is
+        # forwarded on the validation split once
         d = tiny_dict(seeds=[0, 1])
         d["curriculum2"].update(epochs=3, lr=5e-3)
         runs = []   # per stage-2 run: its validation forwards, select's scores
         active = []   # the stage-2 run in progress
+        vals = []   # each seed's validation features
+        val_forwards = collections.Counter()   # parameter bytes -> forwards
         run_stage, forward = curriculum.run_stage, numcore.forward
+        build_datasets = harness._build_datasets
+
+        def recording_build(*args):
+            splits = build_datasets(*args)
+            vals.append(splits[1].features)
+            return splits
 
         def counting_forward(model, inputs, buffers=None):
             # a training step forwards into its buffers, a score without
             if active and buffers is None:
                 active[0]["forwards"] += 1
+            if any(inputs is v for v in vals):
+                val_forwards[model.theta.tobytes()] += 1
             return forward(model, inputs, buffers)
 
         def recording_stage(*args, select=None, **kwargs):
@@ -650,8 +662,12 @@ class TestRunExperiment:
 
         monkeypatch.setattr(numcore, "forward", counting_forward)
         monkeypatch.setattr(curriculum, "run_stage", recording_stage)
+        monkeypatch.setattr(harness, "_build_datasets", recording_build)
         report = run_experiment(config_from_dict(d))
         assert report.all_ok and len(runs) == 2
+        # per seed: the baseline, theta_1 and stage 2's three epochs
+        assert len(vals) == 2 and len(val_forwards) == 2 * 5
+        assert set(val_forwards.values()) == {1}
         # one seed keeps theta_1 and the other a later epoch
         assert sorted(c["best_epoch"] for c in report.cells
                       if c["strategy"] == "curriculum2") == [-1, 2]
@@ -1014,8 +1030,8 @@ class TestGoldenReport:
     # sorted keys) and of the curves.tsv and roc.tsv emit_plot_data writes
     # for it. Any change to data, training numerics, evaluation, the report
     # cells or the plot format moves them.
-    CELLS = "5209a2474a674082e6ea8c4283dc2c483998c14bf57681e4a09fdc886dd4b5c5"
-    CURVES = "33ffe55b482684f99fa0d4b36c09c09125779ef3c397ed4c9e6d70abe90780a9"
+    CELLS = "945232a96d0a909232034445e117b9c4fb790c8fb5a2145e87755f36943457e0"
+    CURVES = "a2dab121d7b2bd484bc67389749219672b28f5be0074730ebe45a1c94159e91e"
     ROC = "0401cb9cdec6c432786110f818c79607a50c0ebc37cc22e65ccac6b85410b20e"
 
     @staticmethod
@@ -1198,7 +1214,7 @@ class TestReportV3:
     FIXTURE = Path(__file__).resolve().parent / "data" / "smoke_report_v3.json"
     # sha256 of the curves.tsv and roc.tsv that emit-plots wrote for the
     # fixture with the code that wrote it
-    FIXTURE_CURVES = "9582a0e02af67b77747b4f7afca2b1ca93f56de28e0954ce978643672422f183"
+    FIXTURE_CURVES = "a3e9ba0eb6dc4a03be1788ecdb4e0e69ffe39a6dc5a03bd315ec8cf717ec95ca"
     FIXTURE_ROC = "6a20e9de2ea409ffb9037ecaee63dce1a030daccbc2e0f960bccfaf3ad730dc3"
 
     def test_committed_report_of_the_smoke_config_matches_a_fresh_run(
@@ -1600,6 +1616,7 @@ class TestCli:
         ("pretrain", "gamma", 0.0),
         ("curriculum2", "alpha", 0.0),
         ("baseline", "milestones", ["a"]),
+        ("baseline", "milestones", [-1]),   # lr_at would decay from epoch 0
         ("baseline", "lr", float("nan")),
         ("curriculum1", "lr", float("inf")),
         ("target", "spread", float("inf")),
@@ -1624,7 +1641,7 @@ class TestCli:
             "negative_epochs", "missing_model", "zero_hidden", "string_hidden",
             "model_typo_key", "string_lr", "string_epochs", "float_batch_size",
             "one_test_per_class", "zero_batch_size", "zero_gamma", "zero_alpha",
-            "string_milestone", "nan_lr", "inf_lr", "inf_spread",
+            "string_milestone", "negative_milestone", "nan_lr", "inf_lr", "inf_spread",
             "three_slides", "all_tumor_slides", "no_tumor_regions",
             "source_draw_seed", "slides_patch_spec", "three_class_source",
             "negative_source_seed", "negative_target_seed",
