@@ -229,6 +229,10 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     1.0 with the fixed (a, b) = (0.7, 0.2) schedule, so plain rows in
     report.json and curves.tsv stay byte-comparable across versions.
 
+    The model trains in numcore.TRAIN_DTYPE, float32, and a model of another
+    dtype is a ValidationError. The features are cast to it once per stage;
+    a finite feature beyond float32's range is a NumericError.
+
     Returns the trained parameters and the per-iteration report; the input
     model is not mutated. When `select` is given, a function from a model to
     its score, the parameters kept are those of the epoch that scores
@@ -237,7 +241,16 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     """
     if not isinstance(config, CurriculumTrainConfig):
         config = CurriculumTrainConfig(**vars(config), alpha=1.0, a=0.7, b=0.2)
-    features = np.asarray(features, dtype=np.float64)
+    if model.theta.dtype != numcore.TRAIN_DTYPE:
+        raise ValidationError(f"a stage trains {numcore.TRAIN_DTYPE} parameters, "
+                              f"got {model.theta.dtype}")
+    try:
+        # a NaN or infinity casts quietly, and the first forward rejects it
+        with np.errstate(over="raise", invalid="ignore"):
+            features = np.asarray(features).astype(numcore.TRAIN_DTYPE, copy=False)
+    except FloatingPointError:
+        raise NumericError(f"features overflow {numcore.TRAIN_DTYPE}; "
+                           "stage not run") from None
     labels = np.asarray(labels)
     n, batch_size = features.shape[0], config.batch_size
     # short trailing batches are dropped so K is constant
@@ -252,7 +265,7 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     # backward and adam_step write into buffers made here; backward reads
     # the ranking pass's activations, softmax and losses of the rows it
     # updates on from them
-    x = np.empty((batch_size, *features.shape[1:]))
+    x = np.empty((batch_size, *features.shape[1:]), features.dtype)
     y = np.empty(batch_size, dtype=labels.dtype)
     buffers, grads = numcore.StepBuffers(batch_size, model), model.copy()
     k = config.top_k
@@ -292,6 +305,10 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
                 epoch=epoch, t=t, thres=thres, k=decision.k,
                 k_prime=decision.k_prime, branch=decision.branch,
                 mean_loss=mean_loss, lr=lr))
+        # the epoch's last update, which no forward pass has checked
+        if not np.isfinite(model.theta).all():
+            raise NumericError(f"non-finite parameters at epoch {epoch}, iteration "
+                               f"{n_batches} (shuffle seed {seed}); run aborted")
         if select is not None:
             score = select(model)
             if score > best_score:

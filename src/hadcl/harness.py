@@ -230,7 +230,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def positive_probs(model: numcore.MlpModel, features) -> np.ndarray:
-    logits = numcore.forward(model, features)
+    """Each row's softmax probability of class 1, from the float64 forward
+    pass of the model cast up, as _scored scores."""
+    logits = numcore.forward(model.astype(np.float64), features)
     return numcore.softmax(logits)[:, 1]
 
 
@@ -250,8 +252,10 @@ def _build_datasets(config: ExperimentConfig, seed: int):
 def _scored(model, ds: data.Dataset) -> metrics.ScoredOutcomes:
     """A split's labels and the model's score of each row, its logit margin
     l1 - l0, which every AUC, CI, paired test and accuracy (margin > 0)
-    ranks: softmax would round distinct margins to tied 0.0s and 1.0s."""
-    logits = numcore.forward(model, ds.features)
+    ranks: softmax would round distinct margins to tied 0.0s and 1.0s. The
+    model is cast up to float64 (exact) and forwarded in float64, so every
+    score and statistic of a model trained in float32 is a float64 one."""
+    logits = numcore.forward(model.astype(np.float64), ds.features)
     return metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], ds.labels)
 
 

@@ -2,8 +2,13 @@
 hand-derived gradients, per-sample cross-entropy, and Adam with decoupled
 weight decay; the learning rate of each step is the caller's.
 
-Everything is float64; identical seeds give bit-identical parameter
-trajectories.
+Training is float32: `init_model` returns float32 parameters, and the
+gradients, the Adam moments and scratch and a stage's StepBuffers take the
+model's dtype, so a step's products and Adam passes move half the bytes of
+float64. Evaluation is float64: the harness scores a model cast up to
+float64 (exact), so every score, margin and statistic keeps its float64
+form. Each function computes in the dtype of the model (or buffers) it is
+given, and identical seeds give bit-identical parameter trajectories.
 
 `forward` computes the two hidden layers in blocks of BLOCK_ROWS rows, into
 buffers it allocates once per call, so an evaluation split of thousands of
@@ -26,10 +31,11 @@ pass in the buffers, the activations, the losses and the softmax built from
 the loss pass's exp and row sums (the bits `softmax` would compute), so a
 top-K update differentiates the mean of exactly the losses its gate ranked.
 It raises DimensionError unless the buffers' last loss pass, made after
-their last forward, covered every row of the batch. Adam
-updates its moments in place with two scratch vectors held by the
-OptimizerState, in the operation order of its textbook expression, so the
-bits are those of fresh arrays. The step's sums and maxima call the ufunc's
+their last forward, covered every row of the batch. Adam takes the folded
+form of Kingma & Ba (one scalar step size, no bias-corrected moment arrays)
+and updates its moments in place with two scratch vectors held by the
+OptimizerState, in the operation order of its expression, so the bits are
+those of fresh arrays. The step's sums and maxima call the ufunc's
 reduce directly (np.add.reduce for a sum or a mean) and its checks the
 ndarray's all/any, so no call goes through fromnumeric's Python layers; the
 bits are those of the calls they replace. What a step still allocates:
@@ -42,6 +48,7 @@ and the products with a boolean mask, at most 8192 elements (a whole
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,12 +56,14 @@ import numpy as np
 from .exceptions import DimensionError, NumericError, ValidationError
 
 PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+# the dtype of every trained parameter, gradient and optimizer array
+TRAIN_DTYPE = np.dtype(np.float32)
 # rows per block of the hidden layers in `forward`: a 256 x 96 float64 block
 # is 192 KiB
 BLOCK_ROWS = 256
 # adam_step takes gradient entries below this size only: the square of
-# each, in the second moment, must stay finite
-_GRAD_LIMIT = float(np.sqrt(np.finfo(np.float64).max))
+# each, in the second moment, must stay finite in the training dtype
+_GRAD_LIMIT = float(np.sqrt(np.finfo(TRAIN_DTYPE).max))
 
 
 @dataclass
@@ -62,8 +71,10 @@ class MlpModel:
     """input -> hidden1 (ReLU) -> hidden2 (ReLU) -> logits.
 
     Weights are stored (fan_in, fan_out); biases are 1-D. All six arrays are
-    views into one contiguous float64 vector `theta`, packed in PARAM_NAMES
-    order; gradients and the Adam moments share that flat layout.
+    views into one contiguous vector `theta`, packed in PARAM_NAMES order;
+    gradients and the Adam moments share that flat layout. Its dtype is the
+    arrays' common float type: float32 as `init_model` makes it and training
+    keeps it, float64 as the harness casts it up for scoring.
     """
 
     w1: np.ndarray
@@ -81,7 +92,8 @@ class MlpModel:
             if b.shape != (w.shape[1],):
                 raise DimensionError("bias shape does not match weight fan-out")
         arrays = [getattr(self, name) for name in PARAM_NAMES]
-        self.theta = np.concatenate([a.ravel() for a in arrays], dtype=np.float64)
+        self.theta = np.concatenate([a.ravel() for a in arrays],
+                                    dtype=np.result_type(*arrays, np.float32))
         offset = 0
         for name, a in zip(PARAM_NAMES, arrays):
             setattr(self, name, self.theta[offset:offset + a.size].reshape(a.shape))
@@ -93,6 +105,10 @@ class MlpModel:
 
     def copy(self) -> "MlpModel":
         return MlpModel(*(getattr(self, name) for name in PARAM_NAMES))
+
+    def astype(self, dtype) -> "MlpModel":
+        """A copy whose arrays are `dtype`; float32 to float64 is exact."""
+        return MlpModel(*(getattr(self, name).astype(dtype) for name in PARAM_NAMES))
 
 
 class StepBuffers:
@@ -111,11 +127,12 @@ class StepBuffers:
 
     def __init__(self, rows: int, model: MlpModel):
         width1, width2 = model.w1.shape[1], model.w2.shape[1]
-        n_classes = model.w3.shape[1]
-        self.h1, self.d_h1 = np.empty((2, rows, width1))
-        self.h2, self.d_h2 = np.empty((2, rows, width2))
-        self.logits, self.exp, self.d_logits = np.empty((3, rows, n_classes))
-        self.shift, self.sums, self.losses = np.empty((3, rows))
+        n_classes, dtype = model.w3.shape[1], model.theta.dtype
+        self.h1, self.d_h1 = np.empty((2, rows, width1), dtype=dtype)
+        self.h2, self.d_h2 = np.empty((2, rows, width2), dtype=dtype)
+        self.logits, self.exp, self.d_logits = np.empty((3, rows, n_classes),
+                                                        dtype=dtype)
+        self.shift, self.sums, self.losses = np.empty((3, rows), dtype=dtype)
         self.relu1 = np.empty((rows, width1), dtype=bool)
         self.relu2 = np.empty((rows, width2), dtype=bool)
         self.rows = np.arange(rows)
@@ -127,37 +144,40 @@ class StepBuffers:
 
 
 def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
-    """He-uniform fan-in initialization for weights, zero biases."""
+    """He-uniform fan-in initialization for weights, zero biases; float64
+    draws rounded to TRAIN_DTYPE."""
     if in_dim < 1 or hidden < 1 or n_classes < 2:
         raise ValidationError("in_dim and hidden must be >= 1, n_classes >= 2")
     rng = np.random.default_rng(seed)
 
     def he(fan_in, fan_out):
         limit = np.sqrt(6.0 / fan_in)
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(TRAIN_DTYPE)
 
     return MlpModel(
-        he(in_dim, hidden), np.zeros(hidden),
-        he(hidden, hidden), np.zeros(hidden),
-        he(hidden, n_classes), np.zeros(n_classes),
+        he(in_dim, hidden), np.zeros(hidden, TRAIN_DTYPE),
+        he(hidden, hidden), np.zeros(hidden, TRAIN_DTYPE),
+        he(hidden, n_classes), np.zeros(n_classes, TRAIN_DTYPE),
     )
 
 
 def forward(model: MlpModel, inputs: np.ndarray,
             buffers: StepBuffers | None = None) -> np.ndarray:
-    """Logits for a batch. inputs is (B, d). With `buffers`, the post-ReLU
-    activations h1 and h2, which `backward` reads, and the logits are
-    written into their first B rows, and the logits returned are a view."""
-    x = np.asarray(inputs, dtype=np.float64)
+    """Logits for a batch, in the model's dtype. inputs is (B, d). With
+    `buffers`, the post-ReLU activations h1 and h2, which `backward` reads,
+    and the logits are written into their first B rows, and the logits
+    returned are a view."""
+    dtype = model.theta.dtype
+    x = np.asarray(inputs, dtype=dtype)
     if x.ndim != 2 or x.shape[1] != model.in_dim:
         raise DimensionError(
             f"expected inputs of shape (B, {model.in_dim}), got {x.shape}")
     n = x.shape[0]
     if buffers is None:
         # h1 is one block's scratch, reused by every block
-        h1 = np.empty((min(n, BLOCK_ROWS + 1), model.w1.shape[1]))
-        h2 = np.empty((n, model.w2.shape[1]))
-        logits = np.empty((n, model.w3.shape[1]))
+        h1 = np.empty((min(n, BLOCK_ROWS + 1), model.w1.shape[1]), dtype)
+        h2 = np.empty((n, model.w2.shape[1]), dtype)
+        logits = np.empty((n, model.w3.shape[1]), dtype)
     else:
         buffers.check_rows(n)
         buffers.loss_rows = None  # the logits are about to change
@@ -199,8 +219,8 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
     integers in [0, classes); a bool is not an integer. The row maxima,
     exp(logits - max), its row sums, which `backward` turns into the
     softmax, and the losses are written into the first B rows of `buffers`,
-    and the losses returned are a view."""
-    logits = np.asarray(logits, dtype=np.float64)
+    and the losses returned are a view, in the buffers' dtype."""
+    logits = np.asarray(logits, dtype=buffers.losses.dtype)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise DimensionError("logits must be (B, C) with one label per row")
@@ -212,8 +232,9 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
     buffers.check_rows(n)
     shift, sums, losses = buffers.shift[:n], buffers.sums[:n], buffers.losses[:n]
     e, rows = buffers.exp[:n], buffers.rows[:n]
-    # finite logits about 3e308 apart overflow logits - max and the loss to
-    # inf, which the caller's finite-loss check rejects, so no warning
+    # finite logits further apart than the dtype's largest float overflow
+    # logits - max and the loss to inf, which the caller's finite-loss check
+    # rejects, so no warning
     with np.errstate(over="ignore"):
         # the row maxima, exp(logits - max) and its row sums: the bits
         # `softmax` computes on its way
@@ -246,9 +267,10 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     pass's exp and row sums (the softmax) and the losses from them: views of
     the first B rows when the mask covers every row, copies of the sorted
     mask's rows otherwise. The row gradients and ReLU masks go into the
-    buffers too.
+    buffers too. The gradients are in the model's dtype; the mean loss is
+    summed in float64, as the decisions sum the losses they rank.
     """
-    x = np.asarray(inputs, dtype=np.float64)
+    x = np.asarray(inputs, dtype=model.theta.dtype)
     labels = np.asarray(labels)
     n = x.shape[0]
     rows = slice(0, n)
@@ -267,7 +289,8 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     x, labels = x[rows], labels[rows]
     h1, h2, losses = buffers.h1[rows], buffers.h2[rows], buffers.losses[rows]
     m = len(losses)
-    mean_loss = float(np.add.reduce(losses)) / m  # the bits of losses.mean()
+    # the bits of losses.mean(dtype=np.float64), which cannot overflow
+    mean_loss = float(np.add.reduce(losses, dtype=np.float64)) / m
 
     # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
     # loss pass's exp and row sums
@@ -311,35 +334,42 @@ class OptimizerState:
 
 def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
               lr: float) -> None:
-    """One bias-corrected Adam step with decoupled weight decay, in place.
+    """One Adam step with decoupled weight decay, in place, in the folded
+    form of Kingma & Ba (ICLR 2015, end of section 2).
 
     It computes m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g*g and
-    p -= lr*(m_hat/(sqrt(v_hat) + eps) + weight_decay*p), with m_hat and
-    v_hat the bias-corrected moments, one operation at a time in that order,
-    into the moments and state.scratch: the bits of the expressions.
+    p -= m/(sqrt(v) + eps_t)*step_size + (lr*weight_decay)*p with the scalars
+    step_size = lr*sqrt(1-beta2^t)/(1-beta1^t) and eps_t = eps*sqrt(1-beta2^t),
+    which is lr*(m_hat/(sqrt(v_hat) + eps) + weight_decay*p) of the
+    bias-corrected moments m_hat and v_hat without making them. It works one
+    operation at a time in that order, into the moments and state.scratch, in
+    the model's dtype: the bits of the expressions. A step that overflows
+    leaves a non-finite p, which the caller rejects: run_stage's next
+    forward pass, or its check at the end of each epoch.
     """
     g = grads.theta
     if state.scratch is None:
-        state.scratch = np.empty((2, g.size))
+        state.scratch = np.empty((2, g.size), g.dtype)
     s, u = state.scratch
     if not np.maximum.reduce(np.abs(g, out=s)) < _GRAD_LIMIT:  # False for NaN too
         raise NumericError("non-finite or overflowing gradient; step aborted")
     if state.m is None:  # 0.0*beta + x gives the bits of a scalar 0.0 start
-        state.m, state.v = np.zeros((2, g.size))
+        state.m, state.v = np.zeros((2, g.size), g.dtype)
     state.step += 1
     t = state.step
+    # Python floats, which take the arrays' dtype in each operation
+    lr, root = float(lr), math.sqrt(1.0 - state.beta2 ** t)
+    step_size = lr * root / (1.0 - state.beta1 ** t)
     m, v, p = state.m, state.v, model.theta
-    m *= state.beta1
-    m += np.multiply(g, 1.0 - state.beta1, out=s)
-    v *= state.beta2
-    np.multiply(g, 1.0 - state.beta2, out=s)
-    v += np.multiply(s, g, out=s)
-    np.divide(m, 1.0 - state.beta1 ** t, out=s)
-    np.divide(v, 1.0 - state.beta2 ** t, out=u)
-    np.sqrt(u, out=u)
-    u += state.eps
-    s /= u
-    s += np.multiply(p, state.weight_decay, out=u)
-    s *= lr
-    p -= s
-
+    with np.errstate(over="ignore", invalid="ignore"):
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=s)
+        v *= state.beta2
+        np.multiply(g, 1.0 - state.beta2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.sqrt(v, out=u)
+        u += state.eps * root
+        np.divide(m, u, out=s)
+        s *= step_size
+        s += np.multiply(p, lr * state.weight_decay, out=u)
+        p -= s

@@ -1,17 +1,28 @@
 """Fixtures shared by the test modules: backward as the training step calls
 it, the expression form its bytes must equal, and NaN-filled buffers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from hadcl import numcore
+
+# pytest reports a failing Hypothesis test through this module, whose import
+# chain (libcst, mypy_extensions) raises a DeprecationWarning. The tests make
+# that warning an error, which would end the session with an INTERNALERROR
+# at the first such failure, so it is imported here, once, with the warning
+# ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def _garbage_buffers(rows, model):
     """StepBuffers whose every float holds NaN and every mask True."""
     buffers = numcore.StepBuffers(rows, model)
     for value in vars(buffers).values():
-        if isinstance(value, np.ndarray) and value.dtype == np.float64:
+        if isinstance(value, np.ndarray) and value.dtype.kind == "f":
             value[...] = np.nan
         elif isinstance(value, np.ndarray) and value.dtype == bool:
             value[...] = True
@@ -19,10 +30,10 @@ def _garbage_buffers(rows, model):
 
 
 def _expression_backward(model, x, y, mask):
-    """backward as expressions on new arrays, with the softmax from
-    `numcore.softmax`: the gradient bytes and mean loss backward must give.
-    The forward and loss pass are the whole batch's; a row subset takes the
-    sorted mask's rows of them."""
+    """backward as expressions on new arrays in the model's dtype, with the
+    softmax from `numcore.softmax`: the gradient bytes and mean loss (in
+    float64) backward must give. The forward and loss pass are the whole
+    batch's; a row subset takes the sorted mask's rows of them."""
     buffers = numcore.StepBuffers(len(x), model)
     logits = numcore.forward(model, x, buffers).copy()
     h1, h2 = buffers.h1.copy(), buffers.h2.copy()
@@ -41,15 +52,16 @@ def _expression_backward(model, x, y, mask):
         (x.T @ d_h1).ravel(), d_h1.sum(axis=0),
         (h1.T @ d_h2).ravel(), d_h2.sum(axis=0),
         (h2.T @ d_logits).ravel(), d_logits.sum(axis=0)])
-    return grads.tobytes(), float(losses.mean())
+    assert grads.dtype == model.theta.dtype
+    return grads.tobytes(), float(losses.mean(dtype=np.float64))
 
 
 def _step_backward(model, x, y, mask=None):
-    """The training step's order: forward and the loss pass into new
-    StepBuffers filled with NaN, then backward into a gradient buffer filled
-    with NaN. Asserts that the gradient bytes and mean loss are the
-    expression form's and returns (grads, mean_loss)."""
-    x, y = np.asarray(x, dtype=np.float64), np.asarray(y)
+    """The training step's order: the batch in the model's dtype, forward
+    and the loss pass into new StepBuffers filled with NaN, then backward
+    into a gradient buffer filled with NaN. Asserts that the gradient bytes
+    and mean loss are the expression form's and returns (grads, mean_loss)."""
+    x, y = np.asarray(x, dtype=model.theta.dtype), np.asarray(y)
     buffers, grads = _garbage_buffers(len(x), model), model.copy()
     grads.theta[:] = np.nan
     numcore.per_sample_cross_entropy(numcore.forward(model, x, buffers), y, buffers)

@@ -304,6 +304,32 @@ class TestRunStage:
             run_stage(model, ds.features, ds.labels, stage_config(lr=1e200),
                       STAGE1, seed=2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_last_update_names_its_epoch(self):
+        # one batch per epoch: lr 1e200 is infinite in float32, so the only
+        # update leaves theta non-finite, and no forward pass follows it
+        ds = separable_task(seed=4)
+        with pytest.raises(NumericError, match=r"non-finite parameters at epoch 0, "
+                                               r"iteration 1 \(shuffle seed 2\)"):
+            run_stage(init_model(4, 16, 2, seed=6), ds.features, ds.labels,
+                      stage_config(lr=1e200, batch=len(ds.labels)), STAGE1, seed=2)
+
+    def test_a_float64_model_is_not_trained(self):
+        ds = separable_task(seed=10)
+        model = init_model(4, 16, 2, seed=4).astype(np.float64)
+        with pytest.raises(ValidationError, match="trains float32 parameters"):
+            run_stage(model, ds.features, ds.labels, stage_config(epochs=1),
+                      STAGE1, seed=5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_features_beyond_float32_are_rejected_quietly(self):
+        features = separable_task(seed=10).features.copy()
+        features[7, 2] = 1e39
+        with pytest.raises(NumericError, match="features overflow float32"):
+            run_stage(init_model(4, 16, 2, seed=4), features,
+                      separable_task(seed=10).labels, stage_config(epochs=1),
+                      STAGE1, seed=5)
+
     def test_empty_dataset_rejected(self):
         model = init_model(4, 8, 2, seed=1)
         with pytest.raises(ValidationError):
@@ -347,12 +373,12 @@ class TestStepChecks:
         with pytest.raises(NumericError, match="non-finite logits in forward pass" + WHERE):
             self.run(features=features)
 
-    # logits of +-1.5e308 are finite, but their difference overflows; the
-    # step fails with no RuntimeWarning
+    # logits of +-3e38 are finite in float32, but their difference
+    # overflows; the step fails with no RuntimeWarning
     def test_overflowing_loss(self):
         model = init_model(4, 16, 2, seed=1)
         model.w3[...] = 0.0
-        model.b3[...] = (1.5e308, -1.5e308)
+        model.b3[...] = (3e38, -3e38)
         with pytest.raises(NumericError, match="non-finite loss" + WHERE):
             self.run(model=model)
 
@@ -367,9 +393,10 @@ class TestStepChecks:
             self.run(decide=poisoned)
 
     def test_overflowing_gradient(self):
-        # h2 of 1e200 with logits of 0: the w3 gradient passes the limit
+        # h2 of 1e30 (finite in float32) with logits of 0: the w3 gradient
+        # passes the limit, about 1.8e19
         model = init_model(4, 16, 2, seed=1)
-        model.b2[...] = 1e200
+        model.b2[...] = 1e30
         model.w3[...] = 0.0
         with pytest.raises(NumericError, match="overflowing gradient; step aborted" + WHERE):
             self.run(model=model)
@@ -454,7 +481,8 @@ class TestRankedLosses:
                     continue
                 subsets += 1
                 ranked = losses[np.unique(mask)]
-                assert record.mean_loss == float(np.add.reduce(ranked)) / len(mask)
+                assert record.mean_loss == float(
+                    np.add.reduce(ranked, dtype=np.float64)) / len(mask)
         assert subsets > 40   # every stage-2 update and some of stage 1's
 
 
@@ -495,8 +523,8 @@ class TestGoldenRun:
     # frozen fixture: sha256 of theta2's parameter bytes from a seeded
     # full-pipeline run; any change to data generation, initialization,
     # update rules, or optimizer numerics will move this hash
-    GOLDEN_THETA2 = ("1fa63965456eda4770b683093f8e7e2c"
-                     "fc12ecfcd099393a993311ba83699743")
+    GOLDEN_THETA2 = ("dc7489766afa671443ea6f44ef4999f5"
+                     "da89541907aab9fec05a7b774a0fa827")
 
     def test_theta2_hash_matches_reference_run(self):
         import hashlib
@@ -550,6 +578,19 @@ class TestValidationSelection:
         assert rep.best_epoch == -1
         assert model_bytes(kept) == model_bytes(model)
 
+    def test_epoch_minus_one_is_the_float32_input(self):
+        # a score no epoch beats keeps the input: the same float32 bytes,
+        # neither rounded on entry nor cast up
+        ds = separable_task(seed=10)
+        model = init_model(4, 16, 2, seed=4)
+        scores = iter([1.0, 0.5, 1.0, 0.9])
+        kept, rep = run_stage(model, ds.features, ds.labels, stage_config(epochs=3),
+                              STAGE1, seed=5, select=lambda m: next(scores))
+        assert rep.best_epoch == -1 and len(rep.records) > 0
+        assert kept.theta.dtype == numcore.TRAIN_DTYPE == np.float32
+        assert model_bytes(kept) == model_bytes(model)
+        assert kept.theta is not model.theta
+
     def test_no_select_returns_final_epoch(self):
         ds = separable_task(seed=12)
         model = init_model(4, 16, 2, seed=4)
@@ -586,11 +627,13 @@ def fresh_losses(model, logits, labels):
 
 
 def fresh_stage(model, features, labels, config, decide, seed):
-    """run_stage's loop with a new array for every intermediate: the batch by
-    fancy indexing, the gradients and Adam as expressions, the moments from
-    the scalar 0.0. Returns the final model and the curve records."""
+    """run_stage's loop with a new array for every intermediate, in the
+    model's dtype: the batch by fancy indexing, the gradients and folded
+    Adam as expressions, the moments from the scalar 0.0, the mean loss in
+    float64. Returns the final model and the curve records."""
     model = model.copy()
     theta = model.theta
+    features = features.astype(theta.dtype)
     opt = numcore.OptimizerState()
     moment1 = moment2 = 0.0
     rng = np.random.default_rng(seed)
@@ -624,14 +667,14 @@ def fresh_stage(model, features, labels, config, decide, seed):
             step = len(records) + 1
             moment1 = opt.beta1 * moment1 + (1.0 - opt.beta1) * g
             moment2 = opt.beta2 * moment2 + (1.0 - opt.beta2) * g * g
-            m_hat = moment1 / (1.0 - opt.beta1 ** step)
-            v_hat = moment2 / (1.0 - opt.beta2 ** step)
-            theta -= lr * (m_hat / (np.sqrt(v_hat) + opt.eps)
-                           + opt.weight_decay * theta)
+            root = math.sqrt(1.0 - opt.beta2 ** step)
+            step_size = lr * root / (1.0 - opt.beta1 ** step)
+            theta -= (moment1 / (np.sqrt(moment2) + opt.eps * root) * step_size
+                      + lr * opt.weight_decay * theta)
             records.append(curriculum.IterationRecord(
                 epoch=epoch, t=t, thres=thres, k=decision.k,
                 k_prime=decision.k_prime, branch=decision.branch,
-                mean_loss=float(losses.mean()), lr=lr))
+                mean_loss=float(losses.mean(dtype=np.float64)), lr=lr))
     return model, records
 
 

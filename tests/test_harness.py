@@ -1025,14 +1025,57 @@ class TestRunExperiment:
             report_via_json(tmp_path, [failed, cell])
 
 
+class TestFloat64Scoring:
+    """Models train in float32 and are scored in float64: each score is the
+    float64 forward pass of the parameters cast up, which is exact."""
+
+    def test_scored_is_the_float64_forward_of_theta_cast_up(self):
+        spec = data.BlobTaskSpec(dim=6, n_classes=2, per_class=300,
+                                 separation=2.0, spread=1.0, hard_fraction=0.0,
+                                 noise_fraction=0.0, seed=3)
+        ds = data.generate_blobs(spec)
+        model = numcore.init_model(6, 16, 2, seed=3)
+        model.theta += np.random.default_rng(3).normal(
+            size=model.theta.shape).astype(np.float32)   # nonzero biases
+        up = model.astype(np.float64)
+        assert (up.theta == model.theta).all()
+        logits = numcore.forward(up, ds.features)
+        scored = harness._scored(model, ds)
+        assert scored.scores.dtype == np.float64
+        assert scored.scores.tobytes() == (logits[:, 1] - logits[:, 0]).tobytes()
+        assert scored.labels.tobytes() == ds.labels.tobytes()
+        probs = harness.positive_probs(model, ds.features)
+        assert probs.tobytes() == numcore.softmax(logits)[:, 1].tobytes()
+        # the float32 forward's margins are not the ones scored
+        low = numcore.forward(model, ds.features)
+        assert low.dtype == np.float32
+        assert (low[:, 1] - low[:, 0]).astype(np.float64).tobytes() != \
+            scored.scores.tobytes()
+
+    def test_a_run_trains_in_float32_and_scores_in_float64(self, monkeypatch):
+        # every training forward writes into a stage's StepBuffers; every
+        # other one scores a model for the report or for selection
+        calls = collections.Counter()
+        forward = numcore.forward
+
+        def recording(model, inputs, buffers=None):
+            calls[model.theta.dtype.name, buffers is None] += 1
+            return forward(model, inputs, buffers)
+
+        monkeypatch.setattr(numcore, "forward", recording)
+        report = run_experiment(config_from_dict(tiny_dict(seeds=[0], slides=SLIDES)))
+        assert report.all_ok
+        assert set(calls) == {("float32", False), ("float64", True)}
+
+
 class TestGoldenReport:
     # sha256 of a seeded run's cells without wall_clock (json.dumps with
     # sorted keys) and of the curves.tsv and roc.tsv emit_plot_data writes
     # for it. Any change to data, training numerics, evaluation, the report
     # cells or the plot format moves them.
-    CELLS = "945232a96d0a909232034445e117b9c4fb790c8fb5a2145e87755f36943457e0"
-    CURVES = "a2dab121d7b2bd484bc67389749219672b28f5be0074730ebe45a1c94159e91e"
-    ROC = "0401cb9cdec6c432786110f818c79607a50c0ebc37cc22e65ccac6b85410b20e"
+    CELLS = "b8e40ee7e15619da6da73d6f46bb745caa0d3f5ceed2a607f9c5db355ad5ee0b"
+    CURVES = "cb1e58f31c79fa6848b5c8bd5b2f393a578a06e67e77ed760e5c4c9e30ecc58b"
+    ROC = "eb843db6ad0a666072788e042b099583eff1c1c9914091cc868dfb098cd7b93f"
 
     @staticmethod
     def config():
@@ -1214,8 +1257,8 @@ class TestReportV3:
     FIXTURE = Path(__file__).resolve().parent / "data" / "smoke_report_v3.json"
     # sha256 of the curves.tsv and roc.tsv that emit-plots wrote for the
     # fixture with the code that wrote it
-    FIXTURE_CURVES = "a3e9ba0eb6dc4a03be1788ecdb4e0e69ffe39a6dc5a03bd315ec8cf717ec95ca"
-    FIXTURE_ROC = "6a20e9de2ea409ffb9037ecaee63dce1a030daccbc2e0f960bccfaf3ad730dc3"
+    FIXTURE_CURVES = "09900ed2e5e403c55fda8970c2a2b5fb8ef4d5554e19aa596fb49f9d92b9f0a5"
+    FIXTURE_ROC = "fed2f3ad995a68deee41b60a0584d8fe2f7d6e847def601d293de985bf8371ac"
 
     def test_committed_report_of_the_smoke_config_matches_a_fresh_run(
             self, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,19 @@ from hadcl.numcore import (MlpModel, OptimizerState, StepBuffers, adam_step,
 
 
 def random_model(rng, d=5, hidden=7, classes=3):
-    return init_model(d, hidden, classes, seed=int(rng.integers(1 << 30)))
+    """A float64 model: float64 is where the tolerances of the oracles that
+    use it (a naive forward, finite differences) resolve the math, which is
+    the same code in every dtype."""
+    return init_model(d, hidden, classes,
+                      seed=int(rng.integers(1 << 30))).astype(np.float64)
 
 
 def loss_pass(logits, labels, model=None):
     """per_sample_cross_entropy into new StepBuffers, of `model` or else of
-    a model with one class per column of the logits."""
+    a model with one class per column of the logits, in their dtype."""
     if model is None:
-        model = init_model(1, 1, np.shape(logits)[1], seed=0)
+        model = init_model(1, 1, np.shape(logits)[1], seed=0).astype(
+            np.asarray(logits).dtype)
     return per_sample_cross_entropy(logits, labels, StepBuffers(len(logits), model))
 
 
@@ -86,17 +92,21 @@ class TestBlockedForward:
         (0, 12, 96), (1, 12, 96), (257, 12, 96), (513, 12, 96),
     ])
     def test_bytes_equal_unblocked(self, rows, dim, hidden):
+        # in the training dtype and in float64, the harness's scoring dtype
         rng = np.random.default_rng(rows)
         m = init_model(dim, hidden, 2, seed=rows)
         m.theta += 0.1 * rng.normal(size=m.theta.shape)  # nonzero biases
         x = rng.normal(size=(rows, dim))
-        h1, h2, logits = unblocked_forward(m, x)
-        acts = StepBuffers(rows, m)
-        assert forward(m, x, acts).tobytes() == logits.tobytes()
-        assert forward(m, x).tobytes() == logits.tobytes()
-        assert acts.h1.shape == h1.shape and acts.h2.shape == h2.shape
-        assert acts.h1.tobytes() == h1.tobytes()
-        assert acts.h2.tobytes() == h2.tobytes()
+        for model in (m, m.astype(np.float64)):
+            xd = x.astype(model.theta.dtype)
+            h1, h2, logits = unblocked_forward(model, xd)
+            assert logits.dtype == model.theta.dtype
+            acts = StepBuffers(rows, model)
+            assert forward(model, xd, acts).tobytes() == logits.tobytes()
+            assert forward(model, xd).tobytes() == logits.tobytes()
+            assert acts.h1.shape == h1.shape and acts.h2.shape == h2.shape
+            assert acts.h1.tobytes() == h1.tobytes()
+            assert acts.h2.tobytes() == h2.tobytes()
 
     @pytest.mark.parametrize("keep_hidden", [False, True])
     def test_nonfinite_row_in_last_block_raises(self, keep_hidden):
@@ -460,10 +470,11 @@ class TestAdam:
         assert state.step == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e155, -1e300])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, 1e20, -3e38])
     def test_overflowing_gradient_aborts_without_warning(self, value):
-        # a gradient whose square would overflow the second moment is
-        # rejected before any arithmetic, like a non-finite one
+        # a gradient whose square would overflow the float32 second moment
+        # (above about 1.8e19) is rejected before any arithmetic, like a
+        # non-finite one
         m = init_model(3, 4, 2, seed=3)
         before = m.theta.copy()
         state = OptimizerState()
@@ -476,45 +487,60 @@ class TestAdam:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_finite_gradient_steps(self):
+        # just below the float32 limit, sqrt(float32 max): its square, in
+        # the second moment, stays finite
         m = init_model(3, 4, 2, seed=3)
         state = OptimizerState()
         grads = zero_grads(m)
-        grads.w1[0, 0] = -1e150
+        grads.w1[0, 0] = -0.99 * numcore._GRAD_LIMIT
         adam_step(m, grads, state, lr=0.1)
         assert state.step == 1 and np.isfinite(m.theta).all()
 
 
 def expression_adam(theta, g, moments, step, lr, opt):
-    """Adam as expressions on new arrays, from the scalar 0.0 moments."""
+    """Folded Adam as expressions on new arrays in theta's dtype, from the
+    scalar 0.0 moments: one scalar step size and eps scaled to match, in
+    place of the bias-corrected moments."""
     m, v = moments
     m = opt.beta1 * m + (1.0 - opt.beta1) * g
     v = opt.beta2 * v + (1.0 - opt.beta2) * g * g
-    m_hat = m / (1.0 - opt.beta1 ** step)
-    v_hat = v / (1.0 - opt.beta2 ** step)
-    theta -= lr * (m_hat / (np.sqrt(v_hat) + opt.eps) + opt.weight_decay * theta)
+    root = math.sqrt(1.0 - opt.beta2 ** step)
+    step_size = lr * root / (1.0 - opt.beta1 ** step)
+    theta -= (m / (np.sqrt(v) + opt.eps * root) * step_size
+              + lr * opt.weight_decay * theta)
     return m, v
 
 
 class TestInPlaceAdam:
-    def test_bits_equal_expressions(self):
-        # signed zeros in the first gradients: 0.0*beta + (-0.0) is +0.0,
-        # as the scalar 0.0 start gives
-        rng = np.random.default_rng(17)
-        m = init_model(6, 9, 2, seed=17)
+    @staticmethod
+    def check_steps(m, rng):
+        """30 adam_steps of m against expression_adam on fresh arrays."""
         want = m.theta.copy()
         state, moments = OptimizerState(), (0.0, 0.0)
         for step in range(1, 31):
             g = rng.normal(size=m.theta.shape) * 10.0 ** rng.integers(-8, 3)
+            g = g.astype(m.theta.dtype)
             g[rng.random(g.shape) < 0.3] = -0.0
             g[rng.random(g.shape) < 0.1] = 0.0
             grads = m.copy()
             grads.theta[:] = g
-            lr = 10.0 ** -rng.integers(1, 5)
+            lr = float(10.0 ** -rng.integers(1, 5))
             adam_step(m, grads, state, lr)
             moments = expression_adam(want, g, moments, step, lr, state)
             assert m.theta.tobytes() == want.tobytes(), step
             assert state.m.tobytes() == moments[0].tobytes()
             assert state.v.tobytes() == moments[1].tobytes()
+        assert want.dtype == state.m.dtype == state.v.dtype == m.theta.dtype
+
+    def test_bits_equal_expressions(self):
+        # signed zeros in the first gradients: 0.0*beta + (-0.0) is +0.0,
+        # as the scalar 0.0 start gives
+        self.check_steps(init_model(6, 9, 2, seed=17), np.random.default_rng(17))
+
+    def test_folded_adam_equals_its_expression_in_float64(self):
+        # the same code in float64, the dtype of a model cast up
+        self.check_steps(init_model(6, 9, 2, seed=18).astype(np.float64),
+                         np.random.default_rng(18))
 
 
 def traced_peak(call) -> int:
@@ -579,10 +605,22 @@ class TestFlatLayout:
     def test_arrays_are_views_into_theta_in_param_order(self):
         m = init_model(5, 7, 3, seed=4)
         arrays = [getattr(m, name) for name in numcore.PARAM_NAMES]
-        assert m.theta.dtype == np.float64 and m.theta.flags.c_contiguous
+        assert m.theta.dtype == numcore.TRAIN_DTYPE and m.theta.flags.c_contiguous
         assert m.theta.tobytes() == b"".join(a.tobytes() for a in arrays)
         m.theta[:] = np.arange(m.theta.size)
         assert m.w1[0, 0] == 0.0 and m.b3[-1] == m.theta.size - 1
+
+    def test_dtype_comes_from_the_arrays(self):
+        m = init_model(5, 7, 3, seed=4)
+        up = m.astype(np.float64)
+        assert m.theta.dtype == np.float32 and up.theta.dtype == np.float64
+        assert all(getattr(up, name).dtype == np.float64
+                   for name in numcore.PARAM_NAMES)
+        # float32 to float64 is exact, and back gives the same bytes
+        assert (up.theta == m.theta).all()
+        assert up.astype(np.float32).theta.tobytes() == m.theta.tobytes()
+        assert up.copy().theta.dtype == np.float64
+        assert m.copy().theta.dtype == np.float32
 
     def test_copy_is_independent(self):
         m = init_model(5, 7, 3, seed=4)
