@@ -210,6 +210,19 @@ class StageReport:
     best_epoch: int | None = None
 
 
+def training_features(features) -> np.ndarray:
+    """`features` in numcore.TRAIN_DTYPE: the array itself if it is already,
+    else a cast copy, made once per array. A finite feature beyond float32's
+    range is a NumericError; a NaN or infinity casts quietly, and the first
+    forward of a stage rejects it."""
+    try:
+        with np.errstate(over="raise", invalid="ignore"):
+            return np.asarray(features).astype(numcore.TRAIN_DTYPE, copy=False)
+    except FloatingPointError:
+        raise NumericError(f"features overflow {numcore.TRAIN_DTYPE}; "
+                           "stage not run") from None
+
+
 def run_stage(model: MlpModel, features, labels, config: TrainConfig,
               decide, seed: int, select=None) -> tuple[MlpModel, StageReport]:
     """Run one training stage from the given parameters: the loop behind
@@ -230,8 +243,8 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     report.json and curves.tsv stay byte-comparable across versions.
 
     The model trains in numcore.TRAIN_DTYPE, float32, and a model of another
-    dtype is a ValidationError. The features are cast to it once per stage;
-    a finite feature beyond float32's range is a NumericError.
+    dtype is a ValidationError. The features go through training_features,
+    which copies nothing when they are float32 already.
 
     Returns the trained parameters and the per-iteration report; the input
     model is not mutated. When `select` is given, a function from a model to
@@ -244,13 +257,7 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     if model.theta.dtype != numcore.TRAIN_DTYPE:
         raise ValidationError(f"a stage trains {numcore.TRAIN_DTYPE} parameters, "
                               f"got {model.theta.dtype}")
-    try:
-        # a NaN or infinity casts quietly, and the first forward rejects it
-        with np.errstate(over="raise", invalid="ignore"):
-            features = np.asarray(features).astype(numcore.TRAIN_DTYPE, copy=False)
-    except FloatingPointError:
-        raise NumericError(f"features overflow {numcore.TRAIN_DTYPE}; "
-                           "stage not run") from None
+    features = training_features(features)
     labels = np.asarray(labels)
     n, batch_size = features.shape[0], config.batch_size
     # short trailing batches are dropped so K is constant

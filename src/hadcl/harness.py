@@ -229,16 +229,25 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(d, config_hash=hashlib.sha256(raw).hexdigest())
 
 
+def _logits(model: numcore.MlpModel, features) -> np.ndarray:
+    """The logits every score is made from: the model cast up to float64
+    (exact) and forwarded in float64, so every score and statistic of a
+    model trained in float32 is a float64 one."""
+    return numcore.forward(model.astype(np.float64), features)
+
+
 def positive_probs(model: numcore.MlpModel, features) -> np.ndarray:
-    """Each row's softmax probability of class 1, from the float64 forward
-    pass of the model cast up, as _scored scores."""
-    logits = numcore.forward(model.astype(np.float64), features)
-    return numcore.softmax(logits)[:, 1]
+    """Each row's softmax probability of class 1, from _logits."""
+    return numcore.softmax(_logits(model, features))[:, 1]
 
 
 def _build_datasets(config: ExperimentConfig, seed: int):
-    """The target splits of a seed: train, validation, test and OOD test."""
-    target_train = data.generate_blobs(config.target, draw_seed=seed)
+    """The target splits of a seed: train, validation, test and OOD test.
+    The train split is the (features, labels) its stages read, the features
+    in float32 (curriculum.training_features, whose NumericError it
+    raises); its float64 draw is freed before the other splits are drawn."""
+    train = data.generate_blobs(config.target, draw_seed=seed)
+    train = curriculum.training_features(train.features), train.labels
     clean = replace(config.target, noise_fraction=0.0)
     val = data.generate_blobs(replace(clean, per_class=config.eval.val_per_class),
                               draw_seed=seed + _VAL_OFFSET)
@@ -246,16 +255,14 @@ def _build_datasets(config: ExperimentConfig, seed: int):
                                draw_seed=seed + _TEST_OFFSET)
     test_ood = data.apply_domain_shift(
         test, replace(config.shift, seed=config.shift.seed + seed))
-    return target_train, val, test, test_ood
+    return train, val, test, test_ood
 
 
 def _scored(model, ds: data.Dataset) -> metrics.ScoredOutcomes:
     """A split's labels and the model's score of each row, its logit margin
     l1 - l0, which every AUC, CI, paired test and accuracy (margin > 0)
-    ranks: softmax would round distinct margins to tied 0.0s and 1.0s. The
-    model is cast up to float64 (exact) and forwarded in float64, so every
-    score and statistic of a model trained in float32 is a float64 one."""
-    logits = numcore.forward(model.astype(np.float64), ds.features)
+    ranks: softmax would round distinct margins to tied 0.0s and 1.0s."""
+    logits = _logits(model, ds.features)
     return metrics.ScoredOutcomes(logits[:, 1] - logits[:, 0], ds.labels)
 
 
@@ -325,22 +332,30 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
 
     pretrained = numcore.init_model(config.target.dim, config.hidden,
                                     config.target.n_classes, seed=1000 + seed)
+
+    def failed(error):
+        # every cell of the seed starts from the pretrained model and trains
+        # on the target train split
+        return [{"strategy": row.name, "seed": seed, "status": "failed",
+                 "error": error, "wall_clock": 0.0} for row in plan.values()]
+
     if config.pretrain.epochs > 0:
         # the source set serves only to pretrain, so it is drawn here and
         # freed before the target splits are drawn: each generator seeds
         # its own stream, so the order of the draws changes no bytes
         source = data.generate_blobs(config.source, draw_seed=seed)
         try:
-            pretrained = curriculum.finetune_plain(
-                pretrained, source.features, source.labels,
-                config.pretrain, seed=2000 + seed)[0]
+            # training reads only the float32 copy, so the draw is freed here
+            source = (curriculum.training_features(source.features), source.labels)
+            pretrained = curriculum.finetune_plain(pretrained, *source, config.pretrain,
+                                                   seed=2000 + seed)[0]
         except (NumericError, ValidationError) as exc:
-            # every cell of the seed starts from the pretrained model
-            return [{"strategy": row.name, "seed": seed, "status": "failed",
-                     "error": f"pretraining: {exc}", "wall_clock": 0.0}
-                    for row in plan.values()]
+            return failed(f"pretraining: {exc}")
         del source
-    target_train, val, test, test_ood = _build_datasets(config, seed)
+    try:
+        train, val, test, test_ood = _build_datasets(config, seed)
+    except NumericError as exc:
+        return failed(f"target train split: {exc}")
 
     cells = []
     cohorts = None  # slide cohorts, generated when first needed
@@ -371,9 +386,8 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
                 raise ValidationError(f"{row.name} starts from the {row.start} "
                                       f"parameters, but {row.start} failed: {error}")
             model, report = curriculum.run_stage(
-                model, target_train.features, target_train.labels, stage,
-                getattr(curriculum, row.decide), seed=row.shuffle_offset + seed,
-                select=val_auc if row.select else None)
+                model, *train, stage, getattr(curriculum, row.decide),
+                seed=row.shuffle_offset + seed, select=val_auc if row.select else None)
             key = model.theta.tobytes()
             if key not in results:
                 if key not in val_scored:  # a stage without select

@@ -12,10 +12,14 @@ from hadcl import numcore
 # chain (libcst, mypy_extensions) raises a DeprecationWarning. The tests make
 # that warning an error, which would end the session with an INTERNALERROR
 # at the first such failure, so it is imported here, once, with the warning
-# ignored.
+# ignored. Without libcst (Hypothesis's optional codemods extra) the module
+# does not import, Hypothesis's plugin skips it too, and nothing is needed.
 with warnings.catch_warnings():
     warnings.simplefilter("ignore", DeprecationWarning)
-    import hypothesis.extra._patching  # noqa: F401
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def _garbage_buffers(rows, model):

@@ -1067,6 +1067,49 @@ class TestFloat64Scoring:
         assert report.all_ok
         assert set(calls) == {("float32", False), ("float64", True)}
 
+    def test_each_train_split_is_held_once_in_float32(self, monkeypatch):
+        # pretraining gets the source split's float32 copy, and every cell
+        # of a seed the one float32 copy of its target train split
+        features, run_stage = [], curriculum.run_stage
+
+        def recording(model, x, *args, **kwargs):
+            features.append(x)
+            return run_stage(model, x, *args, **kwargs)
+
+        monkeypatch.setattr(curriculum, "run_stage", recording)
+        config = config_from_dict(tiny_dict(seeds=[0, 1]))
+        report = run_experiment(config)
+        assert report.all_ok
+        per_seed = 1 + len(report.cells) // len(config.seeds)
+        assert len(features) == per_seed * len(config.seeds)
+        assert all(x.dtype == np.float32 for x in features)
+        for i, seed in enumerate(config.seeds):
+            pretrain, target, *rest = features[i * per_seed:(i + 1) * per_seed]
+            source = data.generate_blobs(config.source, draw_seed=seed)
+            assert pretrain.tobytes() == source.features.astype(np.float32).tobytes()
+            train = data.generate_blobs(config.target, draw_seed=seed)
+            assert target.tobytes() == train.features.astype(np.float32).tobytes()
+            assert all(x is target for x in rest)
+
+    @pytest.mark.filterwarnings("error")
+    def test_target_features_beyond_float32_fail_every_cell(self, monkeypatch):
+        config = config_from_dict(tiny_dict(seeds=[0]))
+        generate_blobs = data.generate_blobs
+
+        def overflowing(spec, **kwargs):
+            ds = generate_blobs(spec, **kwargs)
+            if spec is config.target:   # the target train split's draw
+                return data.Dataset(ds.features * 1e39, ds.labels)
+            return ds
+
+        monkeypatch.setattr(data, "generate_blobs", overflowing)
+        report = run_experiment(config)
+        assert [c["strategy"] for c in report.cells] == list(harness.STRATEGIES)
+        for cell in report.cells:
+            assert cell["status"] == "failed"
+            assert cell["error"] == ("target train split: features overflow "
+                                     "float32; stage not run")
+
 
 class TestGoldenReport:
     # sha256 of a seeded run's cells without wall_clock (json.dumps with
