@@ -307,6 +307,8 @@ def _slide_cohorts(config: ExperimentConfig, seed: int):
 
 
 def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
+    # cast once here: positive_probs casts only a model not yet float64
+    model = model.astype(np.float64)
     f_train, y_train = _slide_features(model, train, spec)
     f_test, y_test = _slide_features(model, test, spec)
     clf = slidelevel.train_slide_classifier(f_train, y_train)

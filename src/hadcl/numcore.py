@@ -35,15 +35,32 @@ their last forward, covered every row of the batch. Adam takes the folded
 form of Kingma & Ba (one scalar step size, no bias-corrected moment arrays)
 and updates its moments in place with two scratch vectors held by the
 OptimizerState, in the operation order of its expression, so the bits are
-those of fresh arrays. The step's sums and maxima call the ufunc's
-reduce directly (np.add.reduce for a sum or a mean) and its checks the
-ndarray's all/any, so no call goes through fromnumeric's Python layers; the
-bits are those of the calls they replace. What a step still allocates:
-vectors of B or B x classes elements (the label gather and the finite and
-NaN checks), the decision's ranking and index arrays, a row subset's
-gathered rows, and NumPy's own iterator scratch for the broadcast bias adds
-and the products with a boolean mask, at most 8192 elements (a whole
-50 x 96 activation at the reference shape).
+those of fresh arrays.
+
+Each operation along the rows of a (rows, C) array of logits, exp or
+softmax makes one call per column, since NumPy would run one inner loop of
+C elements per row (at B=512 and C=2 that was about 15% of a step): the
+row maxima and sums (`_reduce_columns`), the shift by the maxima and the
+divide by the sums (`_by_columns`), `logits += b3`, and backward's one-hot
+subtract, a fancy-index `-=` that gathers each row's label entry into a
+row-sized temporary and writes it back (one (row, label) pair per row, so
+the bits of np.subtract.at). For fewer than 8 columns these are the bits
+of np.maximum.reduce and np.add.reduce along axis 1, which take the
+columns left to right (add.reduce starts from +0.0, which changes no sum
+of exp values: none is -0.0); from 8 columns on, add.reduce sums in pairs.
+A zero row maximum may come out with the other sign, but it never reaches
+a result: x - 0.0 and x - (-0.0) differ only as +-0.0 at x = +-0.0, whose
+exp is 1.0 either way, and log(sums) >= 0 absorbs it in the losses. Every
+task is binary, so the exp, sums, losses and softmax keep their bits. Other sums
+and maxima call the ufunc's reduce directly (np.add.reduce for a sum or a
+mean) and the checks the ndarray's all/any, so no call goes through
+fromnumeric's Python layers; the bits are those of the calls they replace.
+What a step still allocates: vectors of B or B x classes elements (the
+label gather, the one-hot subtract's temporary and the finite and NaN
+checks), the decision's ranking and index arrays, a row subset's gathered
+rows, and NumPy's own iterator scratch for the hidden layers' broadcast
+bias adds and the products with a boolean mask, at most 8192 elements (a
+whole 50 x 96 activation at the reference shape).
 """
 
 from __future__ import annotations
@@ -107,7 +124,10 @@ class MlpModel:
         return MlpModel(*(getattr(self, name) for name in PARAM_NAMES))
 
     def astype(self, dtype) -> "MlpModel":
-        """A copy whose arrays are `dtype`; float32 to float64 is exact."""
+        """The model in `dtype`: itself when it is in `dtype` already, else a
+        copy; float32 to float64 is exact."""
+        if self.theta.dtype == dtype:
+            return self
         return MlpModel(*(getattr(self, name).astype(dtype) for name in PARAM_NAMES))
 
 
@@ -193,7 +213,8 @@ def forward(model: MlpModel, inputs: np.ndarray,
             _affine_relu(a1, model.w2, model.b2, out=h2[start:stop])
             start = stop
         np.matmul(h2, model.w3, out=logits)
-        logits += model.b3
+        for j in range(logits.shape[1]):  # logits += b3, by column
+            logits[:, j] += model.b3[j]
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logits in forward pass")
     return logits
@@ -207,10 +228,29 @@ def _affine_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray,
     np.maximum(out, 0.0, out=out)
 
 
+def _reduce_columns(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=1, out=out) of a (rows, C >= 2) array, one call
+    per column: the reduce's bits for C < 8 (module docstring)."""
+    ufunc(a[:, 0], a[:, 1], out=out)
+    for j in range(2, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
+def _by_columns(ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc(a, v[:, None], out=out), one call per column of `a`."""
+    for j in range(a.shape[1]):
+        ufunc(a[:, j], v, out=out[:, j])
+    return out
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Each row's softmax of a (rows, C >= 2) array, max-shifted."""
+    e = np.empty_like(logits)
+    per_row = np.empty_like(logits, shape=len(logits))
+    _by_columns(np.subtract, logits, _reduce_columns(np.maximum, logits, per_row), e)
+    np.exp(e, out=e)
+    return _by_columns(np.divide, e, _reduce_columns(np.add, e, per_row), e)
 
 
 def per_sample_cross_entropy(logits: np.ndarray, labels,
@@ -222,8 +262,8 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
     and the losses returned are a view, in the buffers' dtype."""
     logits = np.asarray(logits, dtype=buffers.losses.dtype)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise DimensionError("logits must be (B, C) with one label per row")
+    if logits.ndim != 2 or logits.shape[1] < 2 or labels.shape != (logits.shape[0],):
+        raise DimensionError("logits must be (B, C >= 2) with one label per row")
     n, n_classes = logits.shape
     if labels.dtype.kind not in "iu":
         raise ValidationError("labels must be integers")
@@ -238,10 +278,10 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
     with np.errstate(over="ignore"):
         # the row maxima, exp(logits - max) and its row sums: the bits
         # `softmax` computes on its way
-        np.maximum.reduce(logits, axis=1, out=shift)
-        np.subtract(logits, shift[:, None], out=e)
+        _reduce_columns(np.maximum, logits, shift)
+        _by_columns(np.subtract, logits, shift, e)
         np.exp(e, out=e)
-        np.add.reduce(e, axis=1, out=sums)
+        _reduce_columns(np.add, e, sums)
         # lse - logits[label], with lse = shift + log(sums)
         np.log(sums, out=losses)
         losses += shift
@@ -294,10 +334,10 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
 
     # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
     # loss pass's exp and row sums
-    d_logits = np.divide(buffers.exp[rows], buffers.sums[rows, None],
-                         out=buffers.d_logits[:m])
+    d_logits = _by_columns(np.divide, buffers.exp[rows], buffers.sums[rows],
+                           buffers.d_logits[:m])
     # one (row, label) pair per row, so this subtracts 1.0 once from each
-    np.subtract.at(d_logits, (buffers.rows[:m], labels), 1.0)
+    d_logits[buffers.rows[:m], labels] -= 1.0
     d_logits /= m
 
     d_h1, d_h2 = buffers.d_h1[:m], buffers.d_h2[:m]

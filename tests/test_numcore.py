@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -177,6 +178,98 @@ class TestCrossEntropy:
         rng = np.random.default_rng(9)
         losses = loss_pass(rng.normal(size=(200, 5)), rng.integers(0, 5, 200))
         assert (losses >= 0.0).all()
+
+    def test_one_column_rejected(self):
+        with pytest.raises(DimensionError, match="C >= 2"):
+            per_sample_cross_entropy(np.zeros((3, 1)), [0, 0, 0],
+                                     StepBuffers(3, init_model(1, 1, 2, seed=0)))
+
+
+def column_logits(rng, n_classes, dtype):
+    """Logits that the column forms could get wrong if any can: every sign
+    pattern of an all-zero row (so both columns +-0.0 in all four pairs at
+    two columns), zero maxima beside negative columns, ties at the maximum,
+    columns further apart than float32's exp underflow (about 104) and
+    float64's (about 745), and random rows of several scales, enough of
+    them that NumPy's unrolled and SIMD loops run."""
+    rows = [list(p) for p in itertools.product([0.0, -0.0], repeat=n_classes)]
+    for s0, s1 in itertools.product([0.0, -0.0], repeat=2):
+        rows.append([s0, s1] + [-1.5] * (n_classes - 2))
+        rows.append([-2.0] * (n_classes - 2) + [s0, s1])
+    for v in (-3.25, 0.5, 7.0):
+        rows.append([v] * n_classes)  # all tied
+        rows.append([v, v] + [v - 1.0] * (n_classes - 2))  # tied at the max
+    for gap in (105.0, 110.0, 800.0, 1e4):
+        rows.append([0.0] + [-gap] * (n_classes - 1))
+        rows.append([-gap] * (n_classes - 1) + [3.0])
+        rows.append([gap / 2] + [-gap / 2] * (n_classes - 1))
+    for scale in (1e-3, 1.0, 40.0, 300.0):
+        rows.extend(scale * rng.normal(size=(150, n_classes)))
+    return np.array(rows, dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n_classes", range(2, 8))
+class TestColumnForms:
+    """The step's row maxima, sums, shift, divide and bias add go one call
+    per column. Below 8 columns they must give, byte for byte, the exp, sums,
+    losses, softmax, d_logits and logits of the reduce and broadcast
+    expressions, computed here inline (not through numcore.softmax). A zero
+    row maximum may differ in sign, so the maxima are compared by value."""
+
+    def reference(self, logits, labels):
+        shift = np.maximum.reduce(logits, axis=1)
+        e = np.exp(logits - shift[:, None])
+        sums = np.add.reduce(e, axis=1)
+        losses = np.log(sums) + shift - logits[np.arange(len(logits)), labels]
+        return shift, e, sums, np.maximum(losses, 0.0)
+
+    def test_loss_pass_and_softmax(self, n_classes, dtype):
+        rng = np.random.default_rng(n_classes)
+        logits = column_logits(rng, n_classes, dtype)
+        labels = rng.integers(0, n_classes, len(logits))
+        shift, e, sums, losses = self.reference(logits, labels)
+        buffers = StepBuffers(len(logits), init_model(1, 1, n_classes, seed=0).astype(dtype))
+        got = per_sample_cross_entropy(logits, labels, buffers)
+        n = len(logits)
+        assert (buffers.shift[:n] == shift).all()
+        assert buffers.exp[:n].tobytes() == e.tobytes()
+        assert buffers.sums[:n].tobytes() == sums.tobytes()
+        assert got.tobytes() == losses.tobytes()
+        softmax = numcore.softmax(logits)
+        assert softmax.dtype == dtype
+        assert softmax.tobytes() == (e / sums[:, None]).tobytes()
+
+    def test_backward_d_logits(self, n_classes, dtype):
+        # the loss pass of the special logits beside a forward of random
+        # inputs: backward builds d_logits from that pass's exp and sums
+        rng = np.random.default_rng(10 + n_classes)
+        logits = column_logits(rng, n_classes, dtype)
+        n = len(logits)
+        labels = rng.integers(0, n_classes, n)
+        _, e, sums, _ = self.reference(logits, labels)
+        m = init_model(3, 4, n_classes, seed=n_classes).astype(dtype)
+        x = rng.normal(size=(n, 3)).astype(dtype)
+        subset = np.sort(rng.choice(n, size=n // 3, replace=False))
+        for rows in (np.arange(n), subset):
+            buffers = StepBuffers(n, m)
+            forward(m, x, buffers)
+            per_sample_cross_entropy(logits, labels, buffers)
+            backward(m, x, labels, None if len(rows) == n else rows, buffers, m.copy())
+            want = e[rows] / sums[rows, None]
+            np.subtract.at(want, (np.arange(len(rows)), labels[rows]), 1.0)
+            want /= len(rows)
+            assert buffers.d_logits[:len(rows)].tobytes() == want.tobytes()
+
+    def test_forward_bias_add(self, n_classes, dtype):
+        rng = np.random.default_rng(20 + n_classes)
+        m = init_model(3, 5, n_classes, seed=n_classes).astype(dtype)
+        m.b3[:] = rng.normal(size=n_classes)
+        x = rng.normal(size=(600, 3))
+        buffers = StepBuffers(600, m)
+        got = forward(m, x, buffers)
+        assert got.tobytes() == (np.matmul(buffers.h2, m.w3) + m.b3).tobytes()
+        assert forward(m, x).tobytes() == got.tobytes()
 
 
 def masked_mean_loss(model, x, y, mask):
@@ -621,6 +714,12 @@ class TestFlatLayout:
         assert up.astype(np.float32).theta.tobytes() == m.theta.tobytes()
         assert up.copy().theta.dtype == np.float64
         assert m.copy().theta.dtype == np.float32
+
+    def test_astype_to_its_own_dtype_is_the_model(self):
+        m = init_model(5, 7, 3, seed=4)
+        up = m.astype(np.float64)
+        assert m.astype(np.float32) is m and up.astype(np.float64) is up
+        assert not np.shares_memory(up.theta, m.theta)
 
     def test_copy_is_independent(self):
         m = init_model(5, 7, 3, seed=4)
