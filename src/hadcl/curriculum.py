@@ -14,6 +14,9 @@ Plain fine-tuning and both stages share one training loop; they differ only
 in the decision function it calls once per mini-batch. Each stage's
 hyperparameters are one TrainConfig (epochs, lr schedule, batch size), or one
 CurriculumTrainConfig (plus alpha, a and b), which checks its own values.
+The loop also trains a stack of trajectories in lockstep, one numcore stack
+whose every update takes the whole batch, as the harness pretrains and
+trains the baseline: each trajectory keeps the bits it has alone.
 """
 
 from __future__ import annotations
@@ -224,7 +227,7 @@ def training_features(features) -> np.ndarray:
 
 
 def run_stage(model: MlpModel, features, labels, config: TrainConfig,
-              decide, seed: int, select=None) -> tuple[MlpModel, StageReport]:
+              decide, seed, select=None):
     """Run one training stage from the given parameters: the loop behind
     plain, stage-1 and stage-2 fine-tuning.
 
@@ -251,85 +254,184 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     its score, the parameters kept are those of the epoch that scores
     highest (earliest epoch on ties); otherwise the final-epoch parameters
     are returned.
+
+    A list `seed` trains a stack of trajectories in lockstep, one per seed:
+    `model`, `features` and `labels` are then lists too, one entry each, and
+    the trajectories share `config`, `decide` and `select`. Their training
+    sets must have one shape and one label dtype. They train as one
+    numcore stack (numcore.MlpModel.stack): each step gathers every
+    trajectory's batch from its own features, and forward, the loss pass,
+    backward and adam_step run once on the whole stack, which gives each
+    trajectory the bits it gets alone. So the updates of a stack of more
+    than one must all take the whole batch; a row subset is a
+    ValidationError. A NumericError ends only the trajectories it names,
+    each with the message it gets alone, and the rest go on. The call
+    returns a list with each trajectory's (model, report), or the
+    NumericError that ended it.
     """
+    stacked = isinstance(seed, list)
+    if not stacked:
+        model, features, labels, seed = [model], [features], [labels], [seed]
     if not isinstance(config, CurriculumTrainConfig):
         config = CurriculumTrainConfig(**vars(config), alpha=1.0, a=0.7, b=0.2)
-    if model.theta.dtype != numcore.TRAIN_DTYPE:
-        raise ValidationError(f"a stage trains {numcore.TRAIN_DTYPE} parameters, "
-                              f"got {model.theta.dtype}")
-    features = training_features(features)
-    labels = np.asarray(labels)
-    n, batch_size = features.shape[0], config.batch_size
+    for m in model:
+        if m.theta.dtype != numcore.TRAIN_DTYPE:
+            raise ValidationError(f"a stage trains {numcore.TRAIN_DTYPE} parameters, "
+                                  f"got {m.theta.dtype}")
+    features = [training_features(f) for f in features]
+    labels = [np.asarray(y) for y in labels]
+    if not len(model) == len(features) == len(labels) == len(seed) > 0:
+        raise ValidationError("a stack needs one model, feature set, label set "
+                              "and seed per trajectory")
+    if any(f.shape != features[0].shape or y.dtype != labels[0].dtype
+           for f, y in zip(features, labels)):
+        raise ValidationError("a stack's training sets must have one shape and "
+                              "one label dtype")
+    n, batch_size = features[0].shape[0], config.batch_size
     # short trailing batches are dropped so K is constant
     n_batches = n // batch_size
     if n_batches < 1:
         raise ValidationError(
             f"dataset of {n} samples yields no full batch of size {batch_size}")
 
-    model = model.copy()
+    # the trajectories by position in the stack: `active` holds the index of
+    # each one still training, and `results` what each one ended with. One
+    # trajectory trains in the arrays of one model, which skip the stack's
+    # indexing, several in a stack's; by_trajectory views either kind of
+    # array with one row per trajectory.
+    active, results = list(range(len(seed))), [None] * len(seed)
+    one = len(seed) == 1
+    stack = model[0].copy() if one else MlpModel.stack(model)
     state = OptimizerState()
-    # each step gathers its batch into x and y, and forward, the loss pass,
-    # backward and adam_step write into buffers made here; backward reads
-    # the ranking pass's activations, softmax and losses of the rows it
-    # updates on from them
-    x = np.empty((batch_size, *features.shape[1:]), features.dtype)
-    y = np.empty(batch_size, dtype=labels.dtype)
-    buffers, grads = numcore.StepBuffers(batch_size, model), model.copy()
+
+    def by_trajectory(a: np.ndarray) -> np.ndarray:
+        return a[None] if one else a
+
+    def not_finite(a: np.ndarray) -> list:
+        """The stack positions whose row of `a` holds a NaN or infinity."""
+        return np.flatnonzero(~np.isfinite(by_trajectory(a)).all(axis=1)).tolist()
+
+    def trajectory(j: int) -> MlpModel:
+        """The model of the trajectory at stack position j, a copy."""
+        return stack.copy() if one else stack.take(j)
+
+    def arrays(stack):
+        """The batch x and y, which each step gathers, and the buffers that
+        forward, the loss pass, backward and adam_step write; backward reads
+        the ranking pass's activations, softmax and losses of the rows it
+        updates on from them."""
+        lead = stack.theta.shape[:-1]
+        return (np.empty((*lead, batch_size, *features[0].shape[1:]), features[0].dtype),
+                np.empty((*lead, batch_size), labels[0].dtype),
+                numcore.StepBuffers(batch_size, stack), stack.copy())
+
+    def end(failed, where):
+        """Ends the trajectories at the stack positions `failed` (None: all)
+        with the message `where(seed)`; returns the stack of the others, or
+        None if none is left."""
+        failed = range(len(active)) if failed is None else failed
+        for j in failed:
+            results[active[j]] = NumericError(where(seed[active[j]]))
+        keep = [j for j in range(len(active)) if j not in failed]
+        active[:] = [active[j] for j in keep]
+        if not keep:
+            return None
+        if state.m is not None:
+            state.m, state.v = state.m[keep], state.v[keep]
+        state.scratch = None
+        return stack.take(keep)
+
+    x, y, buffers, grads = arrays(stack)
     k = config.top_k
     thresholds = [threshold(t, n_batches, config.a, config.b)
                   for t in range(1, n_batches + 1)]
-    rng = np.random.default_rng(seed)
-    report = StageReport()
-    best_model, best_score = None, -1.0
+    rngs = [np.random.default_rng(s) for s in seed]
+    reports = [StageReport() for _ in seed]
+    best_models, best_scores = [None] * len(seed), [-1.0] * len(seed)
     if select is not None:
         # The incoming parameters compete too: epoch -1 means the stage kept
         # its initial model because no epoch improved its score.
-        best_model = model.copy()
-        best_score = select(model)
-        report.best_epoch = -1
+        for i, m in enumerate(model):
+            best_models[i], best_scores[i] = m.copy(), select(m)
+            reports[i].best_epoch = -1
 
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
-        perm = rng.permutation(n)
+        perms = {i: rngs[i].permutation(n) for i in active}
         for t, thres in enumerate(thresholds, start=1):
-            idx = perm[(t - 1) * batch_size: t * batch_size]
-            # mode="clip" (idx is in range) lets take write straight into out
-            features.take(idx, axis=0, out=x, mode="clip")
-            labels.take(idx, out=y, mode="clip")
-            try:
-                logits = numcore.forward(model, x, buffers)
-                losses = numcore.per_sample_cross_entropy(logits, y, buffers)
-                if not np.isfinite(losses).all():
-                    raise NumericError("non-finite loss")
-                decision = decide(losses, thres, k)
-                mean_loss = numcore.backward(model, x, y, decision.mask,
-                                             buffers, grads)
-                numcore.adam_step(model, grads, state, lr)
-            except NumericError as exc:
-                raise NumericError(f"{exc} at epoch {epoch}, iteration {t} "
-                                   f"(shuffle seed {seed}); run aborted") from None
-            report.records.append(IterationRecord(
-                epoch=epoch, t=t, thres=thres, k=decision.k,
-                k_prime=decision.k_prime, branch=decision.branch,
-                mean_loss=mean_loss, lr=lr))
+            batch = slice((t - 1) * batch_size, t * batch_size)
+            while active:
+                for i, x_i, y_i in zip(active, by_trajectory(x), by_trajectory(y)):
+                    idx = perms[i][batch]
+                    # mode="clip" (idx is in range) lets take write straight
+                    # into out
+                    features[i].take(idx, axis=0, out=x_i, mode="clip")
+                    labels[i].take(idx, out=y_i, mode="clip")
+                try:
+                    logits = numcore.forward(stack, x, buffers)
+                    losses = numcore.per_sample_cross_entropy(logits, y, buffers)
+                    if not np.isfinite(losses).all():
+                        raise NumericError("non-finite loss", slices=not_finite(losses))
+                    decisions = []
+                    for j, row in enumerate(by_trajectory(losses)):
+                        try:
+                            decisions.append(decide(row, thres, k))
+                        except NumericError as exc:
+                            raise NumericError(str(exc), slices=[j]) from None
+                    mask = decisions[0].mask
+                    if len(active) > 1 and any(d.mask is not None for d in decisions):
+                        raise ValidationError("a stack of trajectories updates on "
+                                              "whole batches only")
+                    mean_losses = numcore.backward(stack, x, y, mask, buffers, grads)
+                    numcore.adam_step(stack, grads, state, lr)
+                    break
+                except NumericError as exc:
+                    # the step changed no parameters: it runs again on the
+                    # trajectories left
+                    stack = end(exc.slices, lambda s: f"{exc} at epoch {epoch}, "
+                                f"iteration {t} (shuffle seed {s}); run aborted")
+                    if stack is not None:
+                        x, y, buffers, grads = arrays(stack)
+            if not active:
+                break
+            if one:
+                mean_losses = [mean_losses]
+            for i, d, mean_loss in zip(active, decisions, mean_losses):
+                reports[i].records.append(IterationRecord(
+                    epoch=epoch, t=t, thres=thres, k=d.k, k_prime=d.k_prime,
+                    branch=d.branch, mean_loss=mean_loss, lr=lr))
+        if not active:
+            break
         # the epoch's last update, which no forward pass has checked
-        if not np.isfinite(model.theta).all():
-            raise NumericError(f"non-finite parameters at epoch {epoch}, iteration "
-                               f"{n_batches} (shuffle seed {seed}); run aborted")
+        if not np.isfinite(stack.theta).all():
+            stack = end(not_finite(stack.theta),
+                        lambda s: f"non-finite parameters at epoch {epoch}, iteration "
+                                  f"{n_batches} (shuffle seed {s}); run aborted")
+            if stack is None:
+                break
+            x, y, buffers, grads = arrays(stack)
         if select is not None:
-            score = select(model)
-            if score > best_score:
-                best_model, best_score = model.copy(), score
-                report.best_epoch = epoch
-    if best_model is not None:
-        return best_model, report
-    return model, report
+            for j, i in enumerate(active):
+                trained = trajectory(j)
+                score = select(trained)
+                if score > best_scores[i]:
+                    best_models[i], best_scores[i] = trained, score
+                    reports[i].best_epoch = epoch
+    for j, i in enumerate(active):
+        kept = best_models[i] if select is not None else trajectory(j)
+        results[i] = (kept, reports[i])
+    if stacked:
+        return results
+    if isinstance(results[0], NumericError):
+        raise results[0]
+    return results[0]
 
 
 def finetune_plain(model: MlpModel, features, labels, config: TrainConfig,
-                   seed: int) -> tuple[MlpModel, StageReport]:
+                   seed) -> tuple[MlpModel, StageReport]:
     """Plain fine-tuning, every update on the whole mini-batch, as the
-    pretraining of run_seed and the baseline row of STRATEGY_TABLE run it."""
+    pretraining of the harness and the baseline row of STRATEGY_TABLE run
+    it; a list `seed` trains a stack of trajectories, as in run_stage."""
     return run_stage(model, features, labels, config, _decide_whole_batch, seed)
 
 

@@ -241,13 +241,21 @@ def positive_probs(model: numcore.MlpModel, features) -> np.ndarray:
     return numcore.softmax(_logits(model, features))[:, 1]
 
 
-def _build_datasets(config: ExperimentConfig, seed: int):
+def _train_split(spec: data.BlobTaskSpec, seed: int) -> tuple:
+    """The (features, labels) a stage trains on, drawn from `spec` for
+    `seed`: the features in float32 (curriculum.training_features, whose
+    NumericError it raises), their float64 draw freed once the copy is
+    made."""
+    ds = data.generate_blobs(spec, draw_seed=seed)
+    return curriculum.training_features(ds.features), ds.labels
+
+
+def _build_datasets(config: ExperimentConfig, seed: int, train=None):
     """The target splits of a seed: train, validation, test and OOD test.
-    The train split is the (features, labels) its stages read, the features
-    in float32 (curriculum.training_features, whose NumericError it
-    raises); its float64 draw is freed before the other splits are drawn."""
-    train = data.generate_blobs(config.target, draw_seed=seed)
-    train = curriculum.training_features(train.features), train.labels
+    The train split is `train`, the seed's _train_split of the target if
+    drawn already, or else drawn here."""
+    if train is None:
+        train = _train_split(config.target, seed)
     clean = replace(config.target, noise_fraction=0.0)
     val = data.generate_blobs(replace(clean, per_class=config.eval.val_per_class),
                               draw_seed=seed + _VAL_OFFSET)
@@ -315,12 +323,12 @@ def _evaluate_slides(model, spec: data.SlideSpec, train, test) -> dict:
     return _delong_split(metrics.ScoredOutcomes(clf.predict(f_test), y_test))
 
 
-def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
-    """One seed's cells, all from its one pretrained model: one per row of
-    curriculum.STRATEGY_TABLE that config.strategies names, in table order,
-    with the curriculum1 section set to each config in `stage1` in turn. A
-    cell the same for two of those configs (the same row, stage config and
-    start), such as the baseline's, is trained and listed once."""
+def _plan(config: ExperimentConfig, stage1) -> dict:
+    """The cells of a seed, in cell order, as (strategy, stage config,
+    start's key) -> its row of curriculum.STRATEGY_TABLE: one per row that
+    config.strategies names, with the curriculum1 section set to each config
+    in `stage1` in turn. A cell the same for two of those configs (the same
+    row, stage config and start), such as the baseline's, is listed once."""
     plan, keys = {}, {}  # (strategy, stage, start's key) -> row; strategy -> key
     for stage in stage1:
         run = replace(config, curriculum1=stage)
@@ -329,35 +337,120 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
                 keys[row.name] = (row.name, getattr(run, row.section),
                                   keys.get(row.start))
                 plan.setdefault(keys[row.name], row)
+    return plan
+
+
+def _stacks(row: curriculum.Strategy) -> bool:
+    """Whether a row's cells train as one stack per chunk of seeds: they
+    start from theta_0, update on whole batches and keep their last epoch,
+    as the baseline's do."""
+    return row.start is None and row.decide == "_decide_whole_batch" and not row.select
+
+
+@dataclass
+class _Start:
+    """What a seed's cells start from, as _plain_stacks trains it: the
+    pretrained model theta_0 and the target train split, or the error every
+    cell of the seed fails with; and, by plan key, what the stack of each
+    row that _stacks gave the seed: run_stage's (model, report) or the
+    exception that ended it, with the stack's seconds per trajectory."""
+
+    pretrained: numcore.MlpModel
+    train: tuple | None = None
+    failure: str | None = None
+    stacked: dict = field(default_factory=dict)
+
+
+def _plain_stacks(config: ExperimentConfig, seeds, plan: dict) -> list:
+    """Each seed's _Start, trained for all of `seeds` at once: their
+    pretraining as one stack, then each row of `plan` that _stacks as one
+    stack. Each seed draws its source split only to pretrain (not at all
+    with pretrain.epochs 0), and the chunk's source splits are freed before
+    any target split is drawn: each generator seeds its own stream, so the
+    order of the draws changes no bytes. A seed whose split or trajectory
+    fails leaves the stacks after it; the others keep their bits."""
+    starts = [_Start(numcore.init_model(config.target.dim, config.hidden,
+                                        config.target.n_classes, seed=1000 + seed))
+              for seed in seeds]
+
+    def ok() -> list:
+        return [(seed, start) for seed, start in zip(seeds, starts)
+                if start.failure is None]
+
+    def draw(spec, failure: str) -> None:
+        for seed, start in ok():
+            try:
+                start.train = _train_split(spec, seed)
+            except NumericError as exc:
+                start.failure = f"{failure}: {exc}"
+
+    def stack(train, section, offset: int) -> tuple:
+        """The seeds still ok, as (seed, start) pairs, and the result of
+        train(models, features, labels, section, seed=seeds) on them: one
+        per seed, a ValidationError of the whole stack each seed's."""
+        chunk = ok()
+        try:
+            return chunk, train([start.pretrained for _, start in chunk],
+                                [start.train[0] for _, start in chunk],
+                                [start.train[1] for _, start in chunk], section,
+                                seed=[offset + seed for seed, _ in chunk])
+        except ValidationError as exc:
+            return chunk, [exc] * len(chunk)
+
+    if config.pretrain.epochs > 0:
+        draw(config.source, "pretraining")
+        if ok():
+            for (_, start), result in zip(*stack(curriculum.finetune_plain,
+                                                 config.pretrain, 2000)):
+                if isinstance(result, tuple):
+                    start.pretrained = result[0]
+                else:
+                    start.failure = f"pretraining: {result}"
+        for start in starts:
+            start.train = None
+    draw(config.target, "target train split")
+    for key, row in plan.items():
+        if _stacks(row) and ok():
+            clock = time.perf_counter()
+            chunk, results = stack(
+                partial(curriculum.run_stage, decide=getattr(curriculum, row.decide)),
+                key[1], row.shuffle_offset)
+            seconds = (time.perf_counter() - clock) / len(chunk)
+            for (_, start), result in zip(chunk, results):
+                start.stacked[key] = (result, seconds)
+    return starts
+
+
+def run_seeds(config: ExperimentConfig, seeds, stage1) -> list:
+    """run_seed's cells for each of `seeds`, a chunk of seeds that trains
+    its plain stages in lockstep: the chunk's pretraining, and each row that
+    _stacks, run as one stack (_plain_stacks), then run_seed trains and
+    scores the rest of each seed in turn."""
+    plan = _plan(config, stage1)
+    if not plan:
+        return [[] for _ in seeds]
+    # each seed's start is let go once its cells are made
+    starts = _plain_stacks(config, seeds, plan)[::-1]
+    return [run_seed(config, seed, stage1, starts.pop()) for seed in seeds]
+
+
+def run_seed(config: ExperimentConfig, seed: int, stage1, start=None) -> list[dict]:
+    """One seed's cells, all from its one pretrained model: one per entry
+    of _plan(config, stage1), in plan order; the cells of rows that _stacks,
+    such as the baseline's, as `start`, what _plain_stacks trained for the
+    seed in its chunk, holds them. Without `start` the seed trains its own,
+    as a chunk of one."""
+    plan = _plan(config, stage1)
     if not plan:
         return []
-
-    pretrained = numcore.init_model(config.target.dim, config.hidden,
-                                    config.target.n_classes, seed=1000 + seed)
-
-    def failed(error):
+    if start is None:
+        [start] = _plain_stacks(config, [seed], plan)
+    if start.failure is not None:
         # every cell of the seed starts from the pretrained model and trains
         # on the target train split
         return [{"strategy": row.name, "seed": seed, "status": "failed",
-                 "error": error, "wall_clock": 0.0} for row in plan.values()]
-
-    if config.pretrain.epochs > 0:
-        # the source set serves only to pretrain, so it is drawn here and
-        # freed before the target splits are drawn: each generator seeds
-        # its own stream, so the order of the draws changes no bytes
-        source = data.generate_blobs(config.source, draw_seed=seed)
-        try:
-            # training reads only the float32 copy, so the draw is freed here
-            source = (curriculum.training_features(source.features), source.labels)
-            pretrained = curriculum.finetune_plain(pretrained, *source, config.pretrain,
-                                                   seed=2000 + seed)[0]
-        except (NumericError, ValidationError) as exc:
-            return failed(f"pretraining: {exc}")
-        del source
-    try:
-        train, val, test, test_ood = _build_datasets(config, seed)
-    except NumericError as exc:
-        return failed(f"target train split: {exc}")
+                 "error": start.failure, "wall_clock": 0.0} for row in plan.values()]
+    train, val, test, test_ood = _build_datasets(config, seed, start.train)
 
     cells = []
     cohorts = None  # slide cohorts, generated when first needed
@@ -378,18 +471,27 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
         return metrics.auc(val_scored[key])
 
     # strategy -> the model, result and error of its last cell; None -> theta_0
-    last = {None: (pretrained, None, None)}
-    for (_, stage, _), row in plan.items():
-        start = time.perf_counter()
+    last = {None: (start.pretrained, None, None)}
+    for plan_key, row in plan.items():
+        clock = time.perf_counter()
         cell = {"strategy": row.name, "seed": seed, "status": "ok"}
         try:
             model, _, error = last[row.start]
             if error is not None:
                 raise ValidationError(f"{row.name} starts from the {row.start} "
                                       f"parameters, but {row.start} failed: {error}")
-            model, report = curriculum.run_stage(
-                model, *train, stage, getattr(curriculum, row.decide),
-                seed=row.shuffle_offset + seed, select=val_auc if row.select else None)
+            if plan_key in start.stacked:
+                # trained in the chunk's stack, of whose time it takes its share
+                result, seconds = start.stacked[plan_key]
+                clock -= seconds
+                if isinstance(result, Exception):
+                    raise result
+                model, report = result
+            else:
+                model, report = curriculum.run_stage(
+                    model, *train, plan_key[1], getattr(curriculum, row.decide),
+                    seed=row.shuffle_offset + seed,
+                    select=val_auc if row.select else None)
             key = model.theta.tobytes()
             if key not in results:
                 if key not in val_scored:  # a stage without select
@@ -423,7 +525,7 @@ def run_seed(config: ExperimentConfig, seed: int, stage1) -> list[dict]:
             cell["status"] = "failed"
             cell["error"] = str(exc)
         val_scored.clear()
-        cell["wall_clock"] = time.perf_counter() - start
+        cell["wall_clock"] = time.perf_counter() - clock
         cells.append(cell)
         last[row.name] = (model, result, cell.get("error"))
     return cells
@@ -510,26 +612,45 @@ def _single_threaded_env():
                 os.environ[name] = value
 
 
-def _per_seed(run, seeds, workers: int) -> list:
-    """[run(seed) for seed in seeds], on `workers` processes if more than one.
+def _per_seed(run, items, workers: int) -> list:
+    """[run(item) for item in items], on up to `workers` processes if
+    `workers` is more than one.
 
     The workers are fresh interpreters (the spawn start method) that load
     NumPy with single-threaded BLAS, so `workers` processes use `workers`
     cores; a forked worker would keep the parent's BLAS thread pool, already
-    sized when NumPy loaded. Each seed is deterministic, so the result does
+    sized when NumPy loaded. Each item is deterministic, so the result does
     not depend on `workers`."""
     check_workers(workers)
     if workers == 1:
-        return [run(seed) for seed in seeds]
+        return [run(item) for item in items]
     with _single_threaded_env(), concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers,
+            max_workers=min(workers, len(items)),
             mp_context=multiprocessing.get_context("spawn")) as pool:
-        return list(pool.map(run, seeds))
+        return list(pool.map(run, items))
+
+
+def _chunks(seeds, n: int) -> list:
+    """`seeds` in order, in n contiguous chunks whose sizes differ by at
+    most one, the larger first: 5 seeds in 2 chunks are 3 + 2."""
+    size, extra = divmod(len(seeds), n)
+    bounds = list(itertools.accumulate(
+        [size + 1] * extra + [size] * (n - extra), initial=0))
+    return [tuple(seeds[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def _per_chunk(config: ExperimentConfig, stage1, workers: int) -> list:
+    """Each seed's run_seed cells, in seed order: run_seeds on one chunk of
+    config.seeds per worker, so that a worker trains its seeds' plain stages
+    as one stack; at one worker, one chunk of every seed."""
+    check_workers(workers)
+    chunks = _chunks(config.seeds, min(workers, len(config.seeds)))
+    per_chunk = _per_seed(partial(run_seeds, config, stage1=stage1), chunks, workers)
+    return [cells for chunk in per_chunk for cells in chunk]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> RunReport:
-    per_seed = _per_seed(partial(run_seed, config, stage1=[config.curriculum1]),
-                         config.seeds, workers)
+    per_seed = _per_chunk(config, [config.curriculum1], workers)
     return RunReport(config_hash=config.config_hash,
                      cells=[cell for cells in per_seed for cell in cells])
 
@@ -549,8 +670,7 @@ def run_ablation_alpha(config: ExperimentConfig, alpha_grid,
     training, and each seed pretrains once for every alpha."""
     stage1 = alpha_stages(config, alpha_grid)
     config = replace(config, strategies=("curriculum1",))
-    per_seed = _per_seed(partial(run_seed, config, stage1=stage1), config.seeds,
-                         workers)
+    per_seed = _per_chunk(config, stage1, workers)
     return [RunReport(config.config_hash, list(cells)) for cells in zip(*per_seed)]
 
 

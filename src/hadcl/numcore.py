@@ -61,6 +61,20 @@ checks), the decision's ranking and index arrays, a row subset's gathered
 rows, and NumPy's own iterator scratch for the hidden layers' broadcast
 bias adds and the products with a boolean mask, at most 8192 elements (a
 whole 50 x 96 activation at the reference shape).
+
+A stack of G models (MlpModel.stack) trains G trajectories in lockstep:
+every array of a step, the model, its gradients, the Adam moments and
+scratch and the StepBuffers, gets a leading axis of G, and each function
+runs once on the whole stack. A stacked np.matmul makes one BLAS call per
+model, with that model's shapes and strides; every other operation is
+elementwise, or reduces along the batch axis in the order of a model alone
+(np.add.reduce along axis -2 of (G, B, h) takes each model's rows as it
+takes them along axis 0 of (B, h)); and backward sums each model's mean
+loss in a call of its own. So each model's slice keeps the bits it has
+alone, at about 140 instead of 240 us a step per model for ten models at
+the reference shape (one BLAS thread, a 2-vCPU x86-64 host): a step of
+tiny products costs its calls, which the stack shares. A failed check names the models it failed for in the
+NumericError's `slices`.
 """
 
 from __future__ import annotations
@@ -92,6 +106,13 @@ class MlpModel:
     gradients and the Adam moments share that flat layout. Its dtype is the
     arrays' common float type: float32 as `init_model` makes it and training
     keeps it, float64 as the harness casts it up for scoring.
+
+    A stack of G models of one shape (`stack`) gives each array one leading
+    axis of G: theta is (G, P), one row per model, w1 is (G, in, hidden) and
+    b1 is (G, hidden). Every function of this module takes a stack where it
+    takes a model, with inputs, labels and buffers that carry the same
+    leading axis, and computes each model's slice in the bits it computes
+    for that model alone (module docstring).
     """
 
     w1: np.ndarray
@@ -103,22 +124,38 @@ class MlpModel:
     theta: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.w1.shape[1] != self.w2.shape[0] or self.w2.shape[1] != self.w3.shape[0]:
+        lead = self.w1.shape[:-2]
+        if len(lead) > 1:
+            raise DimensionError("a stack has one leading axis")
+        if self.w1.shape[-1] != self.w2.shape[-2] or self.w2.shape[-1] != self.w3.shape[-2]:
             raise DimensionError("layer shapes do not chain")
         for w, b in ((self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3)):
-            if b.shape != (w.shape[1],):
+            if w.shape[:-2] != lead or b.shape != (*lead, w.shape[-1]):
                 raise DimensionError("bias shape does not match weight fan-out")
         arrays = [getattr(self, name) for name in PARAM_NAMES]
-        self.theta = np.concatenate([a.ravel() for a in arrays],
+        self.theta = np.concatenate([a.reshape(*lead, -1) for a in arrays], axis=-1,
                                     dtype=np.result_type(*arrays, np.float32))
         offset = 0
         for name, a in zip(PARAM_NAMES, arrays):
-            setattr(self, name, self.theta[offset:offset + a.size].reshape(a.shape))
-            offset += a.size
+            size = math.prod(a.shape[len(lead):])
+            setattr(self, name, self.theta[..., offset:offset + size].reshape(a.shape))
+            offset += size
+
+    @classmethod
+    def stack(cls, models) -> "MlpModel":
+        """The models, of one shape, as a stack in their order (a copy)."""
+        return cls(*(np.stack([getattr(m, name) for m in models]) for name in PARAM_NAMES))
+
+    def take(self, index) -> "MlpModel":
+        """Model `index` of a stack as a model of its own, or, for a list of
+        positions, those models as a stack; a copy either way."""
+        if self.theta.ndim != 2:
+            raise DimensionError("take needs a stack of models")
+        return MlpModel(*(getattr(self, name)[index] for name in PARAM_NAMES))
 
     @property
     def in_dim(self) -> int:
-        return self.w1.shape[0]
+        return self.w1.shape[-2]
 
     def copy(self) -> "MlpModel":
         return MlpModel(*(getattr(self, name) for name in PARAM_NAMES))
@@ -137,8 +174,10 @@ class StepBuffers:
     the row maxima `shift`, exp(logits - shift), its row sums `sums` and the
     losses that `per_sample_cross_entropy` writes; and the d_logits, row
     gradients d_h1, d_h2 and ReLU masks relu1, relu2 that `backward` writes.
-    `rows` is arange(rows), the row index of the label gathers. A call on n
-    rows uses the first n rows of each.
+    `rows` is arange(rows), the row index of the label gathers, and `stack`
+    the index of each row's model that precedes it there: () for one model,
+    a (G, 1) column for a stack of G, whose buffers carry its leading axis.
+    A call on n rows uses the first n rows of each.
 
     `loss_rows` is the row count of the loss pass the buffers hold: the loss
     pass sets it, and `forward` clears it to None before it writes new
@@ -146,21 +185,37 @@ class StepBuffers:
     the current logits did not give."""
 
     def __init__(self, rows: int, model: MlpModel):
-        width1, width2 = model.w1.shape[1], model.w2.shape[1]
-        n_classes, dtype = model.w3.shape[1], model.theta.dtype
-        self.h1, self.d_h1 = np.empty((2, rows, width1), dtype=dtype)
-        self.h2, self.d_h2 = np.empty((2, rows, width2), dtype=dtype)
-        self.logits, self.exp, self.d_logits = np.empty((3, rows, n_classes),
+        lead = model.theta.shape[:-1]
+        width1, width2 = model.w1.shape[-1], model.w2.shape[-1]
+        n_classes, dtype = model.w3.shape[-1], model.theta.dtype
+        self.h1, self.d_h1 = np.empty((2, *lead, rows, width1), dtype=dtype)
+        self.h2, self.d_h2 = np.empty((2, *lead, rows, width2), dtype=dtype)
+        self.logits, self.exp, self.d_logits = np.empty((3, *lead, rows, n_classes),
                                                         dtype=dtype)
-        self.shift, self.sums, self.losses = np.empty((3, rows), dtype=dtype)
-        self.relu1 = np.empty((rows, width1), dtype=bool)
-        self.relu2 = np.empty((rows, width2), dtype=bool)
+        self.shift, self.sums, self.losses = np.empty((3, *lead, rows), dtype=dtype)
+        self.relu1 = np.empty((*lead, rows, width1), dtype=bool)
+        self.relu2 = np.empty((*lead, rows, width2), dtype=bool)
         self.rows = np.arange(rows)
+        self.stack = tuple(np.arange(g).reshape(g, 1) for g in lead)
         self.loss_rows = None
 
-    def check_rows(self, n: int) -> None:
-        if n > len(self.h1):
-            raise DimensionError(f"{n} rows exceed the buffers' {len(self.h1)}")
+    def check_rows(self, n: int, lead: tuple = ()) -> None:
+        """Raises DimensionError unless n rows, of a stack of leading shape
+        `lead` (() for one model), fit the buffers."""
+        if lead != self.losses.shape[:-1]:
+            raise DimensionError(f"a stack of shape {lead} does not match the "
+                                 f"buffers' {self.losses.shape[:-1]}")
+        if n > self.losses.shape[-1]:
+            raise DimensionError(f"{n} rows exceed the buffers' {self.losses.shape[-1]}")
+
+
+def _failed(ok: np.ndarray, stacked: bool) -> list | None:
+    """For a stack, the positions of the models whose entries of `ok`, an
+    array with the stack's leading axis, are not all True; None for one
+    model."""
+    if not stacked:
+        return None
+    return np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist()
 
 
 def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
@@ -183,40 +238,45 @@ def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
 
 def forward(model: MlpModel, inputs: np.ndarray,
             buffers: StepBuffers | None = None) -> np.ndarray:
-    """Logits for a batch, in the model's dtype. inputs is (B, d). With
-    `buffers`, the post-ReLU activations h1 and h2, which `backward` reads,
-    and the logits are written into their first B rows, and the logits
-    returned are a view."""
-    dtype = model.theta.dtype
+    """Logits for a batch, in the model's dtype. inputs is (B, d), or
+    (G, B, d) for a stack of G. With `buffers`, the post-ReLU activations h1
+    and h2, which `backward` reads, and the logits are written into their
+    first B rows, and the logits returned are a view. Non-finite logits are
+    a NumericError, whose `slices` name the models of a stack they came
+    from."""
+    dtype, lead = model.theta.dtype, model.theta.shape[:-1]
     x = np.asarray(inputs, dtype=dtype)
-    if x.ndim != 2 or x.shape[1] != model.in_dim:
-        raise DimensionError(
-            f"expected inputs of shape (B, {model.in_dim}), got {x.shape}")
-    n = x.shape[0]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != model.in_dim:
+        shape = ", ".join(map(str, (*lead, "B", model.in_dim)))
+        raise DimensionError(f"expected inputs of shape ({shape}), got {x.shape}")
+    n = x.shape[-2]
     if buffers is None:
         # h1 is one block's scratch, reused by every block
-        h1 = np.empty((min(n, BLOCK_ROWS + 1), model.w1.shape[1]), dtype)
-        h2 = np.empty((n, model.w2.shape[1]), dtype)
-        logits = np.empty((n, model.w3.shape[1]), dtype)
+        h1 = np.empty((*lead, min(n, BLOCK_ROWS + 1), model.w1.shape[-1]), dtype)
+        h2 = np.empty((*lead, n, model.w2.shape[-1]), dtype)
+        logits = np.empty((*lead, n, model.w3.shape[-1]), dtype)
     else:
-        buffers.check_rows(n)
+        buffers.check_rows(n, lead)
         buffers.loss_rows = None  # the logits are about to change
-        h1, h2, logits = buffers.h1[:n], buffers.h2[:n], buffers.logits[:n]
+        h1, h2 = buffers.h1[..., :n, :], buffers.h2[..., :n, :]
+        logits = buffers.logits[..., :n, :]
     with np.errstate(over="ignore", invalid="ignore"):  # raised just below
         start = 0
         while start < n:
             stop = start + BLOCK_ROWS
             if stop >= n - 1:  # no one-row last block (module docstring)
                 stop = n
-            a1 = h1[:stop - start] if buffers is None else h1[start:stop]
-            _affine_relu(x[start:stop], model.w1, model.b1, out=a1)
-            _affine_relu(a1, model.w2, model.b2, out=h2[start:stop])
+            a1 = h1[..., :stop - start, :] if buffers is None else h1[..., start:stop, :]
+            _affine_relu(x[..., start:stop, :], model.w1, model.b1, out=a1)
+            _affine_relu(a1, model.w2, model.b2, out=h2[..., start:stop, :])
             start = stop
         np.matmul(h2, model.w3, out=logits)
-        for j in range(logits.shape[1]):  # logits += b3, by column
-            logits[:, j] += model.b3[j]
-    if not np.isfinite(logits).all():
-        raise NumericError("non-finite logits in forward pass")
+        for j in range(logits.shape[-1]):  # logits += b3, by column
+            logits[..., j] += model.b3[..., j, None]
+    finite = np.isfinite(logits)
+    if not finite.all():
+        raise NumericError("non-finite logits in forward pass",
+                           slices=_failed(finite, bool(lead)))
     return logits
 
 
@@ -224,30 +284,30 @@ def _affine_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                  out: np.ndarray) -> None:
     """out = max(x @ w + b, 0), in the bits of that expression."""
     np.matmul(x, w, out=out)
-    out += b
+    out += b[..., None, :]
     np.maximum(out, 0.0, out=out)
 
 
 def _reduce_columns(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """ufunc.reduce(a, axis=1, out=out) of a (rows, C >= 2) array, one call
     per column: the reduce's bits for C < 8 (module docstring)."""
-    ufunc(a[:, 0], a[:, 1], out=out)
-    for j in range(2, a.shape[1]):
-        ufunc(out, a[:, j], out=out)
+    ufunc(a[..., 0], a[..., 1], out=out)
+    for j in range(2, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
     return out
 
 
 def _by_columns(ufunc, a: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """ufunc(a, v[:, None], out=out), one call per column of `a`."""
-    for j in range(a.shape[1]):
-        ufunc(a[:, j], v, out=out[:, j])
+    """ufunc(a, v[..., None], out=out), one call per column of `a`."""
+    for j in range(a.shape[-1]):
+        ufunc(a[..., j], v, out=out[..., j])
     return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Each row's softmax of a (rows, C >= 2) array, max-shifted."""
+    """Each row's softmax of a (..., rows, C >= 2) array, max-shifted."""
     e = np.empty_like(logits)
-    per_row = np.empty_like(logits, shape=len(logits))
+    per_row = np.empty_like(logits, shape=logits.shape[:-1])
     _by_columns(np.subtract, logits, _reduce_columns(np.maximum, logits, per_row), e)
     np.exp(e, out=e)
     return _by_columns(np.divide, e, _reduce_columns(np.add, e, per_row), e)
@@ -256,22 +316,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def per_sample_cross_entropy(logits: np.ndarray, labels,
                              buffers: StepBuffers) -> np.ndarray:
     """Cross-entropy of each row, via max-shifted log-sum-exp. Labels are
-    integers in [0, classes); a bool is not an integer. The row maxima,
-    exp(logits - max), its row sums, which `backward` turns into the
-    softmax, and the losses are written into the first B rows of `buffers`,
-    and the losses returned are a view, in the buffers' dtype."""
+    integers in [0, classes), one per row, (G, B) for the (G, B, C) logits
+    of a stack; a bool is not an integer. The row maxima, exp(logits - max),
+    its row sums, which `backward` turns into the softmax, and the losses
+    are written into the first B rows of `buffers`, and the losses returned
+    are a view, in the buffers' dtype."""
     logits = np.asarray(logits, dtype=buffers.losses.dtype)
     labels = np.asarray(labels)
-    if logits.ndim != 2 or logits.shape[1] < 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim < 2 or logits.shape[-1] < 2 or labels.shape != logits.shape[:-1]:
         raise DimensionError("logits must be (B, C >= 2) with one label per row")
-    n, n_classes = logits.shape
+    n, n_classes = logits.shape[-2:]
     if labels.dtype.kind not in "iu":
         raise ValidationError("labels must be integers")
-    if n and (np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= n_classes):
+    if labels.size and (np.minimum.reduce(labels, axis=None) < 0
+                        or np.maximum.reduce(labels, axis=None) >= n_classes):
         raise ValidationError(f"labels must lie in [0, {n_classes})")
-    buffers.check_rows(n)
-    shift, sums, losses = buffers.shift[:n], buffers.sums[:n], buffers.losses[:n]
-    e, rows = buffers.exp[:n], buffers.rows[:n]
+    buffers.check_rows(n, logits.shape[:-2])
+    shift, sums = buffers.shift[..., :n], buffers.sums[..., :n]
+    losses, e = buffers.losses[..., :n], buffers.exp[..., :n, :]
     # finite logits further apart than the dtype's largest float overflow
     # logits - max and the loss to inf, which the caller's finite-loss check
     # rejects, so no warning
@@ -285,20 +347,22 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
         # lse - logits[label], with lse = shift + log(sums)
         np.log(sums, out=losses)
         losses += shift
-        losses -= logits[rows, labels]
+        losses -= logits[(*buffers.stack, buffers.rows[:n], labels)]
     buffers.loss_rows = n
     return np.maximum(losses, 0.0, out=losses)
 
 
 def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
-             buffers: StepBuffers, out: MlpModel) -> float:
+             buffers: StepBuffers, out: MlpModel) -> float | list:
     """Writes into `out` the gradients of the MEAN cross-entropy over the
-    masked subset and returns that mean. `out` has the model's shapes, so
-    out.theta lines up with model.theta.
+    masked subset and returns that mean; for a stack, each model's gradients
+    and a list of their means. `out` has the model's shapes, so out.theta
+    lines up with model.theta.
 
     sample_mask is an index subset of [0, B); None means all samples. The mask
     is sorted internally so the result is independent of the order the caller
-    selected samples in (summation order matters bit-wise).
+    selected samples in (summation order matters bit-wise). A stack's models
+    share the mask.
 
     `buffers` must hold this step's pass: `forward(model, inputs, buffers)`,
     then `per_sample_cross_entropy(logits, labels, buffers)`; backward raises
@@ -312,7 +376,7 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     """
     x = np.asarray(inputs, dtype=model.theta.dtype)
     labels = np.asarray(labels)
-    n = x.shape[0]
+    n = x.shape[-2]
     rows = slice(0, n)
     if sample_mask is not None:
         mask = np.unique(np.asarray(sample_mask, dtype=np.intp))
@@ -322,37 +386,43 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
             raise ValidationError("sample_mask index out of range")
         if mask.size < n:  # distinct and in range: not every row
             rows = mask
-    buffers.check_rows(n)
+    buffers.check_rows(n, x.shape[:-2])
     if buffers.loss_rows != n:
         raise DimensionError(f"the buffers hold no loss pass of the {n} rows "
                              "of the batch")
-    x, labels = x[rows], labels[rows]
-    h1, h2, losses = buffers.h1[rows], buffers.h2[rows], buffers.losses[rows]
-    m = len(losses)
-    # the bits of losses.mean(dtype=np.float64), which cannot overflow
-    mean_loss = float(np.add.reduce(losses, dtype=np.float64)) / m
+    x, labels = x[..., rows, :], labels[..., rows]
+    h1, h2 = buffers.h1[..., rows, :], buffers.h2[..., rows, :]
+    losses = buffers.losses[..., rows]
+    m = losses.shape[-1]
+    # the bits of losses.mean(dtype=np.float64), which cannot overflow; a
+    # stack's one model at a time, each a call on its own row of losses
+    if losses.ndim == 1:
+        mean_loss = float(np.add.reduce(losses, dtype=np.float64)) / m
+    else:
+        mean_loss = [float(np.add.reduce(row, dtype=np.float64)) / m for row in losses]
 
     # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
     # loss pass's exp and row sums
-    d_logits = _by_columns(np.divide, buffers.exp[rows], buffers.sums[rows],
-                           buffers.d_logits[:m])
+    d_logits = _by_columns(np.divide, buffers.exp[..., rows, :],
+                           buffers.sums[..., rows], buffers.d_logits[..., :m, :])
     # one (row, label) pair per row, so this subtracts 1.0 once from each
-    d_logits[buffers.rows[:m], labels] -= 1.0
+    d_logits[(*buffers.stack, buffers.rows[:m], labels)] -= 1.0
     d_logits /= m
 
-    d_h1, d_h2 = buffers.d_h1[:m], buffers.d_h2[:m]
+    d_h1, d_h2 = buffers.d_h1[..., :m, :], buffers.d_h2[..., :m, :]
     # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest;
-    # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0)
-    np.matmul(h2.T, d_logits, out=out.w3)
-    np.add.reduce(d_logits, axis=0, out=out.b3)
-    np.matmul(d_logits, model.w3.T, out=d_h2)
-    d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[:m])
-    np.matmul(h1.T, d_h2, out=out.w2)
-    np.add.reduce(d_h2, axis=0, out=out.b2)
-    np.matmul(d_h2, model.w2.T, out=d_h1)
-    d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[:m])
-    np.matmul(x.T, d_h1, out=out.w1)
-    np.add.reduce(d_h1, axis=0, out=out.b1)
+    # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0); .mT is
+    # .T of a matrix, and of each matrix of a stack
+    np.matmul(h2.mT, d_logits, out=out.w3)
+    np.add.reduce(d_logits, axis=-2, out=out.b3)
+    np.matmul(d_logits, model.w3.mT, out=d_h2)
+    d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[..., :m, :])
+    np.matmul(h1.mT, d_h2, out=out.w2)
+    np.add.reduce(d_h2, axis=-2, out=out.b2)
+    np.matmul(d_h2, model.w2.mT, out=d_h1)
+    d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[..., :m, :])
+    np.matmul(x.mT, d_h1, out=out.w1)
+    np.add.reduce(d_h1, axis=-2, out=out.b1)
     return mean_loss
 
 
@@ -383,18 +453,22 @@ def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
     which is lr*(m_hat/(sqrt(v_hat) + eps) + weight_decay*p) of the
     bias-corrected moments m_hat and v_hat without making them. It works one
     operation at a time in that order, into the moments and state.scratch, in
-    the model's dtype: the bits of the expressions. A step that overflows
+    the model's dtype: the bits of the expressions. A gradient entry at or
+    past the limit, or NaN, is a NumericError before anything changes, whose
+    `slices` name the models of a stack it came from. A step that overflows
     leaves a non-finite p, which the caller rejects: run_stage's next
     forward pass, or its check at the end of each epoch.
     """
     g = grads.theta
     if state.scratch is None:
-        state.scratch = np.empty((2, g.size), g.dtype)
+        state.scratch = np.empty((2, *g.shape), g.dtype)
     s, u = state.scratch
-    if not np.maximum.reduce(np.abs(g, out=s)) < _GRAD_LIMIT:  # False for NaN too
-        raise NumericError("non-finite or overflowing gradient; step aborted")
+    if not np.maximum.reduce(np.abs(g, out=s), axis=None) < _GRAD_LIMIT:  # False for NaN too
+        raise NumericError("non-finite or overflowing gradient; step aborted",
+                           slices=_failed(np.maximum.reduce(s, axis=-1) < _GRAD_LIMIT,
+                                          g.ndim == 2))
     if state.m is None:  # 0.0*beta + x gives the bits of a scalar 0.0 start
-        state.m, state.v = np.zeros((2, g.size), g.dtype)
+        state.m, state.v = np.zeros((2, *g.shape), g.dtype)
     state.step += 1
     t = state.step
     # Python floats, which take the arrays' dtype in each operation

@@ -729,3 +729,103 @@ class TestStepBuffers:
         # the gathered batch and StepBuffers of the stage, one set per stage
         assert len({tuple(map(id, arrays)) for arrays in buffers}) == 1
         assert not any(np.shares_memory(got.theta, a) for a in buffers[0])
+
+
+def three_sets(batch, dim, rng):
+    """Three seeds' training sets of one size: two full batches and a short
+    one, which is dropped."""
+    sets = []
+    for _ in range(3):
+        features = rng.normal(size=(2 * batch + batch // 2, dim))
+        labels = (features[:, 0] + rng.normal(size=len(features)) > 0).astype(np.int64)
+        sets.append((features, labels))
+    return sets
+
+
+def stacked_plain(models, sets, config, seeds):
+    """finetune_plain on the stack of the trajectories."""
+    return finetune_plain(models, [f for f, _ in sets], [y for _, y in sets],
+                          config, seed=seeds)
+
+
+class TestLockstep:
+    """run_stage on a stack of trajectories gives each one the bits, curve
+    and error that run_stage gives it alone."""
+
+    SEEDS = [11, 12, 13]
+
+    @pytest.mark.parametrize("batch,dim,hidden", [(50, 12, 96), (512, 16, 64)],
+                             ids=["reference_shape", "large_batch_shape"])
+    def test_a_stack_equals_its_trajectories_alone(self, batch, dim, hidden):
+        rng = np.random.default_rng(batch)
+        sets = three_sets(batch, dim, rng)
+        models = [init_model(dim, hidden, 2, seed=s) for s in (1, 2, 3)]
+        before = [model_bytes(m) for m in models]
+        config = TrainConfig(epochs=3, lr=1e-2, milestones=(2,), batch_size=batch)
+        stacked = stacked_plain(models, sets, config, self.SEEDS)
+        assert len({model_bytes(got) for got, _ in stacked}) == 3
+        for model, (features, labels), seed, (got, report) in zip(
+                models, sets, self.SEEDS, stacked, strict=True):
+            want, alone = finetune_plain(model, features, labels, config, seed=seed)
+            assert model_bytes(got) == model_bytes(want)
+            assert report.records == alone.records
+            assert len(report.records) == 3 * 2
+        assert [model_bytes(m) for m in models] == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("failure", ["logits", "gradient"])
+    def test_a_failure_ends_only_its_trajectory(self, failure):
+        # the middle trajectory fails: in a later epoch, at the step a row
+        # of features near float32's largest joins its batch (the first
+        # epoch drops it with the short batch), or at its first step, whose
+        # gradient passes the limit (an h2 of 1e30 with logits of 0); the
+        # others keep their bits
+        rng = np.random.default_rng(4)
+        sets = three_sets(50, 12, rng)
+        models = [init_model(12, 96, 2, seed=s) for s in (1, 2, 3)]
+        if failure == "logits":
+            dropped = np.random.default_rng(self.SEEDS[1]).permutation(125)[-1]
+            sets[1][0][dropped] = 3e38
+        else:
+            models[1].b2[...] = 1e30
+            models[1].w3[...] = 0.0
+        config = TrainConfig(epochs=3, lr=1e-2, batch_size=50)
+        stacked = stacked_plain(models, sets, config, self.SEEDS)
+        for model, (features, labels), seed, result in zip(
+                models, sets, self.SEEDS, stacked, strict=True):
+            try:
+                want = finetune_plain(model, features, labels, config, seed=seed)
+            except NumericError as exc:
+                assert seed == 12
+                assert isinstance(result, NumericError) and str(result) == str(exc)
+                continue
+            assert model_bytes(result[0]) == model_bytes(want[0])
+            assert result[1].records == want[1].records
+        message = str(stacked[1])
+        if failure == "logits":
+            assert message.startswith("non-finite logits") and "epoch 0," not in message
+        else:
+            assert "overflowing gradient" in message and "epoch 0, iteration 1 " in message
+
+    def test_a_stack_updates_on_whole_batches_only(self):
+        rng = np.random.default_rng(5)
+        sets = three_sets(30, 4, rng)
+        models = [init_model(4, 16, 2, seed=s) for s in (1, 2, 3)]
+        with pytest.raises(ValidationError, match="whole batches only"):
+            run_stage(models, [f for f, _ in sets], [y for _, y in sets],
+                      stage_config(epochs=1), STAGE1, seed=self.SEEDS)
+        # a stack of one is a lone trajectory, which may update on a subset
+        [(model, _)] = run_stage(models[:1], [sets[0][0]], [sets[0][1]],
+                                 stage_config(epochs=1), STAGE1, seed=[11])
+        alone, _ = run_stage(models[0], *sets[0], stage_config(epochs=1), STAGE1,
+                             seed=11)
+        assert model_bytes(model) == model_bytes(alone)
+
+    def test_training_sets_of_one_shape(self):
+        rng = np.random.default_rng(6)
+        sets = three_sets(30, 4, rng)
+        sets[2] = (sets[2][0][:-1], sets[2][1][:-1])
+        models = [init_model(4, 16, 2, seed=s) for s in (1, 2, 3)]
+        with pytest.raises(ValidationError, match="one shape"):
+            stacked_plain(models, sets, TrainConfig(epochs=1, lr=1e-3, batch_size=30),
+                          self.SEEDS)

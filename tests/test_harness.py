@@ -694,13 +694,14 @@ class TestRunExperiment:
         monkeypatch.setattr(curriculum, "run_stage", recording_stage)
         report = run_experiment(config)
         assert report.all_ok
-        # per seed, run_stage pretrains theta_0 and then trains each cell
-        per_seed = 1 + len(report.cells) // len(config.seeds)
-        assert len(models) == per_seed * len(config.seeds)
+        # run_stage pretrains the seeds' theta_0 as one stack and trains
+        # their baseline cells as one more, then each seed's other cells
+        per_seed = len(report.cells) // len(config.seeds) - 1
+        assert len(models) == 2 + per_seed * len(config.seeds)
         for i, seed in enumerate(config.seeds):
             _, _, test, test_ood = harness._build_datasets(config, seed)
             cells = [c for c in report.cells if c["seed"] == seed]
-            trained = models[i * per_seed + 1:(i + 1) * per_seed]
+            trained = [models[1][i], *models[2 + i * per_seed:2 + (i + 1) * per_seed]]
             for (model, _), cell in zip(trained, cells, strict=True):
                 for split, ds in (("in_domain", test), ("ood", test_ood)):
                     m = cell["metrics"][split]
@@ -787,6 +788,42 @@ class TestRunExperiment:
         b = run_experiment(cfg, workers=2)
         assert strip_wall_clock(a.cells) == strip_wall_clock(b.cells)
 
+    def test_chunks_of_seeds_give_equal_reports(self):
+        # each worker trains one chunk of seeds in lockstep: 5 seeds as one
+        # chunk, 3 + 2, 2 + 2 + 1, and at 8 workers one chunk per seed
+        seeds = (0, 1, 2, 3, 4)
+        assert [[len(c) for c in harness._chunks(seeds, n)] for n in (1, 2, 3, 5)] \
+            == [[5], [3, 2], [2, 2, 1], [1] * 5]
+        assert [s for c in harness._chunks(seeds, 3) for s in c] == list(seeds)
+        cfg = config_from_dict(tiny_dict(seeds=list(seeds)))
+        want = strip_wall_clock(run_experiment(cfg).cells)
+        for workers in (2, 3, 8):
+            assert strip_wall_clock(run_experiment(cfg, workers=workers).cells) == want
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_diverging_seed_fails_only_its_cells(self, monkeypatch):
+        # seed 1's source features scaled up make its pretraining diverge in
+        # the stack it shares with seed 0
+        config = config_from_dict(tiny_dict(seeds=[0, 1]))
+        generate_blobs = data.generate_blobs
+
+        def scaled(spec, draw_seed=0):
+            ds = generate_blobs(spec, draw_seed=draw_seed)
+            if spec is config.source and draw_seed == 1:
+                return data.Dataset(ds.features * 1e30, ds.labels)
+            return ds
+
+        monkeypatch.setattr(data, "generate_blobs", scaled)
+        both = run_experiment(config).cells
+        alone = [run_experiment(replace(config, seeds=(seed,))).cells for seed in (0, 1)]
+        assert strip_wall_clock([c for c in both if c["seed"] == 0]) == \
+            strip_wall_clock(alone[0])
+        assert all(c["status"] == "ok" for c in alone[0])
+        failed = [c for c in both if c["seed"] == 1]
+        assert [c["error"] for c in failed] == [c["error"] for c in alone[1]]
+        assert len(failed) == 3 and all(c["status"] == "failed" for c in failed)
+        assert failed[0]["error"].startswith("pretraining: non-finite")
+
     def test_alpha_one_curriculum1_equals_baseline(self):
         # with alpha = 1 the top-K set is the whole batch, so stage 1 must
         # reproduce the baseline trajectory bit for bit
@@ -845,8 +882,9 @@ class TestRunExperiment:
         for c in report.cells:
             steps[c["strategy"]] += len(c["curve"])
         n = len(d["seeds"])
-        # one pretraining per seed, which runs one stage, plus one per cell
-        assert calls == {"finetune_plain": n, "run_stage": n + len(report.cells),
+        # one chunk of every seed: its pretraining is one stack, which runs
+        # one stage, its baseline cells one more, and every other cell one
+        assert calls == {"finetune_plain": 1, "run_stage": 2 + len(report.cells) - n,
                          "decide_update_stage1": steps["curriculum1"],
                          "decide_update_stage2": steps["curriculum2"]}
 
@@ -1068,8 +1106,9 @@ class TestFloat64Scoring:
         assert set(calls) == {("float32", False), ("float64", True)}
 
     def test_each_train_split_is_held_once_in_float32(self, monkeypatch):
-        # pretraining gets the source split's float32 copy, and every cell
-        # of a seed the one float32 copy of its target train split
+        # the pretraining stack gets each seed's float32 copy of its source
+        # split once, and the baseline stack and every other cell of a seed
+        # the one float32 copy of its target train split
         features, run_stage = [], curriculum.run_stage
 
         def recording(model, x, *args, **kwargs):
@@ -1080,16 +1119,18 @@ class TestFloat64Scoring:
         config = config_from_dict(tiny_dict(seeds=[0, 1]))
         report = run_experiment(config)
         assert report.all_ok
-        per_seed = 1 + len(report.cells) // len(config.seeds)
-        assert len(features) == per_seed * len(config.seeds)
-        assert all(x.dtype == np.float32 for x in features)
+        pretrain, baseline, *cells = features
+        per_seed = len(report.cells) // len(config.seeds) - 1
+        assert len(pretrain) == len(baseline) == len(config.seeds)
+        assert len(cells) == per_seed * len(config.seeds)
+        assert all(x.dtype == np.float32 for x in [*pretrain, *baseline, *cells])
         for i, seed in enumerate(config.seeds):
-            pretrain, target, *rest = features[i * per_seed:(i + 1) * per_seed]
             source = data.generate_blobs(config.source, draw_seed=seed)
-            assert pretrain.tobytes() == source.features.astype(np.float32).tobytes()
+            assert pretrain[i].tobytes() == source.features.astype(np.float32).tobytes()
             train = data.generate_blobs(config.target, draw_seed=seed)
+            target = baseline[i]
             assert target.tobytes() == train.features.astype(np.float32).tobytes()
-            assert all(x is target for x in rest)
+            assert all(x is target for x in cells[i * per_seed:(i + 1) * per_seed])
 
     @pytest.mark.filterwarnings("error")
     def test_target_features_beyond_float32_fail_every_cell(self, monkeypatch):
@@ -1446,7 +1487,7 @@ class TestAblation:
             assert {c["strategy"] for c in report.cells} == {"curriculum1"}
 
     def test_bad_grid_rejected(self, monkeypatch):
-        monkeypatch.setattr(harness, "run_seed",
+        monkeypatch.setattr(harness, "run_seeds",
                             lambda *a, **k: pytest.fail("training started"))
         cfg = config_from_dict(tiny_dict(seeds=[0]))
         for grid, message in (
@@ -1486,20 +1527,25 @@ class TestAblation:
         assert one == two
 
     def test_data_and_pretraining_once_per_seed(self, monkeypatch):
-        calls = collections.Counter()
+        calls, pretrained = collections.Counter(), []
         for module, name in ((curriculum, "finetune_plain"),
                              (data, "generate_blobs"), (data, "generate_slides")):
             def counting(*args, _name=name, _wrapped=getattr(module, name),
                          **kwargs):
                 calls[_name] += 1
+                if _name == "finetune_plain":
+                    pretrained.append(kwargs["seed"])
                 return _wrapped(*args, **kwargs)
             monkeypatch.setattr(module, name, counting)
         d = tiny_dict(slides=SLIDES)
         reports = harness.run_ablation_alpha(config_from_dict(d), self.GRID)
         assert all(r.all_ok for r in reports)
         n = len(d["seeds"])
-        assert calls == {"finetune_plain": n, "generate_blobs": 4 * n,
+        # one pretraining stack for the one chunk, with each seed's
+        # trajectory once, by its shuffle seed
+        assert calls == {"finetune_plain": 1, "generate_blobs": 4 * n,
                          "generate_slides": 2 * n}
+        assert pretrained == [[2000 + seed for seed in d["seeds"]]]
         calls.clear()
         assert harness.run_ablation_alpha(config_from_dict(d), []) == []
         assert not calls   # an empty grid trains nothing
@@ -1804,7 +1850,7 @@ class TestCli:
             argv = [verb, "--config", str(path)]
             if verb != "validate-config":
                 argv += ["--output-dir", str(outdir)]
-        monkeypatch.setattr(harness, "run_seed",
+        monkeypatch.setattr(harness, "run_seeds",
                             lambda *a, **k: pytest.fail("training started"))
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
@@ -1838,7 +1884,7 @@ class TestCli:
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch,
                                        verb, workers):
-        monkeypatch.setattr(harness, "run_seed",
+        monkeypatch.setattr(harness, "run_seeds",
                             lambda *a, **k: pytest.fail("training started"))
         argv = [verb, "--config", self.write_config(tmp_path),
                 "--output-dir", str(tmp_path / "out"), "--workers", workers]
