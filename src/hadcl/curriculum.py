@@ -15,8 +15,9 @@ in the decision function it calls once per mini-batch. Each stage's
 hyperparameters are one TrainConfig (epochs, lr schedule, batch size), or one
 CurriculumTrainConfig (plus alpha, a and b), which checks its own values.
 The loop also trains a stack of trajectories in lockstep, one numcore stack
-whose every update takes the whole batch, as the harness pretrains and
-trains the baseline: each trajectory keeps the bits it has alone.
+in which each trajectory's update takes its own rows, as the harness
+pretrains and trains the baseline and stage 1: each trajectory keeps the
+bits it has alone.
 """
 
 from __future__ import annotations
@@ -260,13 +261,13 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     the trajectories share `config`, `decide` and `select`. Their training
     sets must have one shape and one label dtype. They train as one
     numcore stack (numcore.MlpModel.stack): each step gathers every
-    trajectory's batch from its own features, and forward, the loss pass,
-    backward and adam_step run once on the whole stack, which gives each
-    trajectory the bits it gets alone. So the updates of a stack of more
-    than one must all take the whole batch; a row subset is a
-    ValidationError. A NumericError ends only the trajectories it names,
-    each with the message it gets alone, and the rest go on. The call
-    returns a list with each trajectory's (model, report), or the
+    trajectory's batch from its own features, `decide` runs on each
+    trajectory's losses, and forward, the loss pass, backward (handed one
+    mask per trajectory, so each updates on the rows its decision selects)
+    and adam_step run once on the whole stack, which gives each trajectory
+    the bits it gets alone. A NumericError ends only the trajectories it
+    names, each with the message it gets alone, and the rest go on. The
+    call returns a list with each trajectory's (model, report), or the
     NumericError that ended it.
     """
     stacked = isinstance(seed, list)
@@ -378,10 +379,7 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
                             decisions.append(decide(row, thres, k))
                         except NumericError as exc:
                             raise NumericError(str(exc), slices=[j]) from None
-                    mask = decisions[0].mask
-                    if len(active) > 1 and any(d.mask is not None for d in decisions):
-                        raise ValidationError("a stack of trajectories updates on "
-                                              "whole batches only")
+                    mask = decisions[0].mask if one else [d.mask for d in decisions]
                     mean_losses = numcore.backward(stack, x, y, mask, buffers, grads)
                     numcore.adam_step(stack, grads, state, lr)
                     break

@@ -342,18 +342,21 @@ def _plan(config: ExperimentConfig, stage1) -> dict:
 
 def _stacks(row: curriculum.Strategy) -> bool:
     """Whether a row's cells train as one stack per chunk of seeds: they
-    start from theta_0, update on whole batches and keep their last epoch,
-    as the baseline's do."""
-    return row.start is None and row.decide == "_decide_whole_batch" and not row.select
+    start from theta_0 and keep their last epoch, as the baseline's and
+    curriculum1's do, whatever rows each update takes. A row that starts
+    from another's model, or keeps its best validation epoch, trains per
+    seed in run_seed."""
+    return row.start is None and not row.select
 
 
 @dataclass
 class _Start:
-    """What a seed's cells start from, as _plain_stacks trains it: the
+    """What a seed's cells start from, as _theta0_stacks trains it: the
     pretrained model theta_0 and the target train split, or the error every
     cell of the seed fails with; and, by plan key, what the stack of each
-    row that _stacks gave the seed: run_stage's (model, report) or the
-    exception that ended it, with the stack's seconds per trajectory."""
+    row that _stacks (the baseline's and each stage-1 config's curriculum1)
+    gave the seed: run_stage's (model, report) or the exception that ended
+    it, with the stack's seconds per trajectory."""
 
     pretrained: numcore.MlpModel
     train: tuple | None = None
@@ -361,14 +364,16 @@ class _Start:
     stacked: dict = field(default_factory=dict)
 
 
-def _plain_stacks(config: ExperimentConfig, seeds, plan: dict) -> list:
+def _theta0_stacks(config: ExperimentConfig, seeds, plan: dict) -> list:
     """Each seed's _Start, trained for all of `seeds` at once: their
-    pretraining as one stack, then each row of `plan` that _stacks as one
-    stack. Each seed draws its source split only to pretrain (not at all
-    with pretrain.epochs 0), and the chunk's source splits are freed before
-    any target split is drawn: each generator seeds its own stream, so the
-    order of the draws changes no bytes. A seed whose split or trajectory
-    fails leaves the stacks after it; the others keep their bits."""
+    pretraining as one stack, then each row of `plan` that _stacks, the
+    baseline and each stage-1 config's curriculum1, as one stack, in which
+    each seed updates on the rows its own decisions select. Each seed draws
+    its source split only to pretrain (not at all with pretrain.epochs 0),
+    and the chunk's source splits are freed before any target split is
+    drawn: each generator seeds its own stream, so the order of the draws
+    changes no bytes. A seed whose split or trajectory fails leaves the
+    stacks after it; the others keep their bits."""
     starts = [_Start(numcore.init_model(config.target.dim, config.hidden,
                                         config.target.n_classes, seed=1000 + seed))
               for seed in seeds]
@@ -423,28 +428,28 @@ def _plain_stacks(config: ExperimentConfig, seeds, plan: dict) -> list:
 
 def run_seeds(config: ExperimentConfig, seeds, stage1) -> list:
     """run_seed's cells for each of `seeds`, a chunk of seeds that trains
-    its plain stages in lockstep: the chunk's pretraining, and each row that
-    _stacks, run as one stack (_plain_stacks), then run_seed trains and
-    scores the rest of each seed in turn."""
+    its stages from theta_0 in lockstep: the chunk's pretraining, and each
+    row that _stacks, run as one stack (_theta0_stacks), then run_seed
+    trains and scores the rest of each seed in turn."""
     plan = _plan(config, stage1)
     if not plan:
         return [[] for _ in seeds]
     # each seed's start is let go once its cells are made
-    starts = _plain_stacks(config, seeds, plan)[::-1]
+    starts = _theta0_stacks(config, seeds, plan)[::-1]
     return [run_seed(config, seed, stage1, starts.pop()) for seed in seeds]
 
 
 def run_seed(config: ExperimentConfig, seed: int, stage1, start=None) -> list[dict]:
     """One seed's cells, all from its one pretrained model: one per entry
     of _plan(config, stage1), in plan order; the cells of rows that _stacks,
-    such as the baseline's, as `start`, what _plain_stacks trained for the
-    seed in its chunk, holds them. Without `start` the seed trains its own,
+    the baseline's and curriculum1's, as `start`, what _theta0_stacks
+    trained for the seed in its chunk, holds them. Without `start` the seed trains its own,
     as a chunk of one."""
     plan = _plan(config, stage1)
     if not plan:
         return []
     if start is None:
-        [start] = _plain_stacks(config, [seed], plan)
+        [start] = _theta0_stacks(config, [seed], plan)
     if start.failure is not None:
         # every cell of the seed starts from the pretrained model and trains
         # on the target train split
@@ -641,8 +646,8 @@ def _chunks(seeds, n: int) -> list:
 
 def _per_chunk(config: ExperimentConfig, stage1, workers: int) -> list:
     """Each seed's run_seed cells, in seed order: run_seeds on one chunk of
-    config.seeds per worker, so that a worker trains its seeds' plain stages
-    as one stack; at one worker, one chunk of every seed."""
+    config.seeds per worker, so that a worker trains its seeds' stages from
+    theta_0 as one stack each; at one worker, one chunk of every seed."""
     check_workers(workers)
     chunks = _chunks(config.seeds, min(workers, len(config.seeds)))
     per_chunk = _per_seed(partial(run_seeds, config, stage1=stage1), chunks, workers)

@@ -58,9 +58,10 @@ fromnumeric's Python layers; the bits are those of the calls they replace.
 What a step still allocates: vectors of B or B x classes elements (the
 label gather, the one-hot subtract's temporary and the finite and NaN
 checks), the decision's ranking and index arrays, a row subset's gathered
-rows, and NumPy's own iterator scratch for the hidden layers' broadcast
-bias adds and the products with a boolean mask, at most 8192 elements (a
-whole 50 x 96 activation at the reference shape).
+rows (in a stack, also the gathered w2 and w3 of the models that update
+on row subsets), and NumPy's own iterator scratch for the hidden layers'
+broadcast bias adds and the products with a boolean mask, at most 8192
+elements (a whole 50 x 96 activation at the reference shape).
 
 A stack of G models (MlpModel.stack) trains G trajectories in lockstep:
 every array of a step, the model, its gradients, the Adam moments and
@@ -73,14 +74,30 @@ takes them along axis 0 of (B, h)); and backward sums each model's mean
 loss in a call of its own. So each model's slice keeps the bits it has
 alone, at about 140 instead of 240 us a step per model for ten models at
 the reference shape (one BLAS thread, a 2-vCPU x86-64 host): a step of
-tiny products costs its calls, which the stack shares. A failed check names the models it failed for in the
-NumericError's `slices`.
+tiny products costs its calls, which the stack shares. A failed check
+names the models it failed for in the NumericError's `slices`.
+
+Each model of a stack updates on its own rows: `backward` takes one mask
+per model. When every model takes its whole batch it reads views of the
+buffers, as one model does, and gathers nothing. Otherwise it groups the
+models by update size (at most two groups a step, since every model of a
+stack has the same threshold: B and K in stage 1, K and K' in stage 2) and
+runs its operations once per group on (models, rows, ...) copies of the
+group's rows, indexed on the model and row axes at once. Those copies are
+C-contiguous, so each model's slice has the shape and strides of the rows
+a lone model gathers, and each per-model BLAS call is the lone call. A
+group's gradients go into the first models of a stack-sized scratch that
+the stack's StepBuffers hold and are copied into the stack's gradients by
+model, so a step of mixed branches takes the bits of each model alone. A
+stage-1 step of ten models takes about 110 us per model at the reference
+shape, against 167 us alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -177,7 +194,10 @@ class StepBuffers:
     `rows` is arange(rows), the row index of the label gathers, and `stack`
     the index of each row's model that precedes it there: () for one model,
     a (G, 1) column for a stack of G, whose buffers carry its leading axis.
-    A call on n rows uses the first n rows of each.
+    A call on n rows uses the first n rows of each. A stack's buffers also
+    hold `grads`, gradients of the stack's shape into whose first models
+    `backward` writes a group of models that update on row subsets; None
+    for one model.
 
     `loss_rows` is the row count of the loss pass the buffers hold: the loss
     pass sets it, and `forward` clears it to None before it writes new
@@ -197,6 +217,7 @@ class StepBuffers:
         self.relu2 = np.empty((*lead, rows, width2), dtype=bool)
         self.rows = np.arange(rows)
         self.stack = tuple(np.arange(g).reshape(g, 1) for g in lead)
+        self.grads = model.copy() if lead else None
         self.loss_rows = None
 
     def check_rows(self, n: int, lead: tuple = ()) -> None:
@@ -352,6 +373,29 @@ def per_sample_cross_entropy(logits: np.ndarray, labels,
     return np.maximum(losses, 0.0, out=losses)
 
 
+def _mask_rows(sample_mask, n: int) -> np.ndarray | None:
+    """The sorted distinct rows of an index mask of a batch of n rows, or
+    None for the whole batch: a mask of None or of every row. A mask that is
+    not one-dimensional (a stack's per-model list read as one mask, or one
+    index read as a mask), is empty, has a dtype that is not an integer (a
+    bool or float mask would be cast to other rows) or an index outside
+    [0, n) is a ValidationError."""
+    if sample_mask is None:
+        return None
+    mask = np.asarray(sample_mask)
+    if mask.ndim != 1:
+        raise ValidationError(f"sample_mask must be one-dimensional, got shape "
+                              f"{mask.shape}")
+    if mask.size == 0:
+        raise ValidationError("sample_mask must be nonempty")
+    if mask.dtype.kind not in "iu":
+        raise ValidationError(f"sample_mask must hold integer indices, got {mask.dtype}")
+    mask = np.unique(mask)
+    if mask[0] < 0 or mask[-1] >= n:
+        raise ValidationError("sample_mask index out of range")
+    return mask if mask.size < n else None
+
+
 def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
              buffers: StepBuffers, out: MlpModel) -> float | list:
     """Writes into `out` the gradients of the MEAN cross-entropy over the
@@ -359,10 +403,12 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     and a list of their means. `out` has the model's shapes, so out.theta
     lines up with model.theta.
 
-    sample_mask is an index subset of [0, B); None means all samples. The mask
-    is sorted internally so the result is independent of the order the caller
-    selected samples in (summation order matters bit-wise). A stack's models
-    share the mask.
+    sample_mask is an index subset of [0, B) of integer dtype; None means all
+    samples. The mask is sorted internally so the result is independent of
+    the order the caller selected samples in (summation order matters
+    bit-wise). For a stack it is None, every model's whole batch, or a
+    sequence of one mask per model, each an index subset or None for that
+    model's whole batch.
 
     `buffers` must hold this step's pass: `forward(model, inputs, buffers)`,
     then `per_sample_cross_entropy(logits, labels, buffers)`; backward raises
@@ -370,29 +416,70 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     covered all B rows. It reads the masked rows of the activations, the loss
     pass's exp and row sums (the softmax) and the losses from them: views of
     the first B rows when the mask covers every row, copies of the sorted
-    mask's rows otherwise. The row gradients and ReLU masks go into the
-    buffers too. The gradients are in the model's dtype; the mean loss is
-    summed in float64, as the decisions sum the losses they rank.
+    mask's rows otherwise. A stack whose models all take the whole batch
+    reads views too; otherwise its models go in groups of one update size,
+    and each group's rows are gathered into (models, rows, ...) copies whose
+    model slices are laid out as one model's copies, differentiated in one
+    pass per group into the buffers' gradient scratch and scattered into
+    `out` by model (module docstring). The row gradients and ReLU masks go
+    into the buffers too. The gradients are in the model's dtype; the mean
+    loss is summed in float64, as the decisions sum the losses they rank.
     """
     x = np.asarray(inputs, dtype=model.theta.dtype)
     labels = np.asarray(labels)
     n = x.shape[-2]
-    rows = slice(0, n)
-    if sample_mask is not None:
-        mask = np.unique(np.asarray(sample_mask, dtype=np.intp))
-        if mask.size == 0:
-            raise ValidationError("sample_mask must be nonempty")
-        if mask[0] < 0 or mask[-1] >= n:
-            raise ValidationError("sample_mask index out of range")
-        if mask.size < n:  # distinct and in range: not every row
-            rows = mask
+    lone = model.theta.ndim == 1
+    if lone or sample_mask is None:
+        rows = [_mask_rows(sample_mask, n)]
+    else:
+        if len(sample_mask) != len(x):
+            raise ValidationError(f"a stack of {len(x)} models takes one sample_mask "
+                                  f"per model, got {len(sample_mask)}")
+        rows = [_mask_rows(mask, n) for mask in sample_mask]
     buffers.check_rows(n, x.shape[:-2])
     if buffers.loss_rows != n:
         raise DimensionError(f"the buffers hold no loss pass of the {n} rows "
                              "of the batch")
-    x, labels = x[..., rows, :], labels[..., rows]
-    h1, h2 = buffers.h1[..., rows, :], buffers.h2[..., rows, :]
-    losses = buffers.losses[..., rows]
+    if lone or all(r is None for r in rows):
+        # one model, or a stack whose every model takes the whole batch
+        lead = () if lone else (slice(None),)
+        at = (*lead, slice(0, n) if rows[0] is None else rows[0])
+        return _differentiate(model.w2, model.w3, x, labels, at, lead, buffers.stack,
+                              buffers, out)
+
+    # one pass per update size, on the group's rows gathered on the model and
+    # row axes at once: C-contiguous, each model's as its lone gather lays
+    # them out, so each per-model BLAS call is the lone call
+    sizes = [n if r is None else len(r) for r in rows]
+    mean_loss = [0.0] * len(rows)
+    scratch = buffers.grads
+    for m in dict.fromkeys(sizes):
+        group = [j for j, size in enumerate(sizes) if size == m]
+        g = np.array(group)
+        at = (g[:, None], np.array([buffers.rows[:n] if rows[j] is None else rows[j]
+                                    for j in group]))
+        cut = (slice(0, len(group)),)
+        means = _differentiate(model.w2[g], model.w3[g], x, labels, at, cut,
+                               (buffers.stack[0][cut],), buffers,
+                               SimpleNamespace(**{name: getattr(scratch, name)[cut]
+                                                  for name in PARAM_NAMES}))
+        out.theta[g] = scratch.theta[cut]
+        for j, mean in zip(group, means):
+            mean_loss[j] = mean
+    return mean_loss
+
+
+def _differentiate(w2, w3, x, labels, at: tuple, cut: tuple, stack: tuple,
+                   buffers: StepBuffers, out) -> float | list:
+    """backward's pass on the rows that `at` indexes in the batch `x`,
+    `labels` and the buffers, with the weights w2 and w3 of their models.
+    The row gradients go into the first rows of the buffers' models that
+    `cut` indexes, the label gathers index with `stack`, and the gradients
+    go into `out`'s arrays w1 ... b3. Returns the mean loss, or a list of
+    each model's."""
+    x, labels = x[at], labels[at]
+    h1, h2 = buffers.h1[at], buffers.h2[at]
+    losses = buffers.losses[at]
     m = losses.shape[-1]
     # the bits of losses.mean(dtype=np.float64), which cannot overflow; a
     # stack's one model at a time, each a call on its own row of losses
@@ -401,26 +488,27 @@ def backward(model: MlpModel, inputs: np.ndarray, labels, sample_mask,
     else:
         mean_loss = [float(np.add.reduce(row, dtype=np.float64)) / m for row in losses]
 
+    head = (*cut, slice(0, m))
     # d_logits = (softmax(logits) - onehot(labels)) / m, the softmax from the
     # loss pass's exp and row sums
-    d_logits = _by_columns(np.divide, buffers.exp[..., rows, :],
-                           buffers.sums[..., rows], buffers.d_logits[..., :m, :])
+    d_logits = _by_columns(np.divide, buffers.exp[at], buffers.sums[at],
+                           buffers.d_logits[head])
     # one (row, label) pair per row, so this subtracts 1.0 once from each
-    d_logits[(*buffers.stack, buffers.rows[:m], labels)] -= 1.0
+    d_logits[(*stack, buffers.rows[:m], labels)] -= 1.0
     d_logits /= m
 
-    d_h1, d_h2 = buffers.d_h1[..., :m, :], buffers.d_h2[..., :m, :]
+    d_h1, d_h2 = buffers.d_h1[head], buffers.d_h2[head]
     # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest;
     # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0); .mT is
     # .T of a matrix, and of each matrix of a stack
     np.matmul(h2.mT, d_logits, out=out.w3)
     np.add.reduce(d_logits, axis=-2, out=out.b3)
-    np.matmul(d_logits, model.w3.mT, out=d_h2)
-    d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[..., :m, :])
+    np.matmul(d_logits, w3.mT, out=d_h2)
+    d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[head])
     np.matmul(h1.mT, d_h2, out=out.w2)
     np.add.reduce(d_h2, axis=-2, out=out.b2)
-    np.matmul(d_h2, model.w2.mT, out=d_h1)
-    d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[..., :m, :])
+    np.matmul(d_h2, w2.mT, out=d_h1)
+    d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[head])
     np.matmul(x.mT, d_h1, out=out.w1)
     np.add.reduce(d_h1, axis=-2, out=out.b1)
     return mean_loss

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hadcl import curriculum, data, harness, metrics, numcore
 from hadcl.cli import build_parser
@@ -731,21 +733,57 @@ class TestStepBuffers:
         assert not any(np.shares_memory(got.theta, a) for a in buffers[0])
 
 
-def three_sets(batch, dim, rng):
-    """Three seeds' training sets of one size: two full batches and a short
-    one, which is dropped."""
+def training_sets(batch, dim, rng, count=3, batches=2):
+    """`count` seeds' training sets of one size: `batches` full batches and
+    a short one, which is dropped."""
     sets = []
-    for _ in range(3):
-        features = rng.normal(size=(2 * batch + batch // 2, dim))
+    for _ in range(count):
+        features = rng.normal(size=(batches * batch + batch // 2, dim))
         labels = (features[:, 0] + rng.normal(size=len(features)) > 0).astype(np.int64)
         sets.append((features, labels))
     return sets
+
+
+def stacked_stage(models, sets, config, decide, seeds):
+    """run_stage on the stack of the trajectories."""
+    return run_stage(models, [f for f, _ in sets], [y for _, y in sets], config,
+                     decide, seed=seeds)
 
 
 def stacked_plain(models, sets, config, seeds):
     """finetune_plain on the stack of the trajectories."""
     return finetune_plain(models, [f for f, _ in sets], [y for _, y in sets],
                           config, seed=seeds)
+
+
+def each_alone(models, sets, config, decide, seeds):
+    """run_stage on each trajectory alone: its (model, report), or the
+    NumericError that ended it."""
+    results = []
+    for model, (features, labels), seed in zip(models, sets, seeds, strict=True):
+        try:
+            results.append(run_stage(model, features, labels, config, decide, seed=seed))
+        except NumericError as exc:
+            results.append(exc)
+    return results
+
+
+def assert_stack_equals_alone(stacked, alone):
+    """Each trajectory of the stack has the parameter bytes and records, or
+    the error message, it has alone."""
+    for got, want in zip(stacked, alone, strict=True):
+        if isinstance(want, NumericError):
+            assert isinstance(got, NumericError) and str(got) == str(want)
+        else:
+            assert model_bytes(got[0]) == model_bytes(want[0])
+            assert got[1].records == want[1].records
+
+
+def mixed_steps(stacked) -> int:
+    """The steps at which the trajectories of a stack took different
+    branches."""
+    branches = [[r.branch for r in report.records] for _, report in stacked]
+    return sum(len(set(step)) > 1 for step in zip(*branches))
 
 
 class TestLockstep:
@@ -758,7 +796,7 @@ class TestLockstep:
                              ids=["reference_shape", "large_batch_shape"])
     def test_a_stack_equals_its_trajectories_alone(self, batch, dim, hidden):
         rng = np.random.default_rng(batch)
-        sets = three_sets(batch, dim, rng)
+        sets = training_sets(batch, dim, rng)
         models = [init_model(dim, hidden, 2, seed=s) for s in (1, 2, 3)]
         before = [model_bytes(m) for m in models]
         config = TrainConfig(epochs=3, lr=1e-2, milestones=(2,), batch_size=batch)
@@ -781,7 +819,7 @@ class TestLockstep:
         # gradient passes the limit (an h2 of 1e30 with logits of 0); the
         # others keep their bits
         rng = np.random.default_rng(4)
-        sets = three_sets(50, 12, rng)
+        sets = training_sets(50, 12, rng)
         models = [init_model(12, 96, 2, seed=s) for s in (1, 2, 3)]
         if failure == "logits":
             dropped = np.random.default_rng(self.SEEDS[1]).permutation(125)[-1]
@@ -807,23 +845,91 @@ class TestLockstep:
         else:
             assert "overflowing gradient" in message and "epoch 0, iteration 1 " in message
 
-    def test_a_stack_updates_on_whole_batches_only(self):
-        rng = np.random.default_rng(5)
-        sets = three_sets(30, 4, rng)
-        models = [init_model(4, 16, 2, seed=s) for s in (1, 2, 3)]
-        with pytest.raises(ValidationError, match="whole batches only"):
-            run_stage(models, [f for f, _ in sets], [y for _, y in sets],
-                      stage_config(epochs=1), STAGE1, seed=self.SEEDS)
-        # a stack of one is a lone trajectory, which may update on a subset
-        [(model, _)] = run_stage(models[:1], [sets[0][0]], [sets[0][1]],
-                                 stage_config(epochs=1), STAGE1, seed=[11])
-        alone, _ = run_stage(models[0], *sets[0], stage_config(epochs=1), STAGE1,
-                             seed=11)
-        assert model_bytes(model) == model_bytes(alone)
+    # each trajectory's update takes its own rows: top-K or the whole batch
+    # in stage 1, top-K' or top-K in stage 2. The trajectories' labels are
+    # flipped at rates 0, 15% and 30%, so that their batches differ in
+    # hardness and some steps' trajectories take different branches
+    # (`mixed`): not with K = K' = 1, where stage 2 always takes top-K', or
+    # with alpha = 1, where stage 1 always takes top-K, the whole batch
+    @pytest.mark.parametrize("batch,dim,hidden,alpha,decide,mixed", [
+        (50, 12, 96, 0.1, STAGE1, True),
+        (50, 12, 96, 0.1, STAGE2, True),
+        (512, 16, 64, 0.1, STAGE1, True),
+        (512, 16, 64, 0.02, STAGE2, True),    # K = 10
+        (4, 12, 96, 0.25, STAGE1, True),      # K = 1
+        (4, 12, 96, 0.25, STAGE2, False),     # K = K' = 1
+        (50, 12, 96, 1.0, STAGE1, False),     # top-K is the whole batch
+    ], ids=["reference_shape", "reference_shape-stage2", "large_batch_shape",
+            "large_batch_shape-stage2", "K1", "K1-stage2", "alpha1"])
+    def test_a_curriculum_stack_equals_its_trajectories_alone(
+            self, batch, dim, hidden, alpha, decide, mixed):
+        rng = np.random.default_rng(batch)
+        sets = training_sets(batch, dim, rng, batches=5)
+        for rate, (_, labels) in zip((0.0, 0.15, 0.3), sets):
+            labels[rng.random(len(labels)) < rate] ^= 1
+        models = [init_model(dim, hidden, 2, seed=s) for s in (1, 2, 3)]
+        before = [model_bytes(m) for m in models]
+        config = stage_config(alpha=alpha, epochs=3, batch=batch, lr=1e-2,
+                              milestones=(2,))
+        stacked = stacked_stage(models, sets, config, decide, self.SEEDS)
+        assert_stack_equals_alone(stacked, each_alone(models, sets, config, decide,
+                                                      self.SEEDS))
+        assert len({model_bytes(got) for got, _ in stacked}) == 3
+        assert [model_bytes(m) for m in models] == before
+        assert (mixed_steps(stacked) > 0) == mixed
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(count=st.integers(1, 4), batch=st.integers(1, 12),
+           alpha=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
+           decide=st.sampled_from([STAGE1, STAGE2]), draw=st.integers(0, 2**16))
+    def test_any_stack_equals_its_trajectories_alone(self, count, batch, alpha,
+                                                      decide, draw):
+        rng = np.random.default_rng(draw)
+        sets = training_sets(batch, 3, rng, count)
+        models = [init_model(3, 8, 2, seed=draw + s) for s in range(count)]
+        seeds = [draw + 10 + s for s in range(count)]
+        config = stage_config(alpha=alpha, epochs=2, batch=batch, lr=5e-2)
+        assert_stack_equals_alone(stacked_stage(models, sets, config, decide, seeds),
+                                  each_alone(models, sets, config, decide, seeds))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("decide", [STAGE1, STAGE2], ids=["stage1", "stage2"])
+    def test_a_failure_at_a_top_k_step_ends_only_its_trajectory(self, decide):
+        # the middle trajectory's first batch holds a row far out along
+        # every feature, labelled as the class its logits rank lower: that
+        # row's loss dominates the batch, so the first update is on a row
+        # subset holding it, and its w3 gradient passes the limit
+        rng = np.random.default_rng(8)
+        sets = training_sets(50, 12, rng)
+        models = [init_model(12, 96, 2, seed=s) for s in (1, 2, 3)]
+        features, labels = sets[1]
+        row = np.random.default_rng(self.SEEDS[1]).permutation(len(features))[0]
+        features[row] = 1e20
+        logits = numcore.forward(models[1], features[row:row + 1])
+        labels[row] = np.argmin(logits[0])
+        config = stage_config(epochs=2, batch=50, lr=1e-2)
+        branches = []
+
+        def recording(losses, thres, k):
+            decision = decide(losses, thres, k)
+            branches.append(decision.branch)
+            return decision
+
+        with pytest.raises(NumericError, match="overflowing gradient") as alone:
+            run_stage(models[1], features, labels, config, recording, seed=self.SEEDS[1])
+        assert branches == [{STAGE1: "top_k", STAGE2: "top_k_prime"}[decide]]
+        assert "epoch 0, iteration 1 " in str(alone.value)
+        stacked = stacked_stage(models, sets, config, decide, self.SEEDS)
+        assert str(stacked[1]) == str(alone.value)
+        # the failing step is a mixed one: the others take the other branch
+        assert {report.records[0].branch for _, report in stacked[::2]} == \
+            {STAGE1: {"total"}, STAGE2: {"top_k"}}[decide]
+        assert_stack_equals_alone(stacked, each_alone(models, sets, config, decide,
+                                                      self.SEEDS))
 
     def test_training_sets_of_one_shape(self):
         rng = np.random.default_rng(6)
-        sets = three_sets(30, 4, rng)
+        sets = training_sets(30, 4, rng)
         sets[2] = (sets[2][0][:-1], sets[2][1][:-1])
         models = [init_model(4, 16, 2, seed=s) for s in (1, 2, 3)]
         with pytest.raises(ValidationError, match="one shape"):

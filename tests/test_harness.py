@@ -695,13 +695,14 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.all_ok
         # run_stage pretrains the seeds' theta_0 as one stack and trains
-        # their baseline cells as one more, then each seed's other cells
-        per_seed = len(report.cells) // len(config.seeds) - 1
-        assert len(models) == 2 + per_seed * len(config.seeds)
+        # their baseline cells as one more and their curriculum1 cells as a
+        # third, then each seed's curriculum2 cell
+        assert len(report.cells) == 3 * len(config.seeds)
+        assert len(models) == 3 + len(config.seeds)
         for i, seed in enumerate(config.seeds):
             _, _, test, test_ood = harness._build_datasets(config, seed)
             cells = [c for c in report.cells if c["seed"] == seed]
-            trained = [models[1][i], *models[2 + i * per_seed:2 + (i + 1) * per_seed]]
+            trained = [models[1][i], models[2][i], models[3 + i]]
             for (model, _), cell in zip(trained, cells, strict=True):
                 for split, ds in (("in_domain", test), ("ood", test_ood)):
                     m = cell["metrics"][split]
@@ -882,9 +883,11 @@ class TestRunExperiment:
         for c in report.cells:
             steps[c["strategy"]] += len(c["curve"])
         n = len(d["seeds"])
+        assert len(report.cells) == 3 * n
         # one chunk of every seed: its pretraining is one stack, which runs
-        # one stage, its baseline cells one more, and every other cell one
-        assert calls == {"finetune_plain": 1, "run_stage": 2 + len(report.cells) - n,
+        # one stage, its baseline cells one more, its curriculum1 cells a
+        # third, and each curriculum2 cell one
+        assert calls == {"finetune_plain": 1, "run_stage": 3 + n,
                          "decide_update_stage1": steps["curriculum1"],
                          "decide_update_stage2": steps["curriculum2"]}
 
@@ -1107,8 +1110,9 @@ class TestFloat64Scoring:
 
     def test_each_train_split_is_held_once_in_float32(self, monkeypatch):
         # the pretraining stack gets each seed's float32 copy of its source
-        # split once, and the baseline stack and every other cell of a seed
-        # the one float32 copy of its target train split
+        # split once, and the baseline and curriculum1 stacks and the
+        # seed's curriculum2 cell the one float32 copy of its target train
+        # split
         features, run_stage = [], curriculum.run_stage
 
         def recording(model, x, *args, **kwargs):
@@ -1119,18 +1123,18 @@ class TestFloat64Scoring:
         config = config_from_dict(tiny_dict(seeds=[0, 1]))
         report = run_experiment(config)
         assert report.all_ok
-        pretrain, baseline, *cells = features
-        per_seed = len(report.cells) // len(config.seeds) - 1
-        assert len(pretrain) == len(baseline) == len(config.seeds)
-        assert len(cells) == per_seed * len(config.seeds)
-        assert all(x.dtype == np.float32 for x in [*pretrain, *baseline, *cells])
+        pretrain, baseline, stage1, *stage2 = features
+        assert len(pretrain) == len(baseline) == len(stage1) == len(config.seeds)
+        assert len(stage2) == len(config.seeds)
+        assert all(x.dtype == np.float32
+                   for x in [*pretrain, *baseline, *stage1, *stage2])
         for i, seed in enumerate(config.seeds):
             source = data.generate_blobs(config.source, draw_seed=seed)
             assert pretrain[i].tobytes() == source.features.astype(np.float32).tobytes()
             train = data.generate_blobs(config.target, draw_seed=seed)
             target = baseline[i]
             assert target.tobytes() == train.features.astype(np.float32).tobytes()
-            assert all(x is target for x in cells[i * per_seed:(i + 1) * per_seed])
+            assert stage1[i] is target and stage2[i] is target
 
     @pytest.mark.filterwarnings("error")
     def test_target_features_beyond_float32_fail_every_cell(self, monkeypatch):

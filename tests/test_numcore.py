@@ -335,6 +335,24 @@ class TestBackward:
         with pytest.raises(ValidationError):
             step_backward(m, np.zeros((2, 5)), [0, 1], [])
 
+    @pytest.mark.parametrize("mask", [[True, False, True, False, False],
+                                      [0.0, 1.9], np.array([0.0, 2.0])],
+                             ids=["bool", "float", "float_array"])
+    def test_a_mask_of_no_integer_dtype_raises(self, mask, step_backward):
+        # cast to indices, the bool mask would be rows 1, 0, 1 (rows 0 and 1,
+        # not 0 and 2) and the float one rows 0 and 1
+        rng = np.random.default_rng(9)
+        m = random_model(rng)
+        x, y = rng.normal(size=(5, 5)), rng.integers(0, 3, 5)
+        with pytest.raises(ValidationError, match="integer indices"):
+            step_backward(m, x, y, mask)
+        # the integer masks of those rows
+        want = step_backward(m, x, y, [0, 2])
+        for rows in ([2, 0], np.array([0, 2], dtype=np.int32),
+                     np.array([0, 2], dtype=np.uint8)):
+            got = step_backward(m, x, y, rows)
+            assert (got[0].theta.tobytes(), got[1]) == (want[0].theta.tobytes(), want[1])
+
     def test_masked_gradient_additivity(self, step_backward):
         rng = np.random.default_rng(8)
         m = random_model(rng)
@@ -408,6 +426,79 @@ class TestForwardReuse:
         for mask in (None, rng.choice(batch, size=5, replace=False)):
             grads, _ = step_backward(m, x, y, mask)
             assert np.isfinite(grads.theta).all()
+
+
+@pytest.mark.parametrize("batch,dim,hidden", [(50, 12, 96), (512, 16, 64)],
+                         ids=["reference_shape", "large_batch_shape"])
+class TestStackedBackward:
+    """backward on a stack with one mask per model gives each model the
+    gradient bytes and mean loss of its backward alone (step_backward, which
+    also checks the expression form)."""
+
+    @pytest.fixture
+    def stack_pass(self, batch, dim, hidden, garbage_buffers):
+        """A stack of five float32 models with their batches, the step's
+        pass in NaN-filled buffers, and a NaN-filled gradient stack."""
+        rng = np.random.default_rng(batch)
+        g = 5
+        models = [init_model(dim, hidden, 2, seed=s) for s in range(g)]
+        for m in models:
+            m.theta += (0.1 * rng.normal(size=m.theta.shape)).astype(m.theta.dtype)
+        stack = MlpModel.stack(models)
+        x = rng.normal(size=(g, batch, dim)).astype(np.float32)
+        y = rng.integers(0, 2, (g, batch))
+        buffers = garbage_buffers(batch, stack)
+        per_sample_cross_entropy(forward(stack, x, buffers), y, buffers)
+        grads = stack.copy()
+        grads.theta[:] = np.nan
+        return rng, models, stack, x, y, buffers, grads
+
+    def test_each_model_gets_its_lone_gradients(self, batch, stack_pass,
+                                                step_backward):
+        rng, models, stack, x, y, buffers, grads = stack_pass
+        five = rng.choice(batch, size=5, replace=False)
+        masks = [None,                     # the whole batch
+                 np.sort(five),            # sorted
+                 five,                     # unsorted, the same rows
+                 rng.choice(batch, size=3, replace=False),   # a second size
+                 rng.permutation(batch)]   # every row: the whole batch
+        means = backward(stack, x, y, masks, buffers, grads)
+        for j, (model, mask) in enumerate(zip(models, masks, strict=True)):
+            want, want_mean = step_backward(model, x[j], y[j], mask)
+            assert grads.theta[j].tobytes() == want.theta.tobytes()
+            assert means[j] == want_mean
+
+    @pytest.mark.parametrize("size", [None, 1, 5])
+    def test_one_mask_size_for_every_model(self, batch, size, stack_pass,
+                                           step_backward):
+        # every model on its whole batch (the views path), and every model
+        # on its own rows of one size (one group)
+        rng, models, stack, x, y, buffers, grads = stack_pass
+        masks = [None if size is None else rng.choice(batch, size=size, replace=False)
+                 for _ in models]
+        means = backward(stack, x, y, masks, buffers, grads)
+        for j, (model, mask) in enumerate(zip(models, masks, strict=True)):
+            want, want_mean = step_backward(model, x[j], y[j], mask)
+            assert grads.theta[j].tobytes() == want.theta.tobytes()
+            assert means[j] == want_mean
+        if size is None:
+            assert backward(stack, x, y, None, buffers, grads) == means
+
+    def test_bad_mask_lists_raise(self, batch, stack_pass):
+        _, models, stack, x, y, buffers, grads = stack_pass
+        ok = [None, [0, 1]] + [None] * (len(models) - 2)
+        for masks, message in (
+                (ok[:-1], f"one sample_mask per model, got {len(models) - 1}"),
+                (ok + [None], f"one sample_mask per model, got {len(models) + 1}"),
+                ([*ok[:-1], [0, batch]], "index out of range"),
+                ([*ok[:-1], [-1]], "index out of range"),
+                ([*ok[:-1], []], "must be nonempty"),
+                ([*ok[:-1], [True, False]], "integer indices"),
+                # one mask, not one per model: a row for each model
+                (np.arange(len(models)), r"one-dimensional, got shape \(\)"),
+                ([*ok[:-1], [[0, 1]]], r"one-dimensional, got shape \(1, 2\)")):
+            with pytest.raises(ValidationError, match=message):
+                backward(stack, x, y, masks, buffers, grads)
 
 
 def refused(m, x, y, mask, buffers):
