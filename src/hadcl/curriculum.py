@@ -17,7 +17,7 @@ CurriculumTrainConfig (plus alpha, a and b), which checks its own values.
 The loop also trains a stack of trajectories in lockstep, one numcore stack
 in which each trajectory's update takes its own rows, as the harness
 pretrains and trains the baseline and stage 1: each trajectory keeps the
-bits it has alone.
+bits it has alone. A stack that fails runs each trajectory again alone.
 """
 
 from __future__ import annotations
@@ -265,29 +265,54 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     trajectory's losses, and forward, the loss pass, backward (handed one
     mask per trajectory, so each updates on the rows its decision selects)
     and adam_step run once on the whole stack, which gives each trajectory
-    the bits it gets alone. A NumericError ends only the trajectories it
-    names, each with the message it gets alone, and the rest go on. The
-    call returns a list with each trajectory's (model, report), or the
-    NumericError that ended it.
+    the bits it gets alone. The call returns a list with each trajectory's
+    (model, report), or the NumericError that ended it: a NumericError
+    anywhere in the stack, the features' cast included, ends the whole
+    stack, and then each trajectory runs again alone, so each gets the
+    bits, curve or error it gets alone (a shared `select` may so be called
+    again for an epoch it scored already). A stack of one is not run
+    again: its error is the one it gets alone.
     """
-    stacked = isinstance(seed, list)
-    if not stacked:
-        model, features, labels, seed = [model], [features], [labels], [seed]
+    if not isinstance(seed, list):
+        return _lockstep([model], [features], [labels], config, decide, [seed],
+                         select)[0]
+    try:
+        return _lockstep(model, features, labels, config, decide, seed, select)
+    except NumericError as exc:
+        if len(seed) == 1:
+            return [exc]
+    # the stack's exception, and with it the stack's arrays, is gone here
+    results = []
+    for m, f, y, s in zip(model, features, labels, seed):
+        try:
+            results.append(run_stage(m, f, y, config, decide, s, select))
+        except NumericError as exc:
+            results.append(exc)
+    return results
+
+
+def _lockstep(model: list, features: list, labels: list, config: TrainConfig,
+              decide, seed: list, select) -> list:
+    """run_stage's loop on lists of trajectories, one entry each, trained as
+    one stack (one model's arrays for one trajectory). Returns each
+    trajectory's (model, report), or raises the stack's first NumericError,
+    named with the first trajectory's shuffle seed: the message a lone run
+    shows."""
+    if not len(model) == len(features) == len(labels) == len(seed) > 0:
+        raise ValidationError("a stack needs one model, feature set, label set "
+                              "and seed per trajectory")
     if not isinstance(config, CurriculumTrainConfig):
         config = CurriculumTrainConfig(**vars(config), alpha=1.0, a=0.7, b=0.2)
     for m in model:
         if m.theta.dtype != numcore.TRAIN_DTYPE:
             raise ValidationError(f"a stage trains {numcore.TRAIN_DTYPE} parameters, "
                                   f"got {m.theta.dtype}")
-    features = [training_features(f) for f in features]
     labels = [np.asarray(y) for y in labels]
-    if not len(model) == len(features) == len(labels) == len(seed) > 0:
-        raise ValidationError("a stack needs one model, feature set, label set "
-                              "and seed per trajectory")
-    if any(f.shape != features[0].shape or y.dtype != labels[0].dtype
+    if any(np.shape(f) != np.shape(features[0]) or y.dtype != labels[0].dtype
            for f, y in zip(features, labels)):
         raise ValidationError("a stack's training sets must have one shape and "
                               "one label dtype")
+    features = [training_features(f) for f in features]
     n, batch_size = features[0].shape[0], config.batch_size
     # short trailing batches are dropped so K is constant
     n_batches = n // batch_size
@@ -295,12 +320,9 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
         raise ValidationError(
             f"dataset of {n} samples yields no full batch of size {batch_size}")
 
-    # the trajectories by position in the stack: `active` holds the index of
-    # each one still training, and `results` what each one ended with. One
-    # trajectory trains in the arrays of one model, which skip the stack's
-    # indexing, several in a stack's; by_trajectory views either kind of
-    # array with one row per trajectory.
-    active, results = list(range(len(seed))), [None] * len(seed)
+    # One trajectory trains in the arrays of one model, which skip the
+    # stack's indexing, several in a stack's; by_trajectory views either
+    # kind of array with one row per trajectory.
     one = len(seed) == 1
     stack = model[0].copy() if one else MlpModel.stack(model)
     state = OptimizerState()
@@ -308,41 +330,18 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
     def by_trajectory(a: np.ndarray) -> np.ndarray:
         return a[None] if one else a
 
-    def not_finite(a: np.ndarray) -> list:
-        """The stack positions whose row of `a` holds a NaN or infinity."""
-        return np.flatnonzero(~np.isfinite(by_trajectory(a)).all(axis=1)).tolist()
+    def trajectory(i: int) -> MlpModel:
+        """The model of trajectory i, a copy."""
+        return stack.copy() if one else stack.take(i)
 
-    def trajectory(j: int) -> MlpModel:
-        """The model of the trajectory at stack position j, a copy."""
-        return stack.copy() if one else stack.take(j)
-
-    def arrays(stack):
-        """The batch x and y, which each step gathers, and the buffers that
-        forward, the loss pass, backward and adam_step write; backward reads
-        the ranking pass's activations, softmax and losses of the rows it
-        updates on from them."""
-        lead = stack.theta.shape[:-1]
-        return (np.empty((*lead, batch_size, *features[0].shape[1:]), features[0].dtype),
-                np.empty((*lead, batch_size), labels[0].dtype),
-                numcore.StepBuffers(batch_size, stack), stack.copy())
-
-    def end(failed, where):
-        """Ends the trajectories at the stack positions `failed` (None: all)
-        with the message `where(seed)`; returns the stack of the others, or
-        None if none is left."""
-        failed = range(len(active)) if failed is None else failed
-        for j in failed:
-            results[active[j]] = NumericError(where(seed[active[j]]))
-        keep = [j for j in range(len(active)) if j not in failed]
-        active[:] = [active[j] for j in keep]
-        if not keep:
-            return None
-        if state.m is not None:
-            state.m, state.v = state.m[keep], state.v[keep]
-        state.scratch = None
-        return stack.take(keep)
-
-    x, y, buffers, grads = arrays(stack)
+    # the batch x and y, which each step gathers, and the buffers that
+    # forward, the loss pass, backward and adam_step write; backward reads
+    # the ranking pass's activations, softmax and losses of the rows it
+    # updates on from them
+    lead = stack.theta.shape[:-1]
+    x = np.empty((*lead, batch_size, *features[0].shape[1:]), features[0].dtype)
+    y = np.empty((*lead, batch_size), labels[0].dtype)
+    buffers, grads = numcore.StepBuffers(batch_size, stack), stack.copy()
     k = config.top_k
     thresholds = [threshold(t, n_batches, config.a, config.b)
                   for t in range(1, n_batches + 1)]
@@ -358,71 +357,47 @@ def run_stage(model: MlpModel, features, labels, config: TrainConfig,
 
     for epoch in range(config.epochs):
         lr = config.lr_at(epoch)
-        perms = {i: rngs[i].permutation(n) for i in active}
+        perms = [rng.permutation(n) for rng in rngs]
         for t, thres in enumerate(thresholds, start=1):
             batch = slice((t - 1) * batch_size, t * batch_size)
-            while active:
-                for i, x_i, y_i in zip(active, by_trajectory(x), by_trajectory(y)):
-                    idx = perms[i][batch]
-                    # mode="clip" (idx is in range) lets take write straight
-                    # into out
-                    features[i].take(idx, axis=0, out=x_i, mode="clip")
-                    labels[i].take(idx, out=y_i, mode="clip")
-                try:
-                    logits = numcore.forward(stack, x, buffers)
-                    losses = numcore.per_sample_cross_entropy(logits, y, buffers)
-                    if not np.isfinite(losses).all():
-                        raise NumericError("non-finite loss", slices=not_finite(losses))
-                    decisions = []
-                    for j, row in enumerate(by_trajectory(losses)):
-                        try:
-                            decisions.append(decide(row, thres, k))
-                        except NumericError as exc:
-                            raise NumericError(str(exc), slices=[j]) from None
-                    mask = decisions[0].mask if one else [d.mask for d in decisions]
-                    mean_losses = numcore.backward(stack, x, y, mask, buffers, grads)
-                    numcore.adam_step(stack, grads, state, lr)
-                    break
-                except NumericError as exc:
-                    # the step changed no parameters: it runs again on the
-                    # trajectories left
-                    stack = end(exc.slices, lambda s: f"{exc} at epoch {epoch}, "
-                                f"iteration {t} (shuffle seed {s}); run aborted")
-                    if stack is not None:
-                        x, y, buffers, grads = arrays(stack)
-            if not active:
-                break
+            for perm, f, y_all, x_i, y_i in zip(perms, features, labels,
+                                                by_trajectory(x), by_trajectory(y)):
+                idx = perm[batch]
+                # mode="clip" (idx is in range) lets take write straight
+                # into out
+                f.take(idx, axis=0, out=x_i, mode="clip")
+                y_all.take(idx, out=y_i, mode="clip")
+            try:
+                logits = numcore.forward(stack, x, buffers)
+                losses = numcore.per_sample_cross_entropy(logits, y, buffers)
+                if not np.isfinite(losses).all():
+                    raise NumericError("non-finite loss")
+                decisions = [decide(row, thres, k) for row in by_trajectory(losses)]
+                mask = decisions[0].mask if one else [d.mask for d in decisions]
+                mean_losses = numcore.backward(stack, x, y, mask, buffers, grads)
+                numcore.adam_step(stack, grads, state, lr)
+            except NumericError as exc:
+                raise NumericError(f"{exc} at epoch {epoch}, iteration {t} (shuffle "
+                                   f"seed {seed[0]}); run aborted") from None
             if one:
                 mean_losses = [mean_losses]
-            for i, d, mean_loss in zip(active, decisions, mean_losses):
-                reports[i].records.append(IterationRecord(
+            for report, d, mean_loss in zip(reports, decisions, mean_losses):
+                report.records.append(IterationRecord(
                     epoch=epoch, t=t, thres=thres, k=d.k, k_prime=d.k_prime,
                     branch=d.branch, mean_loss=mean_loss, lr=lr))
-        if not active:
-            break
         # the epoch's last update, which no forward pass has checked
         if not np.isfinite(stack.theta).all():
-            stack = end(not_finite(stack.theta),
-                        lambda s: f"non-finite parameters at epoch {epoch}, iteration "
-                                  f"{n_batches} (shuffle seed {s}); run aborted")
-            if stack is None:
-                break
-            x, y, buffers, grads = arrays(stack)
+            raise NumericError(f"non-finite parameters at epoch {epoch}, iteration "
+                               f"{n_batches} (shuffle seed {seed[0]}); run aborted")
         if select is not None:
-            for j, i in enumerate(active):
-                trained = trajectory(j)
+            for i in range(len(seed)):
+                trained = trajectory(i)
                 score = select(trained)
                 if score > best_scores[i]:
                     best_models[i], best_scores[i] = trained, score
                     reports[i].best_epoch = epoch
-    for j, i in enumerate(active):
-        kept = best_models[i] if select is not None else trajectory(j)
-        results[i] = (kept, reports[i])
-    if stacked:
-        return results
-    if isinstance(results[0], NumericError):
-        raise results[0]
-    return results[0]
+    return [(best_models[i] if select is not None else trajectory(i), reports[i])
+            for i in range(len(seed))]
 
 
 def finetune_plain(model: MlpModel, features, labels, config: TrainConfig,

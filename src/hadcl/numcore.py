@@ -75,7 +75,7 @@ loss in a call of its own. So each model's slice keeps the bits it has
 alone, at about 140 instead of 240 us a step per model for ten models at
 the reference shape (one BLAS thread, a 2-vCPU x86-64 host): a step of
 tiny products costs its calls, which the stack shares. A failed check
-names the models it failed for in the NumericError's `slices`.
+raises for the whole stack.
 
 Each model of a stack updates on its own rows: `backward` takes one mask
 per model. When every model takes its whole batch it reads views of the
@@ -230,15 +230,6 @@ class StepBuffers:
             raise DimensionError(f"{n} rows exceed the buffers' {self.losses.shape[-1]}")
 
 
-def _failed(ok: np.ndarray, stacked: bool) -> list | None:
-    """For a stack, the positions of the models whose entries of `ok`, an
-    array with the stack's leading axis, are not all True; None for one
-    model."""
-    if not stacked:
-        return None
-    return np.flatnonzero(~ok.reshape(len(ok), -1).all(axis=1)).tolist()
-
-
 def init_model(in_dim: int, hidden: int, n_classes: int, seed: int) -> MlpModel:
     """He-uniform fan-in initialization for weights, zero biases; float64
     draws rounded to TRAIN_DTYPE."""
@@ -263,8 +254,7 @@ def forward(model: MlpModel, inputs: np.ndarray,
     (G, B, d) for a stack of G. With `buffers`, the post-ReLU activations h1
     and h2, which `backward` reads, and the logits are written into their
     first B rows, and the logits returned are a view. Non-finite logits are
-    a NumericError, whose `slices` name the models of a stack they came
-    from."""
+    a NumericError."""
     dtype, lead = model.theta.dtype, model.theta.shape[:-1]
     x = np.asarray(inputs, dtype=dtype)
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead or x.shape[-1] != model.in_dim:
@@ -294,10 +284,8 @@ def forward(model: MlpModel, inputs: np.ndarray,
         np.matmul(h2, model.w3, out=logits)
         for j in range(logits.shape[-1]):  # logits += b3, by column
             logits[..., j] += model.b3[..., j, None]
-    finite = np.isfinite(logits)
-    if not finite.all():
-        raise NumericError("non-finite logits in forward pass",
-                           slices=_failed(finite, bool(lead)))
+    if not np.isfinite(logits).all():
+        raise NumericError("non-finite logits in forward pass")
     return logits
 
 
@@ -500,17 +488,20 @@ def _differentiate(w2, w3, x, labels, at: tuple, cut: tuple, stack: tuple,
     d_h1, d_h2 = buffers.d_h1[head], buffers.d_h2[head]
     # h > 0 is h_pre > 0: ReLU keeps the positive entries and zeroes the rest;
     # d *= (h > 0) gives the bits of (d_logits @ w.T) * (h > 0.0); .mT is
-    # .T of a matrix, and of each matrix of a stack
-    np.matmul(h2.mT, d_logits, out=out.w3)
-    np.add.reduce(d_logits, axis=-2, out=out.b3)
-    np.matmul(d_logits, w3.mT, out=d_h2)
-    d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[head])
-    np.matmul(h1.mT, d_h2, out=out.w2)
-    np.add.reduce(d_h2, axis=-2, out=out.b2)
-    np.matmul(d_h2, w2.mT, out=d_h1)
-    d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[head])
-    np.matmul(x.mT, d_h1, out=out.w1)
-    np.add.reduce(d_h1, axis=-2, out=out.b1)
+    # .T of a matrix, and of each matrix of a stack. Finite activations near
+    # the dtype's largest may overflow a gradient to inf (and inf * 0 to
+    # NaN), which adam_step rejects, so no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(h2.mT, d_logits, out=out.w3)
+        np.add.reduce(d_logits, axis=-2, out=out.b3)
+        np.matmul(d_logits, w3.mT, out=d_h2)
+        d_h2 *= np.greater(h2, 0.0, out=buffers.relu2[head])
+        np.matmul(h1.mT, d_h2, out=out.w2)
+        np.add.reduce(d_h2, axis=-2, out=out.b2)
+        np.matmul(d_h2, w2.mT, out=d_h1)
+        d_h1 *= np.greater(h1, 0.0, out=buffers.relu1[head])
+        np.matmul(x.mT, d_h1, out=out.w1)
+        np.add.reduce(d_h1, axis=-2, out=out.b1)
     return mean_loss
 
 
@@ -542,19 +533,16 @@ def adam_step(model: MlpModel, grads: MlpModel, state: OptimizerState,
     bias-corrected moments m_hat and v_hat without making them. It works one
     operation at a time in that order, into the moments and state.scratch, in
     the model's dtype: the bits of the expressions. A gradient entry at or
-    past the limit, or NaN, is a NumericError before anything changes, whose
-    `slices` name the models of a stack it came from. A step that overflows
-    leaves a non-finite p, which the caller rejects: run_stage's next
-    forward pass, or its check at the end of each epoch.
+    past the limit, or NaN, is a NumericError before anything changes. A
+    step that overflows leaves a non-finite p, which the caller rejects:
+    run_stage's next forward pass, or its check at the end of each epoch.
     """
     g = grads.theta
     if state.scratch is None:
         state.scratch = np.empty((2, *g.shape), g.dtype)
     s, u = state.scratch
     if not np.maximum.reduce(np.abs(g, out=s), axis=None) < _GRAD_LIMIT:  # False for NaN too
-        raise NumericError("non-finite or overflowing gradient; step aborted",
-                           slices=_failed(np.maximum.reduce(s, axis=-1) < _GRAD_LIMIT,
-                                          g.ndim == 2))
+        raise NumericError("non-finite or overflowing gradient; step aborted")
     if state.m is None:  # 0.0*beta + x gives the bits of a scalar 0.0 start
         state.m, state.v = np.zeros((2, *g.shape), g.dtype)
     state.step += 1

@@ -403,6 +403,19 @@ class TestStepChecks:
         with pytest.raises(NumericError, match="overflowing gradient; step aborted" + WHERE):
             self.run(model=model)
 
+    def test_overflowing_gradient_product(self):
+        # an h1 of 3e38 (finite in float32), an h2 of 1 and logits of +-64:
+        # h1.T @ d_h2, the w2 gradient, overflows to inf inside the product,
+        # and the step fails with no RuntimeWarning
+        model = init_model(4, 16, 2, seed=1)
+        model.w1[...] = 0.0
+        model.b1[...] = 3e38
+        model.w2[...] = 0.0
+        model.b2[...] = 1.0
+        model.w3[...] = (4.0, -4.0)
+        with pytest.raises(NumericError, match="overflowing gradient; step aborted" + WHERE):
+            self.run(model=model)
+
     @pytest.mark.parametrize("mask,message", [
         ([], "sample_mask must be nonempty"),
         ([0, 30], "sample_mask index out of range"),
@@ -845,6 +858,27 @@ class TestLockstep:
         else:
             assert "overflowing gradient" in message and "epoch 0, iteration 1 " in message
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_feature_set_beyond_float32_fails_only_its_trajectory(self):
+        # the cast to float32 runs in the stack, whose failure runs each
+        # trajectory again alone
+        rng = np.random.default_rng(5)
+        [(features, labels)] = training_sets(50, 12, rng, count=1)
+        overflowing = features.copy()
+        overflowing[7, 2] = 1e39
+        models = [init_model(12, 96, 2, seed=s) for s in (1, 2)]
+        config = TrainConfig(epochs=2, lr=1e-2, batch_size=50)
+        stacked = finetune_plain(models, [features, overflowing], [labels, labels],
+                                 config, seed=[7, 8])
+        want, report = finetune_plain(models[0], features, labels, config, seed=7)
+        assert model_bytes(stacked[0][0]) == model_bytes(want)
+        assert stacked[0][1].records == report.records
+        with pytest.raises(NumericError) as alone:
+            finetune_plain(models[1], overflowing, labels, config, seed=8)
+        assert isinstance(stacked[1], NumericError)
+        assert str(stacked[1]) == str(alone.value) == \
+            "features overflow float32; stage not run"
+
     # each trajectory's update takes its own rows: top-K or the whole batch
     # in stage 1, top-K' or top-K in stage 2. The trajectories' labels are
     # flipped at rates 0, 15% and 30%, so that their batches differ in
@@ -878,17 +912,28 @@ class TestLockstep:
         assert [model_bytes(m) for m in models] == before
         assert (mixed_steps(stacked) > 0) == mixed
 
+    # `failing`, if drawn, is a trajectory (its position modulo the stack's
+    # size) and one of the stage's four steps (two epochs of two batches):
+    # a row of that step's batch is set near float32's largest, so the
+    # stack fails there or earlier, and runs its trajectories again alone
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(count=st.integers(1, 4), batch=st.integers(1, 12),
            alpha=st.sampled_from([0.05, 0.1, 0.3, 0.5, 1.0]),
-           decide=st.sampled_from([STAGE1, STAGE2]), draw=st.integers(0, 2**16))
+           decide=st.sampled_from([STAGE1, STAGE2]), draw=st.integers(0, 2**16),
+           failing=st.none() | st.tuples(st.integers(0, 3), st.integers(0, 3)))
     def test_any_stack_equals_its_trajectories_alone(self, count, batch, alpha,
-                                                      decide, draw):
+                                                      decide, draw, failing):
         rng = np.random.default_rng(draw)
         sets = training_sets(batch, 3, rng, count)
         models = [init_model(3, 8, 2, seed=draw + s) for s in range(count)]
         seeds = [draw + 10 + s for s in range(count)]
         config = stage_config(alpha=alpha, epochs=2, batch=batch, lr=5e-2)
+        if failing is not None:
+            position, step = failing[0] % count, failing[1]
+            features = sets[position][0]
+            shuffles = np.random.default_rng(seeds[position])
+            perms = [shuffles.permutation(len(features)) for _ in range(2)]
+            features[perms[step // 2][step % 2 * batch]] = 3e38
         assert_stack_equals_alone(stacked_stage(models, sets, config, decide, seeds),
                                   each_alone(models, sets, config, decide, seeds))
 

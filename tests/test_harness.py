@@ -802,15 +802,18 @@ class TestRunExperiment:
             assert strip_wall_clock(run_experiment(cfg, workers=workers).cells) == want
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_diverging_seed_fails_only_its_cells(self, monkeypatch):
+    @pytest.mark.parametrize("split", ["source", "target"])
+    def test_a_diverging_seed_fails_only_its_cells(self, monkeypatch, split):
         # seed 1's source features scaled up make its pretraining diverge in
-        # the stack it shares with seed 0
+        # the stack it shares with seed 0; its target train split scaled up
+        # makes its baseline and curriculum1 stacks fail, and its
+        # curriculum2 with them
         config = config_from_dict(tiny_dict(seeds=[0, 1]))
         generate_blobs = data.generate_blobs
 
         def scaled(spec, draw_seed=0):
             ds = generate_blobs(spec, draw_seed=draw_seed)
-            if spec is config.source and draw_seed == 1:
+            if spec is getattr(config, split) and draw_seed == 1:
                 return data.Dataset(ds.features * 1e30, ds.labels)
             return ds
 
@@ -823,7 +826,11 @@ class TestRunExperiment:
         failed = [c for c in both if c["seed"] == 1]
         assert [c["error"] for c in failed] == [c["error"] for c in alone[1]]
         assert len(failed) == 3 and all(c["status"] == "failed" for c in failed)
-        assert failed[0]["error"].startswith("pretraining: non-finite")
+        if split == "source":
+            assert failed[0]["error"].startswith("pretraining: non-finite")
+        else:
+            assert all(c["error"].startswith("non-finite") for c in failed[:2])
+            assert "curriculum1 failed" in failed[2]["error"]
 
     def test_alpha_one_curriculum1_equals_baseline(self):
         # with alpha = 1 the top-K set is the whole batch, so stage 1 must
